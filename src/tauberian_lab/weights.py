@@ -20,9 +20,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetExceeded, DegenerateFit
-from .gridops import trailing_max
 
-FW_CAP = {1: 512, 2: 32}
+FW_CAP = {1: 1024, 2: 64}
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +56,9 @@ class GridWeight:
             raise ValueError("only 1-D and 2-D grids are supported")
         if values.ndim == 2 and values.shape[0] != values.shape[1]:
             raise ValueError("2-D grid must be square")
+        if not np.isfinite(values).all():
+            bad = "NaN" if np.isnan(values).any() else "inf"
+            raise ValueError(f"cell masses must be finite, got {bad}")
         if np.any(values < 0):
             raise ValueError("cell masses must be nonnegative")
         if not values.sum() > 0:
@@ -252,103 +254,41 @@ def ap_constant(w: GridWeight, p: float) -> float:
     return best
 
 
-def _fw_value_1d(w: GridWeight, i: int, s: int) -> float:
-    """(1/w(Q)) * integral over Q of the maximal function of w restricted to Q.
-
-    The uncentered grid maximal operator over domain cubes attains its
-    supremum on subintervals of Q (shrink any interval to its part in Q),
-    so only R inside Q are enumerated.
-    """
-    n = w.resolution
-    p = w.prefix
-    t = np.arange(1, s + 1)[:, None].astype(float)
-    j = np.arange(s)[None, :]
-    end = (i + j + t.astype(int)).clip(max=i + s)
-    avg = (p[end] - p[i + j]) * (n / t)
-    avg[j + t > s] = -np.inf
-    suff = np.maximum.accumulate(avg[::-1], axis=0)[::-1]
-    cc = np.arange(s)[None, :]
-    jj = np.arange(s)[:, None]
-    rows = (cc - jj).clip(min=0)
-    vals = np.where(cc >= jj, suff[rows, jj], -np.inf)
-    integral = vals.max(axis=0).sum() / n
-    mass = p[i + s] - p[i]
-    return float(integral / mass)
-
-
-def _fw_value_2d(w: GridWeight, i1: int, i2: int, s: int) -> float:
-    n = w.resolution
-    best = np.full((s, s), -np.inf)
-    for t in range(1, s + 1):
-        sums = w.window_sums(t)
-        local = sums[i1 : i1 + s - t + 1, i2 : i2 + s - t + 1] * (n / t) ** 2
-        m = trailing_max(local, t, s, axis=0)
-        m = trailing_max(m, t, s, axis=1)
-        np.maximum(best, m, out=best)
-    q = GridCube((i1, i2), s)
-    return float(best.sum() / n**2 / w.cube_mass(q))
-
-
 def fujii_wilson(w: GridWeight) -> float:
-    """Fujii-Wilson A_infinity gauge over grid cubes inside the domain."""
-    n = w.resolution
-    if n > FW_CAP[w.dim]:
-        raise BudgetExceeded(
-            f"fujii_wilson capped at N={FW_CAP[w.dim]} for dim {w.dim}, got {n}")
-    dens = w.density
-    # upper bound per cube (max density * |Q| / w(Q)) drives a pruned sweep
-    jobs = []
+    """Fujii-Wilson A_infinity gauge over grid cubes inside the domain:
+    sup over Q with w(Q) > 0 of (1/w(Q)) * integral over Q of M(w 1_Q).
+
+    M is the uncentered grid maximal operator over the subcubes of Q.  Every
+    proper subcube of a side-(s+1) cube lies in one of its 2^d side-s child
+    cubes at corners i + e, e in {0,1}^d, so the local maximal function obeys
+
+        M_{Q(i,s+1)}(c) = max(avg Q(i,s+1),
+                              max over children containing c of M_{Q(i+e,s)}(c)).
+
+    One sweep over s = 1..N keeps M for all side-s cubes at once, as an array
+    indexed by corner and then by cell within the cube.  Time is
+    Theta(N^(2d+1)) and the peak array holds Theta(N^(2d)) values, whatever
+    the weight.
+    """
+    n, d = w.resolution, w.dim
+    if n > FW_CAP[d]:
+        raise BudgetExceeded(f"fujii_wilson capped at N={FW_CAP[d]} for dim {d}, got {n}")
+    # side-0 cubes have no cells, so side 1 starts from the averages alone
+    local = np.empty((n + 1,) * d + (0,) * d)
+    best = 0.0
     for s in range(1, n + 1):
+        k = n - s + 1
         sums = w.window_sums(s)
-        vol = (s / n) ** w.dim
-        if w.dim == 1:
-            dmax = sliding_window_view(dens, s).max(axis=-1)
-        else:
-            dmax = sliding_window_view(dens, (s, s)).max(axis=(-2, -1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            upper = np.where(sums > 0, dmax * vol / sums, 0.0)
-        for idx in np.ndindex(upper.shape):
-            if sums[idx] > 0:
-                jobs.append((float(upper[idx]), idx, s))
-    jobs.sort(key=lambda r: -r[0])
-    best = 0.0
-    for upper, idx, s in jobs:
-        if upper <= best:
-            break
-        if w.dim == 1:
-            val = _fw_value_1d(w, idx[0], s)
-        else:
-            val = _fw_value_2d(w, idx[0], idx[1], s)
-        best = max(best, val)
-    return best
-
-
-def fujii_wilson_naive(w: GridWeight) -> float:
-    """Reference O(N^4)-ish evaluation used as an oracle in tests."""
-    n = w.resolution
-    best = 0.0
-    cubes = list(w.cubes())
-    for q in cubes:
-        mass = w.cube_mass(q)
-        if mass <= 0:
-            continue
-        integ = 0.0
-        for cell in np.ndindex(*(q.side,) * w.dim):
-            c = tuple(q.corner[d] + cell[d] for d in range(w.dim))
-            m = 0.0
-            for r in cubes:
-                if r.side > q.side:
-                    continue
-                inside = all(
-                    q.corner[d] <= r.corner[d]
-                    and r.corner[d] + r.side <= q.corner[d] + q.side
-                    for d in range(w.dim))
-                covers = all(
-                    r.corner[d] <= c[d] < r.corner[d] + r.side for d in range(w.dim))
-                if inside and covers:
-                    m = max(m, w.cube_mass(r) / w.cube_volume(r))
-            integ += m * w.cell_volume
-        best = max(best, integ / mass)
+        grown = np.empty((k,) * d + (s,) * d)
+        grown[...] = (sums * (n / s) ** d).reshape(sums.shape + (1,) * d)
+        for e in np.ndindex(*(2,) * d):
+            part = grown[(Ellipsis,) + tuple(slice(o, o + s - 1) for o in e)]
+            np.maximum(part, local[tuple(slice(o, o + k) for o in e)], out=part)
+        local = grown
+        heavy = sums > 0
+        if heavy.any():
+            integrals = grown.reshape(sums.shape + (-1,)).sum(axis=-1)
+            best = max(best, float((integrals[heavy] / n**d / sums[heavy]).max()))
     return best
 
 

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracles import fujii_wilson_naive
 from tauberian_lab.weights import (
     GridCube,
     GridWeight,
@@ -12,7 +15,6 @@ from tauberian_lab.weights import (
     doubling_constant,
     fit_growth_exponent,
     fujii_wilson,
-    fujii_wilson_naive,
     generate_weight,
     growth_profile,
     hruscev_constant,
@@ -89,6 +91,13 @@ def test_cube_mass_additive_disjoint():
     w = power_w(16, 2.0)
     m = w.cube_mass(GridCube((0,), 8)) + w.cube_mass(GridCube((8,), 8))
     assert m == pytest.approx(w.total_mass, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad,name", [(float("nan"), "NaN"), (float("inf"), "inf")])
+def test_grid_weight_rejects_non_finite(bad, name):
+    for vals in ([1.0, bad, 1.0], [[1.0, 1.0], [bad, 1.0]]):
+        with pytest.raises(ValueError, match=name):
+            GridWeight(np.array(vals))
 
 
 def test_cube_out_of_range():
@@ -172,9 +181,75 @@ def test_fw_nondecreasing_in_resolution():
         assert hi >= lo - 1e-12
 
 
+def test_fw_nondecreasing_under_cell_split_2d():
+    # splitting each cell into four keeps every N=32 cube and adds finer ones
+    for spec in (WeightFamilySpec("power", 2, 32, a=1.0, x0=(0.4, 0.6)),
+                 WeightFamilySpec("log-smooth-random", 2, 32, seed=4)):
+        w = generate_weight(spec)
+        fine = GridWeight(np.kron(w.values, np.full((2, 2), 0.25)))
+        assert fine.resolution == 64
+        assert fujii_wilson(fine) >= fujii_wilson(w) - 1e-12
+
+
 def test_fw_resolution_cap():
     with pytest.raises(BudgetExceeded):
-        fujii_wilson(const_w(64, dim=2))
+        fujii_wilson(const_w(128, dim=2))
+    with pytest.raises(BudgetExceeded):
+        fujii_wilson(const_w(2048))
+
+
+# values computed by an earlier, independent per-cube evaluation with pruning;
+# the sweep does the same float operations on each candidate, so it must
+# reproduce them to the last bit
+FW_PINNED = [
+    (WeightFamilySpec("constant", 1, 64), 1.0),
+    (WeightFamilySpec("power", 1, 64, a=1.0), 1.4921875),
+    (WeightFamilySpec("power", 1, 64, a=2.0), 1.8177490234374998),
+    (WeightFamilySpec("power", 1, 64, a=4.0), 2.2522664368152623),
+    (WeightFamilySpec("checkerboard", 1, 64), 1.6804790632423978),
+    (WeightFamilySpec("log-smooth-random", 1, 64, seed=5), 1.3434294415838401),
+    (WeightFamilySpec("power", 1, 256, a=2.0, x0=0.37), 2.0419581586904356),
+    (WeightFamilySpec("power", 1, 128, a=-0.5, x0=0.5), 2.1683866925943023),
+    (WeightFamilySpec("log-smooth-random", 2, 16, seed=9), 1.1371108895723396),
+    (WeightFamilySpec("power", 2, 16, a=1.0, x0=(0.3, 0.6)), 1.350530547181342),
+    (WeightFamilySpec("power", 2, 16, a=-1.0, x0=(0.5, 0.5)), 2.1959734987203046),
+    (WeightFamilySpec("checkerboard", 2, 16), 1.462221800171668),
+    (WeightFamilySpec("power", 2, 32, a=2.0, x0=(0.45, 0.55)), 1.6593155322204638),
+]
+
+
+@pytest.mark.parametrize("spec,value", FW_PINNED, ids=[s.label() for s, _ in FW_PINNED])
+def test_fw_pinned_values(spec, value):
+    assert fujii_wilson(generate_weight(spec)) == value
+
+
+def test_fw_pinned_values_zero_cells():
+    w1 = GridWeight(np.array([0.0, 0.0, 1.0, 2.0, 0.0, 3.0, 0.0, 0.0]))
+    w2 = GridWeight(np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 5.0]]))
+    assert fujii_wilson(w1) == 2.3333333333333335
+    assert fujii_wilson(w2) == 1.8020833333333333
+
+
+# cell masses with exact zeros among them; grids with no mass are discarded
+MASSES = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3))
+
+
+@st.composite
+def grid_weights(draw, dim, max_n):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    vals = draw(st.lists(MASSES, min_size=n**dim, max_size=n**dim)
+                .filter(lambda v: sum(v) > 0))
+    return GridWeight(np.reshape(vals, (n,) * dim))
+
+
+@given(grid_weights(dim=1, max_n=10))
+def test_fw_matches_naive_property_1d(w):
+    assert fujii_wilson(w) == pytest.approx(fujii_wilson_naive(w), rel=1e-12)
+
+
+@given(grid_weights(dim=2, max_n=5))
+def test_fw_matches_naive_property_2d(w):
+    assert fujii_wilson(w) == pytest.approx(fujii_wilson_naive(w), rel=1e-12)
 
 
 # -- Hruscev ------------------------------------------------------------------
