@@ -47,10 +47,6 @@ class SelectionResult:
     def rejected(self) -> BoxFamily:
         return BoxFamily([self.input[i] for i in sorted(self.certificates)])
 
-    @property
-    def rejected_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.certificates))
-
 
 # ---------------------------------------------------------------------------
 # Vitali

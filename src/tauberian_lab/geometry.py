@@ -20,8 +20,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import OrderingViolation
 
-Rat = Fraction
-
 ORDER_DECREASING = "decreasing-sidelength"
 ORDER_UNORDERED = "unordered"
 
@@ -85,16 +83,6 @@ class Box:
             for sl, su, ol, ou in zip(self.lo, self.hi, other.lo, other.hi)
         )
 
-    @staticmethod
-    def from_corners(lo: Sequence, hi: Sequence) -> "Box":
-        lo = tuple(_to_rat(x) for x in lo)
-        hi = tuple(_to_rat(x) for x in hi)
-        sides = {u - l for l, u in zip(lo, hi)}
-        if len(sides) != 1:
-            raise ValueError("corners do not span a cube")
-        side = sides.pop()
-        return Box(tuple((l + u) / 2 for l, u in zip(lo, hi)), side)
-
 
 def dilate(b: Box, factor) -> Box:
     """Concentric dilation: same center, sidelength multiplied by factor."""
@@ -154,6 +142,16 @@ def sorted_decreasing(boxes: Iterable[Box]) -> BoxFamily:
 # ---------------------------------------------------------------------------
 
 IntBox = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _to_int_boxes(corner_boxes: Sequence[tuple[Sequence[Fraction], Sequence[Fraction]]]
+                  ) -> tuple[int, list[IntBox]]:
+    """The least common denominator D of all corners, and every (lo, hi) times D."""
+    scale = math.lcm(*(c.denominator for lo, hi in corner_boxes for c in (*lo, *hi)))
+    return scale, [
+        (tuple(int(c * scale) for c in lo), tuple(int(c * scale) for c in hi))
+        for lo, hi in corner_boxes
+    ]
 
 
 def _frag_minus(piece: IntBox, cut: IntBox) -> list[IntBox]:
@@ -227,35 +225,14 @@ class BoxRegion:
         boxes = list(boxes)
         if not boxes:
             raise ValueError("from_boxes needs at least one box; use empty(dim)")
-        dim = boxes[0].dim
-        corners = [list(b.lo) + list(b.hi) for b in boxes]
-        scale = 1
-        for cs in corners:
-            for c in cs:
-                scale = math.lcm(scale, c.denominator)
-        raw = []
-        for b in boxes:
-            lo = tuple(int(c * scale) for c in b.lo)
-            hi = tuple(int(c * scale) for c in b.hi)
-            raw.append((lo, hi))
-        return BoxRegion(dim, scale, _disjointify(raw))
+        scale, raw = _to_int_boxes([(b.lo, b.hi) for b in boxes])
+        return BoxRegion(boxes[0].dim, scale, _disjointify(raw))
 
     @staticmethod
     def from_rational_corners(
         dim: int, corner_boxes: Sequence[tuple[Sequence[Fraction], Sequence[Fraction]]]
     ) -> "BoxRegion":
-        scale = 1
-        for lo, hi in corner_boxes:
-            for c in list(lo) + list(hi):
-                scale = math.lcm(scale, c.denominator)
-        raw = []
-        for lo, hi in corner_boxes:
-            raw.append(
-                (
-                    tuple(int(c * scale) for c in lo),
-                    tuple(int(c * scale) for c in hi),
-                )
-            )
+        scale, raw = _to_int_boxes(corner_boxes)
         return BoxRegion(dim, scale, _disjointify(raw))
 
     # -- internals ----------------------------------------------------------
@@ -332,17 +309,7 @@ class BoxRegion:
             nlo = tuple(c + factor * (Fraction(x, d) - c) for c, x in zip(center, lo))
             nhi = tuple(c + factor * (Fraction(x, d) - c) for c, x in zip(center, hi))
             mapped.append((nlo, nhi))
-        scale = 1
-        for lo, hi in mapped:
-            for c in list(lo) + list(hi):
-                scale = math.lcm(scale, c.denominator)
-        frags = [
-            (
-                tuple(int(c * scale) for c in lo),
-                tuple(int(c * scale) for c in hi),
-            )
-            for lo, hi in mapped
-        ]
+        scale, frags = _to_int_boxes(mapped)
         # affine bijection keeps fragments disjoint
         return BoxRegion(self.dim, scale, frags)
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import UnsupportedGeometry
 from .geometry import Box, _to_rat
-from .gridops import trailing_max
+from .gridops import prefix, resolution, trailing_max, window_sums
 from .weights import GridWeight
 
 VARIANTS = ("uncentered", "centered", "dyadic")
@@ -51,40 +51,6 @@ class MaximalSpec:
 # ---------------------------------------------------------------------------
 
 
-def _prefixes(e: np.ndarray, weight: GridWeight | None):
-    e = np.asarray(e, dtype=bool)
-    n = e.shape[0]
-    if weight is not None:
-        if weight.values.shape != e.shape:
-            raise ValueError("weight grid and set grid differ in shape")
-        num = np.where(e, weight.values, 0.0)
-        den = weight.values
-    else:
-        num = e.astype(float)
-        den = np.ones_like(num)
-    if e.ndim == 1:
-        pn = np.concatenate([[0.0], num.cumsum()])
-        pd = np.concatenate([[0.0], den.cumsum()])
-    else:
-        pn = np.zeros((n + 1, n + 1))
-        pn[1:, 1:] = num.cumsum(axis=0).cumsum(axis=1)
-        pd = np.zeros((n + 1, n + 1))
-        pd[1:, 1:] = den.cumsum(axis=0).cumsum(axis=1)
-    return pn, pd
-
-
-def _window_ratio(pn, pd, s, ndim):
-    if ndim == 1:
-        num = pn[s:] - pn[:-s]
-        den = pd[s:] - pd[:-s]
-    else:
-        num = pn[s:, s:] - pn[:-s, s:] - pn[s:, :-s] + pn[:-s, :-s]
-        den = pd[s:, s:] - pd[:-s, s:] - pd[s:, :-s] + pd[:-s, :-s]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(den > 0, num / den, -np.inf)
-    return r
-
-
 def grid_maximal(e: np.ndarray, spec: MaximalSpec = MaximalSpec(),
                  weight: GridWeight | None = None) -> np.ndarray:
     """Per-cell values of the maximal function of the indicator of e.
@@ -93,43 +59,44 @@ def grid_maximal(e: np.ndarray, spec: MaximalSpec = MaximalSpec(),
     cubes with zero mass are skipped.
     """
     e = np.asarray(e, dtype=bool)
-    if spec.measure == "grid-weight" and weight is None:
-        raise ValueError("grid-weight measure needs a weight")
-    if spec.measure == "lebesgue":
-        weight = None
-    n = e.shape[0]
-    pn, pd = _prefixes(e, weight)
-    vals = np.full(e.shape, -np.inf)
+    n = resolution(e)
+    if spec.measure == "grid-weight":
+        if weight is None:
+            raise ValueError("grid-weight measure needs a weight")
+        if weight.values.shape != e.shape:
+            raise ValueError("weight grid and set grid differ in shape")
+        pn = prefix(np.where(e, weight.values, 0.0))
+        pd = weight.prefix
+    else:
+        pn = prefix(e)
+        pd = prefix(np.ones(e.shape))
 
+    def ratio(s):
+        """mu(R∩E)/mu(R) for every side-s cube R, -inf where mu(R) = 0."""
+        num, den = window_sums(pn, s), window_sums(pd, s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(den > 0, num / den, -np.inf)
+
+    vals = np.full(e.shape, -np.inf)
     if spec.variant == "uncentered":
         for s in range(1, n + 1):
-            r = _window_ratio(pn, pd, s, e.ndim)
-            m = trailing_max(r, s, n, axis=0)
-            if e.ndim == 2:
-                m = trailing_max(m, s, n, axis=1)
+            m = ratio(s)
+            for axis in range(e.ndim):
+                m = trailing_max(m, s, n, axis=axis)
             np.maximum(vals, m, out=vals)
     elif spec.variant == "centered":
         # odd-sided cubes centered at the cell, fully inside the domain
         for t in range(1, n + 1, 2):
-            k = t // 2
-            r = _window_ratio(pn, pd, t, e.ndim)
-            if e.ndim == 1:
-                vals[k : n - k] = np.maximum(vals[k : n - k], r)
-            else:
-                vals[k : n - k, k : n - k] = np.maximum(
-                    vals[k : n - k, k : n - k], r)
+            inner = vals[(slice(t // 2, n - t // 2),) * e.ndim]
+            np.maximum(inner, ratio(t), out=inner)
     else:  # dyadic
         if n & (n - 1):
             raise ValueError("dyadic variant needs a power-of-two resolution")
         s = 1
         while s <= n:
-            r = _window_ratio(pn, pd, s, e.ndim)
-            if e.ndim == 1:
-                block = r[::s]
-                m = np.repeat(block, s)
-            else:
-                block = r[::s, ::s]
-                m = np.repeat(np.repeat(block, s, axis=0), s, axis=1)
+            m = ratio(s)[(slice(None, None, s),) * e.ndim]
+            for axis in range(e.ndim):
+                m = np.repeat(m, s, axis=axis)
             np.maximum(vals, m, out=vals)
             s *= 2
     vals[vals == -np.inf] = 0.0

@@ -11,6 +11,7 @@ Supported grids: 1-D and 2-D, resolution N cells per axis.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -19,6 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import gridops
 from .errors import BudgetExceeded, DegenerateFit
 
 FW_CAP = {1: 1024, 2: 64}
@@ -47,34 +49,27 @@ class GridCube:
         return len(self.corner)
 
 
+def _require_finite(masses: np.ndarray) -> None:
+    if not np.isfinite(masses).all():
+        bad = "NaN" if np.isnan(masses).any() else "inf"
+        raise ValueError(f"cell masses must be finite, got {bad}")
+
+
 class GridWeight:
     """Nonnegative cell masses on an N^n grid over [0,1)^n with prefix sums."""
 
     def __init__(self, values: np.ndarray, meta: dict | None = None):
         values = np.asarray(values, dtype=float)
-        if values.ndim not in (1, 2):
-            raise ValueError("only 1-D and 2-D grids are supported")
-        if values.ndim == 2 and values.shape[0] != values.shape[1]:
-            raise ValueError("2-D grid must be square")
-        if not np.isfinite(values).all():
-            bad = "NaN" if np.isnan(values).any() else "inf"
-            raise ValueError(f"cell masses must be finite, got {bad}")
+        self.resolution = gridops.resolution(values)
+        _require_finite(values)
         if np.any(values < 0):
             raise ValueError("cell masses must be nonnegative")
         if not values.sum() > 0:
             raise ValueError("total mass must be positive")
         self.values = values
         self.dim = values.ndim
-        self.resolution = values.shape[0]
         self.meta = dict(meta or {})
-        if self.dim == 1:
-            p = np.zeros(self.resolution + 1)
-            np.cumsum(values, out=p[1:])
-            self.prefix = p
-        else:
-            p = np.zeros((self.resolution + 1, self.resolution + 1))
-            p[1:, 1:] = values.cumsum(axis=0).cumsum(axis=1)
-            self.prefix = p
+        self.prefix = gridops.prefix(values)
 
     # -- basic queries -------------------------------------------------------
 
@@ -98,12 +93,8 @@ class GridWeight:
 
     def cube_mass(self, q: GridCube) -> float:
         self._check_cube(q)
-        p, s = self.prefix, q.side
-        if self.dim == 1:
-            (i,) = q.corner
-            return float(p[i + s] - p[i])
-        i, j = q.corner
-        return float(p[i + s, j + s] - p[i, j + s] - p[i + s, j] + p[i, j])
+        corners = self.prefix[tuple(slice(c, c + q.side + 1) for c in q.corner)]
+        return gridops.window_sums(corners, q.side).item()
 
     def cube_volume(self, q: GridCube) -> float:
         return (q.side / self.resolution) ** self.dim
@@ -113,22 +104,14 @@ class GridWeight:
 
     def window_sums(self, s: int) -> np.ndarray:
         """Masses of all side-s grid cubes, indexed by corner."""
-        p = self.prefix
-        if self.dim == 1:
-            return p[s:] - p[:-s]
-        return p[s:, s:] - p[:-s, s:] - p[s:, :-s] + p[:-s, :-s]
+        return gridops.window_sums(self.prefix, s)
 
     def cubes(self):
         """All grid cubes, as (corner tuple, side) pairs; O(N^2) or O(N^3)."""
         n = self.resolution
         for s in range(1, n + 1):
-            if self.dim == 1:
-                for i in range(n - s + 1):
-                    yield GridCube((i,), s)
-            else:
-                for i in range(n - s + 1):
-                    for j in range(n - s + 1):
-                        yield GridCube((i, j), s)
+            for corner in itertools.product(range(n - s + 1), repeat=self.dim):
+                yield GridCube(corner, s)
 
 
 # ---------------------------------------------------------------------------
@@ -236,19 +219,24 @@ def _require_positive_cells(w: GridWeight, what: str) -> None:
         raise ValueError(f"{what} undefined: weight has zero-mass cells")
 
 
+def _finite_prefix(masses: np.ndarray) -> np.ndarray:
+    """gridops.prefix of derived cell masses; ValueError if a power overflowed to inf."""
+    _require_finite(masses)
+    return gridops.prefix(masses)
+
+
 def ap_constant(w: GridWeight, p: float) -> float:
     """Muckenhoupt A_p gauge: sup over grid cubes of avg(w) * avg(w^{-1/(p-1)})^(p-1)."""
     if p <= 1:
         raise ValueError("p must exceed 1")
     _require_positive_cells(w, "dual weight")
-    dens = w.density
-    sigma = GridWeight(dens ** (-1.0 / (p - 1)) * w.cell_volume)
+    sigma = _finite_prefix(w.density ** (-1.0 / (p - 1)) * w.cell_volume)
     n = w.resolution
     best = 0.0
     for s in range(1, n + 1):
         vol = (s / n) ** w.dim
         avg_w = w.window_sums(s) / vol
-        avg_sigma = sigma.window_sums(s) / vol
+        avg_sigma = gridops.window_sums(sigma, s) / vol
         cand = float(np.max(avg_w * avg_sigma ** (p - 1)))
         best = max(best, cand)
     return best
@@ -297,20 +285,11 @@ def hruscev_constant(w: GridWeight) -> float:
     _require_positive_cells(w, "log of weight")
     n = w.resolution
     # prefix of the (possibly negative) cell integrals of log(1/w)
-    logm = -np.log(w.density) * w.cell_volume
-    if w.dim == 1:
-        lp = np.zeros(n + 1)
-        np.cumsum(logm, out=lp[1:])
-    else:
-        lp = np.zeros((n + 1, n + 1))
-        lp[1:, 1:] = logm.cumsum(axis=0).cumsum(axis=1)
+    lp = gridops.prefix(-np.log(w.density) * w.cell_volume)
     best = 0.0
     for s in range(1, n + 1):
         vol = (s / n) ** w.dim
-        if w.dim == 1:
-            lsum = lp[s:] - lp[:-s]
-        else:
-            lsum = lp[s:, s:] - lp[:-s, s:] - lp[s:, :-s] + lp[:-s, :-s]
+        lsum = gridops.window_sums(lp, s)
         val = (w.window_sums(s) / vol) * np.exp(lsum / vol)
         best = max(best, float(val.max()))
     return best
@@ -325,23 +304,12 @@ def doubling_constant(w: GridWeight) -> float:
     best = 0.0
     found = False
     for s in range(2, n // 2 + 1, 2):
+        # corners h..n-s-h of Q, and corners 0..n-2s of its double 2Q
         h = s // 2
-        inner = w.window_sums(s)
-        outer = w.window_sums(2 * s)
-        if w.dim == 1:
-            lo = h
-            hi = n - s - h
-            if hi < lo:
-                continue
-            num = outer[lo - h : hi - h + 1]
-            den = inner[lo : hi + 1]
-        else:
-            lo = h
-            hi = n - s - h
-            if hi < lo:
-                continue
-            num = outer[lo - h : hi - h + 1, lo - h : hi - h + 1]
-            den = inner[lo : hi + 1, lo : hi + 1]
+        if n - s - h < h:
+            continue
+        num = w.window_sums(2 * s)[(slice(0, n - 2 * s + 1),) * w.dim]
+        den = w.window_sums(s)[(slice(h, n - s - h + 1),) * w.dim]
         mask = den > 0
         if not mask.any():
             continue
@@ -363,10 +331,7 @@ def growth_profile(w: GridWeight, t_values: Sequence[float]) -> dict[float, floa
     out = {t: 0.0 for t in ts}
     for s in range(1, n + 1):
         cells = s**w.dim
-        if w.dim == 1:
-            windows = sliding_window_view(w.values, s)
-        else:
-            windows = sliding_window_view(w.values, (s, s)).reshape(-1, cells)
+        windows = sliding_window_view(w.values, (s,) * w.dim).reshape(-1, cells)
         srt = np.sort(windows, axis=-1)[:, ::-1]
         csum = srt.cumsum(axis=-1)
         mass = csum[:, -1]
@@ -410,11 +375,11 @@ def reverse_holder_holds(w: GridWeight, eps: float, constant: float = 2.0) -> bo
     """(avg_Q w^(1+eps))^(1/(1+eps)) <= constant * avg_Q w on every grid cube;
     powers taken on cell densities."""
     _require_positive_cells(w, "reverse Holder powers")
-    pw = GridWeight(w.density ** (1 + eps) * w.cell_volume)
+    pw = _finite_prefix(w.density ** (1 + eps) * w.cell_volume)
     n = w.resolution
     for s in range(1, n + 1):
         vol = (s / n) ** w.dim
-        lhs = (pw.window_sums(s) / vol) ** (1 / (1 + eps))
+        lhs = (gridops.window_sums(pw, s) / vol) ** (1 / (1 + eps))
         rhs = constant * (w.window_sums(s) / vol)
         if np.any(lhs > rhs):
             return False
@@ -449,7 +414,7 @@ def _gamma_pairs(n: int, dim: int):
 
     for i2, s2 in enumerate(ladder):
         for s1 in ladder[i2 + 1 :]:
-            for c2 in _corner_tuples(corners(s2), dim):
+            for c2 in itertools.product(corners(s2), repeat=dim):
                 placements = {
                     tuple(c for c in c2),
                     tuple(c + s2 - s1 for c in c2),
@@ -459,15 +424,9 @@ def _gamma_pairs(n: int, dim: int):
                     pairs.append((GridCube(c2, s2), GridCube(c1, s1)))
     full = GridCube((0,) * dim, n)
     for s1 in ladder[1:]:
-        for c1 in _corner_tuples(list(range(0, n - s1 + 1)), dim):
+        for c1 in itertools.product(range(n - s1 + 1), repeat=dim):
             pairs.append((full, GridCube(c1, s1)))
     return pairs
-
-
-def _corner_tuples(cs, dim):
-    if dim == 1:
-        return [(c,) for c in cs]
-    return [(a, b) for a in cs for b in cs]
 
 
 def sidelength_growth_exponent(w: GridWeight) -> float:
@@ -475,12 +434,14 @@ def sidelength_growth_exponent(w: GridWeight) -> float:
     nested pairs; the max of log(w(Q2)/w(Q1)) / log(r2/r1)."""
     if w.resolution < 8:
         raise ValueError("resolution must be >= 8")
+    pairs = _gamma_pairs(w.resolution, w.dim)
+    masses = {s: w.window_sums(s) for s in {q.side for pair in pairs for q in pair}}
     best = None
-    for q2, q1 in _gamma_pairs(w.resolution, w.dim):
-        m1 = w.cube_mass(q1)
+    for q2, q1 in pairs:
+        m1 = float(masses[q1.side][q1.corner])
         if m1 <= 0:
             continue
-        m2 = w.cube_mass(q2)
+        m2 = float(masses[q2.side][q2.corner])
         val = math.log(m2 / m1) / math.log(q2.side / q1.side)
         best = val if best is None else max(best, val)
     if best is None:

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -110,6 +111,50 @@ def test_2d_uncentered_basic():
     assert vals[0, 0] == pytest.approx(1.0)
     assert vals[1, 1] == pytest.approx(1 / 4)
     assert vals[3, 3] == pytest.approx(1 / 16)
+
+
+def test_grid_maximal_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="square"):
+        grid_maximal(np.zeros((4, 6), dtype=bool))
+    with pytest.raises(ValueError, match="1-D and 2-D"):
+        grid_maximal(np.zeros((2, 2, 2), dtype=bool))
+
+
+# fixed sets as packed bits: 1-D N=128 and 2-D N=16
+MASK_1D = np.unpackbits(np.frombuffer(bytes.fromhex(
+    "50b9008d010014240d81808429824106"), dtype=np.uint8)).astype(bool)
+MASK_2D = np.unpackbits(np.frombuffer(bytes.fromhex(
+    "aa0824f94943c88b41805193a080c0c2480a93648611820840800c2c2c32d0c4"),
+    dtype=np.uint8)).astype(bool).reshape(16, 16)
+# sha256 of grid_maximal(...).tobytes(), computed with the hand-written
+# prefix and window sums that the gridops kernel replaced
+MAXIMAL_DIGESTS = {
+    (1, "uncentered", "lebesgue"): "ee52d15d063a904eb571dab27f6dedd8829923c961af6d898801b5249bf0c39e",
+    (1, "uncentered", "grid-weight"): "b32586c1b3ca24ba4bf390d12d07fdfa7ec709f1a242607faa350f9d32209890",
+    (1, "centered", "lebesgue"): "9c998b076e9317c54c88bdbd77f05164ddafdac678b69cde5dc7e12aaa2fa435",
+    (1, "centered", "grid-weight"): "6d12cc4d00ab9938929f3b8c7b2d7a71dea6ad0d5bf0de03fccee082b759605e",
+    (1, "dyadic", "lebesgue"): "32fefe73ca7c0985d5e7a29b23085ee7114af6699d1fc22c08493637b9f23c87",
+    (1, "dyadic", "grid-weight"): "b5d5cb7f738862dc3e8d143f8b8abdcdb922b7148f5894b1d8a1ff08d05f1fe3",
+    (2, "uncentered", "lebesgue"): "ddf9db319aa774a810441d10a3e862d28755db2d58d98f622658edc03fd19611",
+    (2, "uncentered", "grid-weight"): "01ba43e028de88634ff1442e331cf0df77717355c54d94e7a566435c3cd76adf",
+    (2, "centered", "lebesgue"): "6e302f8b93abeb236d32169811104cc4526a61d43b89fdbd23e2dbb70d4fbcd0",
+    (2, "centered", "grid-weight"): "ea39093d68dcd4a41e4cf3036a656046c7471a5273158b097c6f208b736af05b",
+    (2, "dyadic", "lebesgue"): "4ad677179d340ccffc635af443227406e613f5860488a7bf7ea000c7f0d79fa0",
+    (2, "dyadic", "grid-weight"): "9da39acd757c8eac3e6d48fed4c987b940b85770e65ffdfa34d829baec10dc85",
+}
+
+
+@pytest.mark.parametrize("key", sorted(MAXIMAL_DIGESTS), ids=lambda k: f"{k[0]}d-{k[1]}-{k[2]}")
+def test_grid_maximal_pinned_digests(key):
+    dim, variant, measure = key
+    if dim == 1:
+        e = MASK_1D
+        w = generate_weight(WeightFamilySpec("power", 1, 128, a=2.0, x0=0.37))
+    else:
+        e = MASK_2D
+        w = generate_weight(WeightFamilySpec("log-smooth-random", 2, 16, seed=9))
+    vals = grid_maximal(e, MaximalSpec(variant, measure), w)
+    assert hashlib.sha256(vals.tobytes()).hexdigest() == MAXIMAL_DIGESTS[key]
 
 
 def test_set_mass():

@@ -145,6 +145,12 @@ def test_ap_rejects_zero_cells():
         ap_constant(GridWeight(vals), 2.0)
 
 
+def test_ap_rejects_non_finite_dual_masses():
+    # the dual density 4e-300 ** -100 overflows to inf
+    with pytest.raises(ValueError, match="cell masses must be finite, got inf"):
+        ap_constant(GridWeight([1e-300, 1, 1, 1]), 1.01)
+
+
 # -- Fujii-Wilson -------------------------------------------------------------
 
 
@@ -228,6 +234,42 @@ def test_fw_pinned_values_zero_cells():
     w2 = GridWeight(np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 5.0]]))
     assert fujii_wilson(w1) == 2.3333333333333335
     assert fujii_wilson(w2) == 1.8020833333333333
+
+
+# values computed with the hand-written prefix and window sums that the gridops
+# kernel replaced; the kernel keeps their term order, so they must match to the
+# last bit
+GAUGES_PINNED = [
+    (WeightFamilySpec("power", 1, 64, a=2.0),
+     (2.4227377992126304, (83.20486150089837, 5.863707250489445, 3.295215284963046),
+      2.4615384615384617, 0.0625, 3.0)),
+    (WeightFamilySpec("checkerboard", 1, 64),
+     (1.6068340442494544, (2.3810978455418232, 1.8573633982742939, 1.7084938814525432),
+      2.0000000000000036, 0.0625, 3.0685084938595257)),
+    (WeightFamilySpec("log-smooth-random", 1, 64, seed=5),
+     (1.0679369060848707, (1.129779957285668, 1.089346741107109, 1.0772230879885971),
+      2.583534077274692, 0.5, 1.5117793083511522)),
+    (WeightFamilySpec("log-smooth-random", 2, 16, seed=9),
+     (1.0214859675116277, (1.046423897015489, 1.0294043487287956, 1.0248318390680777),
+      4.050872749566101, 1.0, 2.4289237783174853)),
+    (WeightFamilySpec("power", 2, 16, a=1.0, x0=(0.3, 0.6)),
+     (1.1796029545681657, (1.6076046327998463, 1.2739834769951432, 1.2167018427578788),
+      7.9736637641078625, 0.25, 3.8190367853702556)),
+    (WeightFamilySpec("power", 2, 16, a=-1.0, x0=(0.5, 0.5)),
+     (1.3161252896312285, (1.5276501812878287, 1.3977800572686276, 1.3526688353668759),
+      5.040276656949108, 0.125, 2.8481755578625783)),
+]
+
+
+@pytest.mark.parametrize("spec,values", GAUGES_PINNED,
+                         ids=[s.label() for s, _ in GAUGES_PINNED])
+def test_gauges_pinned_values(spec, values):
+    w = generate_weight(spec)
+    assert (hruscev_constant(w),
+            tuple(ap_constant(w, p) for p in (2.0, 4.0, 8.0)),
+            doubling_constant(w),
+            reverse_holder_exponent(w, constant=1.05),
+            sidelength_growth_exponent(w)) == values
 
 
 # cell masses with exact zeros among them; grids with no mass are discarded
@@ -398,6 +440,12 @@ def test_rh_power_positive_and_monotone():
     assert eps > 0
     assert reverse_holder_holds(w, eps / 2)
     assert reverse_holder_holds(w, eps / 4)
+
+
+def test_rh_rejects_non_finite_power_masses():
+    # the squared density (4e300)^2 overflows to inf
+    with pytest.raises(ValueError, match="cell masses must be finite, got inf"):
+        reverse_holder_holds(GridWeight([1e300, 1, 1, 1]), 1.0)
 
 
 # -- sidelength growth ----------------------------------------------------------
