@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import OrderingViolation, UnsupportedGeometry
+from .errors import InvariantViolation, OrderingViolation, UnsupportedGeometry
 from .geometry import (
     ORDER_DECREASING,
     Box,
@@ -218,8 +218,10 @@ def satellite_decompose(f: BoxFamily | Sequence[Box]) -> dict[int, list[int]]:
     for c, members in groups.items():
         assigned.update(members)
         fam = BoxFamily([boxes[c]] + [boxes[i] for i in members if i != c])
-        assert is_satellite(fam, 0), "group is not a satellite configuration"
-    assert assigned == set(range(len(boxes))), "satellite groups lost a box"
+        if not is_satellite(fam, 0):
+            raise InvariantViolation("group is not a satellite configuration")
+    if assigned != set(range(len(boxes))):
+        raise InvariantViolation("satellite groups lost a box")
     return groups
 
 

@@ -15,3 +15,7 @@ class UnsupportedGeometry(ValueError):
 
 class DegenerateFit(ValueError):
     """A fit was requested on data that cannot determine the model parameters."""
+
+
+class InvariantViolation(RuntimeError):
+    """A result the library built breaks a property it must have by construction."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import OrderingViolation
+from .errors import InvariantViolation, OrderingViolation
 
 ORDER_DECREASING = "decreasing-sidelength"
 ORDER_UNORDERED = "unordered"
@@ -417,5 +417,6 @@ def is_satellite(f: BoxFamily | Sequence[Box], center_index: int = 0) -> bool:
             return False
     big = dilate(center, 3)
     # geometric consequence of the definition, kept as a hard invariant
-    assert all(big.contains_box(b) for b in boxes), "satellite union escapes 3*center"
+    if not all(big.contains_box(b) for b in boxes):
+        raise InvariantViolation("satellite union escapes 3*center")
     return True

@@ -8,7 +8,6 @@ operator take every cube mass from them.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 def resolution(values: np.ndarray) -> int:
@@ -53,15 +52,3 @@ def window_sums(p: np.ndarray, s: int) -> np.ndarray:
     if p.ndim == 2:
         return p[s:, s:] - p[:-s, s:] - p[s:, :-s] + p[:-s, :-s]
     raise ValueError(f"window sums support 1-D and 2-D grids, got {p.ndim}-D")
-
-
-def trailing_max(arr: np.ndarray, window: int, out_len: int, axis: int) -> np.ndarray:
-    """max over positions [c-window+1, c] of arr along axis, for c in [0, out_len)."""
-    m = arr.shape[axis]
-    pad_front = window - 1
-    pad_back = out_len + window - 1 - (m + pad_front)
-    pads = [(0, 0)] * arr.ndim
-    pads[axis] = (pad_front, max(0, pad_back))
-    padded = np.pad(arr, pads, constant_values=-np.inf)
-    view = sliding_window_view(padded, window, axis=axis)
-    return view.max(axis=-1)

@@ -19,6 +19,8 @@ Superlevel sets use strict inequality throughout.
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import UnsupportedGeometry
 from .geometry import Box, _to_rat
-from .gridops import prefix, resolution, trailing_max, window_sums
+from .gridops import prefix, resolution, window_sums
 from .weights import GridWeight
 
 VARIANTS = ("uncentered", "centered", "dyadic")
@@ -56,7 +58,14 @@ def grid_maximal(e: np.ndarray, spec: MaximalSpec = MaximalSpec(),
     """Per-cell values of the maximal function of the indicator of e.
 
     value(c) = max over admissible grid cubes R containing c of mu(R∩E)/mu(R);
-    cubes with zero mass are skipped.
+    cubes with no cell of positive mass are skipped.
+
+    The uncentered variant sweeps sides s = N..1 and keeps, for every side-s
+    cube Q(i, s), the largest ratio up(i, s) over the cubes of side >= s that
+    contain it.  A cube of side > s that contains Q(i, s) contains one of
+    its 2^d parents Q(i - o, s + 1), o in {0, 1}^d, so
+    up(i, s) = max(ratio(i, s), max over o of up(i - o, s + 1)),
+    and the value of cell c is up(c, 1).  That is O(2^d N^(d+1)) work.
     """
     e = np.asarray(e, dtype=bool)
     n = resolution(e)
@@ -67,23 +76,31 @@ def grid_maximal(e: np.ndarray, spec: MaximalSpec = MaximalSpec(),
             raise ValueError("weight grid and set grid differ in shape")
         pn = prefix(np.where(e, weight.values, 0.0))
         pd = weight.prefix
+        pc = prefix(weight.values > 0)
     else:
         pn = prefix(e)
-        pd = prefix(np.ones(e.shape))
+        pd = pc = prefix(np.ones(e.shape))
 
     def ratio(s):
-        """mu(R∩E)/mu(R) for every side-s cube R, -inf where mu(R) = 0."""
+        """mu(R∩E)/mu(R) for every side-s cube R, -inf where R has no cell of
+        positive mass.  Cell counts are sums of small integers and so exact;
+        a 2-D prefix difference over a zero-mass cube can round to about
+        ±1e-16 instead of 0, so den > 0 alone would admit a ratio of two
+        rounding errors."""
         num, den = window_sums(pn, s), window_sums(pd, s)
+        live = (den > 0) & (window_sums(pc, s) > 0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(den > 0, num / den, -np.inf)
+            return np.where(live, num / den, -np.inf)
 
     vals = np.full(e.shape, -np.inf)
     if spec.variant == "uncentered":
-        for s in range(1, n + 1):
-            m = ratio(s)
-            for axis in range(e.ndim):
-                m = trailing_max(m, s, n, axis=axis)
-            np.maximum(vals, m, out=vals)
+        vals = ratio(n)  # up(., s + 1) as the sweep enters side s
+        for s in range(n - 1, 0, -1):
+            up = ratio(s)
+            for o in itertools.product((0, 1), repeat=e.ndim):
+                child = up[tuple(slice(k, k + n - s) for k in o)]
+                np.maximum(child, vals, out=child)
+            vals = up
     elif spec.variant == "centered":
         # odd-sided cubes centered at the cell, fully inside the domain
         for t in range(1, n + 1, 2):
@@ -106,6 +123,8 @@ def grid_maximal(e: np.ndarray, spec: MaximalSpec = MaximalSpec(),
 def superlevel(e: np.ndarray, alpha: float, spec: MaximalSpec = MaximalSpec(),
                weight: GridWeight | None = None) -> np.ndarray:
     """Cells where the maximal function strictly exceeds alpha."""
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie in (0, 1)")
     return grid_maximal(e, spec, weight) > alpha
 
 
@@ -275,36 +294,6 @@ def point_eval_1d(e: IntervalSet, x, weight: PiecewiseWeight1D | None = None) ->
     return best
 
 
-class _PieceTable:
-    """Piecewise-linear mass data on the refinement of E and weight breakpoints."""
-
-    def __init__(self, e: IntervalSet, weight: PiecewiseWeight1D | None,
-                 grid: list[Fraction]):
-        self.grid = grid
-        self.lengths = [b - a for a, b in zip(grid, grid[1:])]
-        self.dens: list[Fraction] = []
-        self.in_e: list[bool] = []
-        for lo, hi in zip(grid, grid[1:]):
-            mid = (lo + hi) / 2
-            self.in_e.append(e.contains_point(mid))
-            if weight is None:
-                self.dens.append(Fraction(1))
-            else:
-                # grid refines the weight breakpoints, so density is constant here
-                self.dens.append(weight.mass(lo, hi) / (hi - lo))
-        self.cum_d = [Fraction(0)]
-        self.cum_e = [Fraction(0)]
-        for ln, d, ie in zip(self.lengths, self.dens, self.in_e):
-            self.cum_d.append(self.cum_d[-1] + d * ln)
-            self.cum_e.append(self.cum_e[-1] + (d * ln if ie else Fraction(0)))
-
-    def mass(self, i: int, j: int) -> Fraction:
-        return self.cum_d[j] - self.cum_d[i]
-
-    def mass_e(self, i: int, j: int) -> Fraction:
-        return self.cum_e[j] - self.cum_e[i]
-
-
 def _piece_sol(c0: Fraction, c1: Fraction, t_hi: Fraction):
     """sup of t in (0, t_hi] with c0 + t*c1 > 0, or None."""
     if c1 > 0:
@@ -321,9 +310,13 @@ def exact_halo_1d(e: IntervalSet, alpha, weight: PiecewiseWeight1D | None = None
 
     Any interval whose E-mass fraction exceeds alpha lies in the halo
     wholesale, and optimizing one endpoint at a time snaps the other to a
-    breakpoint, so the halo is the union of (i) breakpoint-anchored intervals
-    above level alpha and (ii) per-anchor segments whose free endpoint solves
-    a linear equation over the rationals on each piece.
+    breakpoint, so the halo is the union over breakpoints p of [p, x], x the
+    farthest point on either side of p with excess(p, x) =
+    mu(E ∩ [p, x]) - alpha * mu([p, x]) > 0.  One sweep per anchor p and
+    direction carries the excess piece by piece over the refinement of the E
+    and weight breakpoints.  On each piece it is linear in x, so the farthest
+    solution there solves a linear equation over the rationals, and a
+    solution on a later piece lies farther out than any earlier one.
     """
     alpha = _to_rat(alpha)
     if not 0 < alpha < 1:
@@ -343,45 +336,30 @@ def exact_halo_1d(e: IntervalSet, alpha, weight: PiecewiseWeight1D | None = None
         left_end, right_end = bps[0] - margin, bps[-1] + margin
 
     grid = sorted(set([left_end, right_end] + bps))
-    table = _PieceTable(e, weight, grid)
-    idx = {g: i for i, g in enumerate(grid)}
+    starts = [a for a, _ in e.intervals]
+    # excess per unit length of each piece: (1[piece ⊂ E] - alpha) * density
+    slopes = []
+    for a in grid[:-1]:
+        i = bisect_right(starts, a) - 1
+        in_e = i >= 0 and a < e.intervals[i][1]
+        dens = (Fraction(1) if weight is None
+                else weight.densities[bisect_right(weight.breakpoints, a) - 1])
+        slopes.append((int(in_e) - alpha) * dens)
 
+    idx = {g: i for i, g in enumerate(grid)}
     parts: list[tuple[Fraction, Fraction]] = []
-    bp_idx = [idx[b] for b in bps]
-    # anchored pairs: any sub-breakpoint interval above level alpha is halo
-    for a_pos, iu in enumerate(bp_idx):
-        for iv in bp_idx[a_pos + 1 :]:
-            den = table.mass(iu, iv)
-            if den > 0 and table.mass_e(iu, iv) > alpha * den:
-                parts.append((grid[iu], grid[iv]))
-    # free right endpoint: intervals [p, x], x swept rightward from p
-    for ip in bp_idx:
-        best = None
-        for k in range(ip, len(grid) - 1):
-            c0 = table.mass_e(ip, k) - alpha * table.mass(ip, k)
-            c1 = table.cum_e[k + 1] - table.cum_e[k] - alpha * (
-                table.cum_d[k + 1] - table.cum_d[k])
-            ln = table.lengths[k]
-            sol = _piece_sol(c0, c1 / ln if ln else c1, ln)
-            if sol is not None:
-                x = grid[k] + sol
-                best = x if best is None else max(best, x)
-        if best is not None and best > grid[ip]:
-            parts.append((grid[ip], best))
-    # free left endpoint: intervals [x, q], x swept leftward from q
-    for iq in bp_idx:
-        best = None
-        for k in range(iq - 1, -1, -1):
-            c0 = table.mass_e(k + 1, iq) - alpha * table.mass(k + 1, iq)
-            c1 = table.cum_e[k + 1] - table.cum_e[k] - alpha * (
-                table.cum_d[k + 1] - table.cum_d[k])
-            ln = table.lengths[k]
-            sol = _piece_sol(c0, c1 / ln if ln else c1, ln)
-            if sol is not None:
-                x = grid[k + 1] - sol
-                best = x if best is None else min(best, x)
-        if best is not None and best < grid[iq]:
-            parts.append((best, grid[iq]))
+    for p in bps:
+        for step in (1, -1):
+            pieces = range(idx[p], len(slopes)) if step > 0 else range(idx[p] - 1, -1, -1)
+            excess, reach = Fraction(0), None
+            for k in pieces:
+                length = grid[k + 1] - grid[k]
+                sol = _piece_sol(excess, slopes[k], length)
+                if sol is not None:
+                    reach = grid[k] + sol if step > 0 else grid[k + 1] - sol
+                excess += slopes[k] * length
+            if reach is not None:
+                parts.append((min(p, reach), max(p, reach)))
     return IntervalSet.merge(parts)
 
 
@@ -450,19 +428,10 @@ def default_atomic_candidates(mu: AtomicMeasure, e_indices: Sequence[int]) -> li
                 lo_d = min(pts[i][d], pts[j][d])
                 hi_d = max(pts[i][d], pts[j][d])
                 lo_choices.append({lo_d, hi_d - side})
-            for combo in _product(lo_choices):
+            for combo in itertools.product(*lo_choices):
                 center = tuple(l + side / 2 for l in combo)
                 out.append(Box(center, side))
     return out
-
-
-def _product(choice_sets):
-    if not choice_sets:
-        yield ()
-        return
-    for c in choice_sets[0]:
-        for rest in _product(choice_sets[1:]):
-            yield (c,) + rest
 
 
 def atomic_maximal_lower(mu: AtomicMeasure, e_indices: Sequence[int], alpha,
@@ -478,6 +447,8 @@ def atomic_maximal_lower(mu: AtomicMeasure, e_indices: Sequence[int], alpha,
     never drop a true member, then confirmed in exact rational arithmetic.
     """
     alpha = _to_rat(alpha)
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie in (0, 1)")
     e_indices = list(e_indices)
     if not e_indices:
         raise ValueError("E must contain at least one atom")

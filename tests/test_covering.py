@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tauberian_lab import covering
 from tauberian_lab.covering import (
     SelectionResult,
     box_to_grid_cube,
@@ -15,7 +16,7 @@ from tauberian_lab.covering import (
     verify_selection_contract,
     vitali_select,
 )
-from tauberian_lab.errors import OrderingViolation, UnsupportedGeometry
+from tauberian_lab.errors import InvariantViolation, OrderingViolation, UnsupportedGeometry
 from tauberian_lab.geometry import Box, BoxFamily, sorted_decreasing, union_measure
 from tauberian_lab.sampling import random_family, random_grid_cube_family, rng_for
 from tauberian_lab.weights import GridCube, WeightFamilySpec, generate_weight
@@ -194,6 +195,12 @@ def test_satellite_union_preserved_random():
         assert set().union(*groups.values()) == set(range(len(fam)))
         cover = union_measure([fam[i] for g in groups.values() for i in g])
         assert cover == union_measure(fam)
+
+
+def test_satellite_group_invariant_raises(monkeypatch):
+    monkeypatch.setattr(covering, "is_satellite", lambda fam, center_index=0: False)
+    with pytest.raises(InvariantViolation, match="satellite configuration"):
+        satellite_decompose(BoxFamily([interval(0, 4), interval(3, 5)]))
 
 
 # -- overlap-2 ---------------------------------------------------------------------

@@ -3,7 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from tauberian_lab.errors import OrderingViolation
+from tauberian_lab import geometry
+from tauberian_lab.errors import InvariantViolation, OrderingViolation
 from tauberian_lab.geometry import (
     Box,
     BoxFamily,
@@ -264,6 +265,13 @@ def test_satellite_singleton():
 
 def test_satellite_larger_companion_is_false():
     assert not is_satellite([interval(0, 1), interval(0, 4)], 0)
+
+
+def test_satellite_triple_dilate_invariant_raises(monkeypatch):
+    # with the dilation made the identity, a companion sticks out of "3*center"
+    monkeypatch.setattr(geometry, "dilate", lambda box, factor: box)
+    with pytest.raises(InvariantViolation, match="escapes"):
+        is_satellite([interval(0, 4), interval(3, 5)], 0)
 
 
 def test_satellite_union_in_triple_dilate():

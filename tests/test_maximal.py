@@ -3,8 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracles import grid_maximal_naive
 from tauberian_lab.maximal import (
+    VARIANTS,
     AtomicMeasure,
     IntervalSet,
     MaximalSpec,
@@ -157,6 +161,51 @@ def test_grid_maximal_pinned_digests(key):
     assert hashlib.sha256(vals.tobytes()).hexdigest() == MAXIMAL_DIGESTS[key]
 
 
+def test_zero_mass_cubes_are_skipped_2d():
+    # the 2-D prefix differences over the zero cell (2, 1) round to 1.1e-16
+    # (E-mass) and 5.6e-17 (mass) rather than 0, a ratio of 2 that must not count
+    w = GridWeight(np.array([[0, .2, .3], [.2, .7, 0], [.9, 0, 0]]))
+    e = np.array([[1, 1, 1], [0, 0, 1], [1, 1, 1]], dtype=bool)
+    uncentered = grid_maximal(e, MaximalSpec("uncentered", "grid-weight"), w)
+    centered = grid_maximal(e, MaximalSpec("centered", "grid-weight"), w)
+    assert uncentered[2, 1] == pytest.approx(1.4 / 2.3)
+    assert centered[2, 1] == 0.0
+    assert np.all(uncentered <= 1) and np.all(centered <= 1)
+
+
+# cell masses: exact zeros, or within a factor 16 of each other, so that a
+# prefix difference is accurate to far better than the 1e-9 tolerance
+CELLS = st.one_of(st.just(0.0), st.floats(min_value=0.25, max_value=4.0))
+
+
+@st.composite
+def grid_cases(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    variant = draw(st.sampled_from(VARIANTS))
+    sizes = [1, 2, 4, 8] if variant == "dyadic" else range(1, 13 if dim == 1 else 7)
+    n = draw(st.sampled_from([k for k in sizes if dim == 1 or k <= 6]))
+    shape = (n,) * dim
+    e = np.reshape(draw(st.lists(st.booleans(), min_size=n**dim, max_size=n**dim)), shape)
+    cells = draw(st.lists(CELLS, min_size=n**dim, max_size=n**dim)
+                 .filter(lambda v: sum(v) > 0))
+    measure = draw(st.sampled_from(["lebesgue", "grid-weight"]))
+    return e, MaximalSpec(variant, measure), GridWeight(np.reshape(cells, shape))
+
+
+@given(grid_cases())
+def test_grid_maximal_matches_naive(case):
+    e, spec, w = case
+    assert grid_maximal(e, spec, w) == pytest.approx(grid_maximal_naive(e, spec, w),
+                                                     rel=1e-9, abs=1e-9)
+
+
+def test_superlevel_rejects_alpha_outside_unit_interval():
+    e = single_cell(4, 0)
+    for alpha in (float("nan"), -1.0, 0.0, 1.0, 2.0):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            superlevel(e, alpha)
+
+
 def test_set_mass():
     w = generate_weight(WeightFamilySpec("power", 1, 8, a=1.0))
     e = np.zeros(8, dtype=bool)
@@ -301,6 +350,71 @@ def test_grid_superlevel_inside_exact_halo():
         assert halo.contains_set(cells)
 
 
+@st.composite
+def halo_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=10))
+    mask = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+    e = IntervalSet.merge([(F(i, n), F(i + 1, n)) for i in range(n) if mask[i]])
+    q = draw(st.integers(min_value=2, max_value=30))
+    alpha = F(draw(st.integers(min_value=1, max_value=q - 1)), q)
+    weight = None
+    if draw(st.booleans()):
+        m = draw(st.integers(min_value=1, max_value=6))
+        dens = draw(st.lists(st.fractions(min_value=F(1, 4), max_value=8, max_denominator=4),
+                             min_size=m, max_size=m))
+        weight = PiecewiseWeight1D([F(k, m) for k in range(m + 1)], dens)
+    return e, alpha, weight
+
+
+@given(halo_cases())
+def test_halo_boundary_is_exactly_at_level(case):
+    e, alpha, weight = case
+    halo = exact_halo_1d(e, alpha, weight)
+    assert halo.contains_set(e)
+    edges = weight.domain if weight is not None else ()
+    for x in halo.breakpoints():
+        if x not in edges:
+            assert point_eval_1d(e, x, weight) == alpha
+
+
+# halos computed with the breakpoint-anchored pair scan and the two mirrored
+# free-endpoint sweeps that one sweep per anchor and direction replaced
+HALO_PINS = [  # (n, E as runs of 1/n cells, alpha, densities per 1/n cell or
+    # Lebesgue, halo)
+    (7, ((0, 2),), '3/7', None, (('-8/21', '2/3'),)),
+    (8, ((2, 3), (5, 6)), '1/5', ('5', '5', '9', '12', '11/4', '1', '9', '6'), (('0', '1'),)),
+    (5, ((3, 4),), '1/6', ('5', '10', '1/2', '9/2', '3'), (('0', '1'),)),
+    (11, ((3, 4), (8, 9), (10, 11)), '3/5', None, (('7/33', '14/33'), ('2/3', '35/33'))),
+    (10, ((1, 4), (7, 8)), '5/8', ('10', '3', '5', '7/4', '3/4', '4', '3', '11/4', '8/3', '2'), (('83/2000', '191/300'), ('129/200', '1379/1600'))),
+    (7, ((1, 2),), '2/3', ('9/4', '9/4', '7/2', '6', '9/4', '2', '3'), (('1/14', '65/196'),)),
+    (10, ((0, 2), (6, 7), (8, 9)), '3/7', None, (('-4/15', '16/15'),)),
+    (13, ((0, 2), (4, 6), (10, 11)), '2/3', ('6', '2', '4/3', '11/4', '1/2', '5/3', '2', '8', '5', '2', '12', '1', '1/3'), (('0', '157/312'), ('41/65', '1'))),
+    (8, ((0, 2), (4, 5), (6, 7)), '6/7', ('3/2', '5', '12', '8', '11/4', '1', '3', '2/3'), (('0', '301/1152'), ('757/1536', '131/192'), ('11/16', '31/32'))),
+    (13, ((7, 8), (11, 12)), '1/5', None, (('2/13', '17/13'),)),
+    (13, ((0, 2), (4, 6), (11, 13)), '5/8', ('1', '1', '2', '3', '4', '12', '5/4', '1/4', '11', '3/4', '3', '7', '1'), (('0', '961/1430'), ('1959/2860', '1'))),
+    (4, ((1, 3),), '5/14', ('1/2', '5/3', '8', '4'), (('0', '1'),)),
+    (6, ((4, 5),), '9/11', None, (('17/27', '47/54'),)),
+    (7, ((0, 1), (4, 5)), '6/7', ('7/2', '2', '5/2', '7/2', '1', '2', '5/2'), (('0', '31/168'), ('83/147', '61/84'))),
+    (4, ((0, 1), (2, 4)), '3/16', ('5/3', '9', '4', '2'), (('0', '1'),)),
+    (7, ((0, 1), (4, 6)), '1/2', None, (('-1/7', '8/7'),)),
+    (9, ((2, 4), (5, 8)), '7/10', ('4', '11/3', '1', '5/2', '9/2', '1/2', '9/4', '5/2', '7/3'), (('35/198', '13/27'), ('1/2', '251/252'))),
+    (12, ((0, 1), (8, 12)), '1/2', ('6', '6', '9', '11/3', '1', '4', '8', '2', '1/2', '4', '1', '5/4'), (('0', '1/6'), ('205/384', '1'))),
+    (9, ((0, 3),), '5/6', None, (('-1/15', '2/5'),)),
+    (10, ((3, 4),), '1/2', ('4', '3/2', '3', '2', '8/3', '5', '2', '1/2', '4', '12'), (('7/30', '19/40'),)),
+]
+
+
+@pytest.mark.parametrize("case", HALO_PINS, ids=range(len(HALO_PINS)))
+def test_halo_pinned(case):
+    n, runs, alpha, dens, halo = case
+    weight = None
+    if dens is not None:
+        weight = PiecewiseWeight1D([F(k, n) for k in range(n + 1)], [F(d) for d in dens])
+    e = IntervalSet([(F(a, n), F(b, n)) for a, b in runs])
+    got = exact_halo_1d(e, F(alpha), weight)
+    assert got.intervals == tuple((F(a), F(b)) for a, b in halo)
+
+
 # -- atomic ---------------------------------------------------------------------
 
 
@@ -315,6 +429,13 @@ def test_atomic_requires_nonempty_e():
     mu = AtomicMeasure([((F(0),), F(1))])
     with pytest.raises(ValueError):
         atomic_maximal_lower(mu, [], F(1, 2))
+
+
+def test_atomic_rejects_alpha_outside_unit_interval():
+    mu = AtomicMeasure([((F(0),), F(1)), ((F(1),), F(2))])
+    for alpha in (F(0), F(1), F(-1), F(3, 2)):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            atomic_maximal_lower(mu, [0], alpha)
 
 
 def harmonic_measure(j_max):
