@@ -8,9 +8,9 @@ Three engines:
   approximations of their continuous counterparts.
 * exact 1-D: interval sets and piecewise-constant weights over Fraction
   arithmetic; maximal values and full superlevel sets ("halos") are exact.
-  Since the mass ratio of an interval is linear-fractional in each free
-  endpoint, optima snap to breakpoints and halo boundaries solve linear
-  equations over the rationals.
+  Optima snap to breakpoints, and the halo comes from one pass over the
+  piecewise-linear excess Phi(x) = mu(E ∩ [l, x]) - alpha * mu([l, x]), its
+  boundaries solving linear equations over the rationals.
 * atomic: finite atomic measures; halo mass is certified from below by
   candidate cubes.
 
@@ -132,6 +132,8 @@ def set_mass(e: np.ndarray, weight: GridWeight | None = None) -> float:
     e = np.asarray(e, dtype=bool)
     if weight is None:
         return float(e.sum()) / e.size
+    if weight.values.shape != e.shape:
+        raise ValueError("weight grid and set grid differ in shape")
     return float(weight.values[e].sum())
 
 
@@ -163,9 +165,9 @@ class IntervalSet:
     @staticmethod
     def merge(intervals: Iterable[tuple]) -> "IntervalSet":
         """Union of arbitrary closed intervals; touching intervals coalesce."""
-        ivs = sorted((_to_rat(a), _to_rat(b)) for a, b in intervals if a < b)
+        ivs = [(_to_rat(a), _to_rat(b)) for a, b in intervals]
         out: list[list[Fraction]] = []
-        for a, b in ivs:
+        for a, b in sorted(iv for iv in ivs if iv[0] < iv[1]):
             if out and a <= out[-1][1]:
                 out[-1][1] = max(out[-1][1], b)
             else:
@@ -294,29 +296,20 @@ def point_eval_1d(e: IntervalSet, x, weight: PiecewiseWeight1D | None = None) ->
     return best
 
 
-def _piece_sol(c0: Fraction, c1: Fraction, t_hi: Fraction):
-    """sup of t in (0, t_hi] with c0 + t*c1 > 0, or None."""
-    if c1 > 0:
-        return t_hi if -c0 / c1 < t_hi else None
-    if c1 < 0:
-        cut = -c0 / c1
-        return min(cut, t_hi) if cut > 0 else None
-    return t_hi if c0 > 0 else None
-
-
 def exact_halo_1d(e: IntervalSet, alpha, weight: PiecewiseWeight1D | None = None
                   ) -> IntervalSet:
     """Exact superlevel set {x : M(indicator of e)(x) > alpha} in one dimension.
 
-    Any interval whose E-mass fraction exceeds alpha lies in the halo
-    wholesale, and optimizing one endpoint at a time snaps the other to a
-    breakpoint, so the halo is the union over breakpoints p of [p, x], x the
-    farthest point on either side of p with excess(p, x) =
-    mu(E ∩ [p, x]) - alpha * mu([p, x]) > 0.  One sweep per anchor p and
-    direction carries the excess piece by piece over the refinement of the E
-    and weight breakpoints.  On each piece it is linear in x, so the farthest
-    solution there solves a linear equation over the rationals, and a
-    solution on a later piece lies farther out than any earlier one.
+    Let Phi(x) = mu(E ∩ [l, x]) - alpha * mu([l, x]), l the left end of the
+    domain.  Every nondegenerate interval has positive mass, so [p, q] has
+    E-mass fraction > alpha exactly when Phi(q) > Phi(p), and x lies in the
+    halo iff min over p <= x of Phi(p) < max over q >= x of Phi(q).  Phi is
+    linear on each piece of the refinement of the E and weight breakpoints,
+    so both extrema are a running min from the left and a running max from
+    the right over its values at the grid points, together with Phi(x).  A
+    piece lies in the halo wholesale or Phi falls across it, and then its
+    halo is {Phi > running min} ∪ {Phi < running max}, two linear solves
+    over the rationals.  That is O(B) Fraction operations after one sort.
     """
     alpha = _to_rat(alpha)
     if not 0 < alpha < 1:
@@ -337,7 +330,7 @@ def exact_halo_1d(e: IntervalSet, alpha, weight: PiecewiseWeight1D | None = None
 
     grid = sorted(set([left_end, right_end] + bps))
     starts = [a for a, _ in e.intervals]
-    # excess per unit length of each piece: (1[piece ⊂ E] - alpha) * density
+    # slope of Phi on each piece: (1[piece ⊂ E] - alpha) * density
     slopes = []
     for a in grid[:-1]:
         i = bisect_right(starts, a) - 1
@@ -346,20 +339,21 @@ def exact_halo_1d(e: IntervalSet, alpha, weight: PiecewiseWeight1D | None = None
                 else weight.densities[bisect_right(weight.breakpoints, a) - 1])
         slopes.append((int(in_e) - alpha) * dens)
 
-    idx = {g: i for i, g in enumerate(grid)}
+    steps = (s * (b - a) for s, a, b in zip(slopes, grid, grid[1:]))
+    phi = list(itertools.accumulate(steps, initial=Fraction(0)))
+    low = list(itertools.accumulate(phi, min))
+    high = list(itertools.accumulate(reversed(phi), max))[::-1]
     parts: list[tuple[Fraction, Fraction]] = []
-    for p in bps:
-        for step in (1, -1):
-            pieces = range(idx[p], len(slopes)) if step > 0 else range(idx[p] - 1, -1, -1)
-            excess, reach = Fraction(0), None
-            for k in pieces:
-                length = grid[k + 1] - grid[k]
-                sol = _piece_sol(excess, slopes[k], length)
-                if sol is not None:
-                    reach = grid[k] + sol if step > 0 else grid[k + 1] - sol
-                excess += slopes[k] * length
-            if reach is not None:
-                parts.append((min(p, reach), max(p, reach)))
+    for k, s in enumerate(slopes):
+        a, b = grid[k], grid[k + 1]
+        if low[k] < high[k + 1]:
+            parts.append((a, b))
+            continue
+        # Phi(a) >= low[k] >= high[k + 1] >= Phi(b) and s != 0, so s < 0
+        if phi[k] > low[k]:
+            parts.append((a, a + (low[k] - phi[k]) / s))
+        if phi[k + 1] < high[k + 1]:
+            parts.append((b + (high[k + 1] - phi[k + 1]) / s, b))
     return IntervalSet.merge(parts)
 
 

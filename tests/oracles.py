@@ -6,10 +6,13 @@ and its oracle.
 """
 
 import itertools
+from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 
-from tauberian_lab.maximal import MaximalSpec
+from tauberian_lab.geometry import _to_rat
+from tauberian_lab.maximal import IntervalSet, MaximalSpec, PiecewiseWeight1D
 from tauberian_lab.weights import GridCube, GridWeight
 
 
@@ -109,3 +112,73 @@ def grid_maximal_naive(e: np.ndarray, spec: MaximalSpec, weight: GridWeight | No
         ratio = masses[cells][e[cells]].sum() / masses[cells].sum()
         vals[target] = np.maximum(vals[target], ratio)
     return vals
+
+
+def _piece_sol(c0: Fraction, c1: Fraction, t_hi: Fraction):
+    """sup of t in (0, t_hi] with c0 + t*c1 > 0, or None."""
+    if c1 > 0:
+        return t_hi if -c0 / c1 < t_hi else None
+    if c1 < 0:
+        cut = -c0 / c1
+        return min(cut, t_hi) if cut > 0 else None
+    return t_hi if c0 > 0 else None
+
+
+def exact_halo_1d_sweep(e: IntervalSet, alpha, weight: PiecewiseWeight1D | None = None
+                        ) -> IntervalSet:
+    """Exact 1-D halo by one sweep per breakpoint and direction, the oracle
+    for `maximal.exact_halo_1d`.
+
+    Any interval whose E-mass fraction exceeds alpha lies in the halo
+    wholesale, and optimizing one endpoint at a time snaps the other to a
+    breakpoint, so the halo is the union over breakpoints p of [p, x], x the
+    farthest point on either side of p with excess(p, x) =
+    mu(E ∩ [p, x]) - alpha * mu([p, x]) > 0.  One sweep per anchor p and
+    direction carries the excess piece by piece over the refinement of the E
+    and weight breakpoints.  On each piece it is linear in x, so the farthest
+    solution there solves a linear equation over the rationals, and a
+    solution on a later piece lies farther out than any earlier one.
+    """
+    alpha = _to_rat(alpha)
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie in (0, 1)")
+    if e.is_empty:
+        raise ValueError("empty set")
+    bps = sorted(set(e.breakpoints()) | (set(weight.breakpoints) if weight else set()))
+    if weight is not None:
+        lo, hi = weight.domain
+        if e.intervals[0][0] < lo or e.intervals[-1][1] > hi:
+            raise ValueError("set escapes the weight domain")
+        left_end, right_end = lo, hi
+    else:
+        # beyond the outermost breakpoints the ratio only decays; a spare
+        # piece of width |E|/alpha contains every boundary solution
+        margin = e.measure() / alpha
+        left_end, right_end = bps[0] - margin, bps[-1] + margin
+
+    grid = sorted(set([left_end, right_end] + bps))
+    starts = [a for a, _ in e.intervals]
+    # excess per unit length of each piece: (1[piece ⊂ E] - alpha) * density
+    slopes = []
+    for a in grid[:-1]:
+        i = bisect_right(starts, a) - 1
+        in_e = i >= 0 and a < e.intervals[i][1]
+        dens = (Fraction(1) if weight is None
+                else weight.densities[bisect_right(weight.breakpoints, a) - 1])
+        slopes.append((int(in_e) - alpha) * dens)
+
+    idx = {g: i for i, g in enumerate(grid)}
+    parts: list[tuple[Fraction, Fraction]] = []
+    for p in bps:
+        for step in (1, -1):
+            pieces = range(idx[p], len(slopes)) if step > 0 else range(idx[p] - 1, -1, -1)
+            excess, reach = Fraction(0), None
+            for k in pieces:
+                length = grid[k + 1] - grid[k]
+                sol = _piece_sol(excess, slopes[k], length)
+                if sol is not None:
+                    reach = grid[k] + sol if step > 0 else grid[k + 1] - sol
+                excess += slopes[k] * length
+            if reach is not None:
+                parts.append((min(p, reach), max(p, reach)))
+    return IntervalSet.merge(parts)

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import grid_maximal_naive
+from oracles import exact_halo_1d_sweep, grid_maximal_naive
 from tauberian_lab.maximal import (
     VARIANTS,
     AtomicMeasure,
@@ -214,6 +214,11 @@ def test_set_mass():
     assert set_mass(e, w) == pytest.approx(w.values[4:].sum())
 
 
+def test_set_mass_rejects_shape_mismatch():
+    with pytest.raises(ValueError, match="weight grid and set grid differ in shape"):
+        set_mass(np.ones(4, bool), GridWeight(np.ones(8)))
+
+
 # -- IntervalSet / PiecewiseWeight1D ------------------------------------------
 
 
@@ -221,6 +226,12 @@ def test_interval_set_merge_and_measure():
     s = IntervalSet.merge([(F(1), F(2)), (F(0), F(1)), (F(3), F(4))])
     assert s.intervals == ((F(0), F(2)), (F(3), F(4)))
     assert s.measure() == 3
+
+
+def test_interval_set_merge_converts_before_dropping_degenerate():
+    # "1/2" < "1" is False as strings, and 0 < "1/2" raises TypeError
+    assert IntervalSet.merge([("1/2", "1")]) == IntervalSet([("1/2", "1")])
+    assert IntervalSet.merge([(0, "1/2"), ("1", "1")]).intervals == ((F(0), F(1, 2)),)
 
 
 def test_interval_set_validation():
@@ -377,8 +388,35 @@ def test_halo_boundary_is_exactly_at_level(case):
             assert point_eval_1d(e, x, weight) == alpha
 
 
-# halos computed with the breakpoint-anchored pair scan and the two mirrored
-# free-endpoint sweeps that one sweep per anchor and direction replaced
+@st.composite
+def wide_halo_cases(draw):
+    """Up to 40 cells, alpha = p/q with q <= 64, and Lebesgue or 1-8 weight
+    pieces whose breakpoints sit on a 1/60 grid, out of step with E's."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    mask = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+    e = IntervalSet.merge([(F(i, n), F(i + 1, n)) for i in range(n) if mask[i]])
+    q = draw(st.integers(min_value=2, max_value=64))
+    alpha = F(draw(st.integers(min_value=1, max_value=q - 1)), q)
+    weight = None
+    if draw(st.booleans()):
+        m = draw(st.integers(min_value=1, max_value=8))
+        inner = draw(st.lists(st.integers(min_value=1, max_value=59), min_size=m - 1,
+                              max_size=m - 1, unique=True))
+        dens = draw(st.lists(st.fractions(min_value=F(1, 4), max_value=8, max_denominator=4),
+                             min_size=m, max_size=m))
+        weight = PiecewiseWeight1D([F(0)] + [F(k, 60) for k in sorted(inner)] + [F(1)], dens)
+    return e, alpha, weight
+
+
+@settings(max_examples=300)
+@given(wide_halo_cases())
+def test_halo_matches_per_anchor_sweep(case):
+    e, alpha, weight = case
+    assert exact_halo_1d(e, alpha, weight) == exact_halo_1d_sweep(e, alpha, weight)
+
+
+# halos computed before the exact 1-D engine became one pass over the excess
+# Phi, by the breakpoint-anchored pair scan and the per-anchor sweeps
 HALO_PINS = [  # (n, E as runs of 1/n cells, alpha, densities per 1/n cell or
     # Lebesgue, halo)
     (7, ((0, 2),), '3/7', None, (('-8/21', '2/3'),)),
