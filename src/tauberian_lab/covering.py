@@ -7,6 +7,7 @@ run and re-check every contract clause exactly.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -20,7 +21,9 @@ from .geometry import (
     BoxFamily,
     BoxRegion,
     dilate,
-    union_measure,
+    _dilated_grid,
+    _Grid,
+    _int_corners,
     _to_rat,
     is_satellite,
 )
@@ -99,22 +102,20 @@ def cf_select_lebesgue(f: BoxFamily, delta) -> SelectionResult:
     selected: list[int] = []
     certs: dict[int, dict] = {}
     incs: dict[int, Fraction] = {}
-    region: BoxRegion | None = None
+    grid = _Grid(*_int_corners([(b.lo, b.hi) for b in boxes]))
+    covered = np.zeros(grid.shape, dtype=bool)
     equality: list[int] = []
     for i, q in enumerate(boxes):
         vol = q.volume()
-        if region is None:
-            new = vol
-        else:
-            new = BoxRegion.from_boxes([q]).subtract(region).measure()
+        sl = grid.slices[i]
+        new = grid.measure(~covered[sl], sl)
         overlap = vol - new
         if overlap <= (1 - delta) * vol:
             if overlap == (1 - delta) * vol and selected:
                 equality.append(i)
             selected.append(i)
             incs[i] = new
-            region = (BoxRegion.from_boxes([q]) if region is None
-                      else region.union(BoxRegion.from_boxes([q])))
+            covered[sl] = True
         else:
             certs[i] = {
                 "rule": "overlap-fraction",
@@ -292,7 +293,8 @@ def verify_selection_contract(result: SelectionResult,
     """Re-check every contract clause of a selection independently.
 
     Returns {clause: {"pass": bool, "defect": quantity}}; replays greedy
-    decisions from scratch instead of trusting stored certificates.
+    decisions from scratch instead of trusting stored certificates, and in
+    the Lebesgue replay compares the stored increments and certificates exactly.
     """
     boxes = list(result.input)
     report: dict[str, dict] = {}
@@ -325,21 +327,23 @@ def verify_selection_contract(result: SelectionResult,
         ok_inc, ok_rej = True, True
         worst_inc, worst_rej = None, None
         if result.kind == "cf-lebesgue":
-            region = None
+            region = BoxRegion.empty(boxes[0].dim) if boxes else None
             for i, q in enumerate(boxes):
-                vol = q.volume()
-                new = (vol if region is None
-                       else BoxRegion.from_boxes([q]).subtract(region).measure())
+                vol, cube = q.volume(), BoxRegion.from_boxes([q])
+                new = cube.subtract(region).measure()
                 if i in sel:
                     if i != result.selected_indices[0] and new < level * vol:
                         ok_inc = False
                         worst_inc = float(new / vol)
-                    region = (BoxRegion.from_boxes([q]) if region is None
-                              else region.union(BoxRegion.from_boxes([q])))
+                    ok_inc &= result.increments.get(i) == new
+                    region = region.union(cube)
                 else:
                     if vol - new <= (1 - level) * vol:
                         ok_rej = False
                         worst_rej = float((vol - new) / vol)
+                    cert = result.certificates.get(i, {})
+                    ok_rej &= ((cert.get("overlap"), cert.get("fraction"))
+                               == (vol - new, (vol - new) / vol))
         else:
             if w is None:
                 raise ValueError("weighted contract verification needs the weight")
@@ -400,15 +404,24 @@ def minimal_cover_dilation(f: BoxFamily | Sequence[Box], selected: Sequence[Box]
     """Smallest candidate factor t with union(f) inside union(t * selected).
 
     Factors default to the ladder k/8 for k = 8..40; raises if none covers.
+    The dilates are concentric, so coverage is monotone in t: candidates are bisected.
     """
     boxes = list(f)
     if not boxes:
         return Fraction(1)
     if candidates is None:
         candidates = [Fraction(k, 8) for k in range(8, 41)]
-    whole = BoxRegion.from_boxes(boxes)
-    for t in sorted(candidates):
-        cover = BoxRegion.from_boxes([dilate(b, t) for b in selected])
-        if whole.subtract(cover).is_empty:
-            return t
-    raise ValueError("no candidate dilation factor covers the family")
+    ts = sorted(candidates)
+    if any(_to_rat(t) <= 0 for t in ts):
+        raise ValueError("dilation factor must be positive")
+    k, n = len(boxes), len(boxes) + len(selected)
+    corners = _int_corners([(b.lo, b.hi) for b in [*boxes, *selected]])
+
+    def covers(t) -> bool:
+        grid = _dilated_grid(*corners, _to_rat(t), k)
+        return not (grid.cover(range(k)) & ~grid.cover(range(n, len(grid.slices)))).any()
+
+    i = bisect_left(ts, True, key=covers)
+    if i == len(ts):
+        raise ValueError("no candidate dilation factor covers the family")
+    return ts[i]

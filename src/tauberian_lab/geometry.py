@@ -1,12 +1,17 @@
 """Exact rational geometry of axis-parallel boxes.
 
-Everything in this module is computed over `fractions.Fraction`; there are no
-tolerances.  A Box is a closed axis-parallel cube (one sidelength for all
-axes).  Regions (finite unions of boxes) are kept as disjoint half-open
-fragments on an integer-scaled grid, which makes unions, differences and
-measures exact and fast: every cut in the fragment decomposition lies on a
-face coordinate of an input box, so this is a sparse variant of
-coordinate-compression measure computation.
+Everything in this module is exact; there are no tolerances.  A Box is a
+closed axis-parallel cube (one sidelength for all axes).
+
+Box families are measured by coordinate compression on one integer grid, as
+in Klee's measure problem.  A family is converted once to integer corner
+arrays L, H at one scale D, the lcm of the corner denominators.  Per axis, the
+grid coordinates are the distinct corners, so a box is a slice tuple into the
+grid and a region is a boolean mask over its cells: union is `|`, difference
+`& ~`, and measure the integer sum of the marked cells' volumes divided once
+by D^d.  Those sums are int64 while the product of the axis spans is below
+2^62 and Python ints beyond.  Dilations stay integer too: for t = p/q, at
+scale 2qD a box is (2qL, 2qH) and its concentric t-dilate q(L+H) -/+ p(H-L).
 
 Supported dimensions: 1, 2, 3.
 """
@@ -14,9 +19,11 @@ Supported dimensions: 1, 2, 3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import InvariantViolation, OrderingViolation
 
@@ -38,6 +45,8 @@ class Box:
 
     center: tuple[Fraction, ...]
     side: Fraction
+    lo: tuple[Fraction, ...] = field(init=False, compare=False, repr=False)
+    hi: tuple[Fraction, ...] = field(init=False, compare=False, repr=False)
 
     def __init__(self, center: Sequence, side) -> None:
         center = tuple(_to_rat(c) for c in center)
@@ -48,40 +57,35 @@ class Box:
             raise ValueError("supported dimensions are 1..3")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "side", side)
+        h = side / 2
+        object.__setattr__(self, "lo", tuple(c - h for c in center))
+        object.__setattr__(self, "hi", tuple(c + h for c in center))
 
     @property
     def dim(self) -> int:
         return len(self.center)
-
-    @property
-    def lo(self) -> tuple[Fraction, ...]:
-        h = self.side / 2
-        return tuple(c - h for c in self.center)
-
-    @property
-    def hi(self) -> tuple[Fraction, ...]:
-        h = self.side / 2
-        return tuple(c + h for c in self.center)
 
     def volume(self) -> Fraction:
         return self.side ** self.dim
 
     def contains_point(self, pt: Sequence) -> bool:
         pt = tuple(_to_rat(x) for x in pt)
+        if len(pt) != self.dim:
+            raise ValueError("dimension mismatch")
         return all(l <= x <= u for l, x, u in zip(self.lo, pt, self.hi))
 
     def contains_box(self, other: "Box") -> bool:
-        return all(
-            sl <= ol and ou <= su
-            for sl, ol, ou, su in zip(self.lo, other.lo, other.hi, self.hi)
-        )
+        if other.dim != self.dim:
+            raise ValueError("dimension mismatch")
+        return all(sl <= ol and ou <= su
+                   for sl, ol, ou, su in zip(self.lo, other.lo, other.hi, self.hi))
 
     def intersects(self, other: "Box") -> bool:
+        if other.dim != self.dim:
+            raise ValueError("dimension mismatch")
         # closed boxes: touching faces count as intersecting
-        return all(
-            ol <= su and sl <= ou
-            for sl, su, ol, ou in zip(self.lo, self.hi, other.lo, other.hi)
-        )
+        return all(ol <= su and sl <= ou
+                   for sl, su, ol, ou in zip(self.lo, self.hi, other.lo, other.hi))
 
 
 def dilate(b: Box, factor) -> Box:
@@ -137,181 +141,177 @@ def sorted_decreasing(boxes: Iterable[Box]) -> BoxFamily:
 
 
 # ---------------------------------------------------------------------------
-# Integer fragment engine.  Fragments are half-open [lo, hi) integer boxes on
-# a common scale D: true coordinate = integer / D.
+# Compressed integer grid: cell m of axis a is [axes[a][m], axes[a][m + 1]) / scale
 # ---------------------------------------------------------------------------
 
-IntBox = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-def _to_int_boxes(corner_boxes: Sequence[tuple[Sequence[Fraction], Sequence[Fraction]]]
-                  ) -> tuple[int, list[IntBox]]:
-    """The least common denominator D of all corners, and every (lo, hi) times D."""
+def _int_corners(corner_boxes: Sequence[tuple[Sequence[Fraction], Sequence[Fraction]]]
+                 ) -> tuple[int, np.ndarray, np.ndarray]:
+    """The least common denominator D of all corners, and the (k, d) arrays
+    L, H of every (lo, hi) times D, as Python ints."""
+    dims = {len(c) for pair in corner_boxes for c in pair}
+    if len(dims) > 1:
+        raise ValueError("dimension mismatch")
     scale = math.lcm(*(c.denominator for lo, hi in corner_boxes for c in (*lo, *hi)))
-    return scale, [
-        (tuple(int(c * scale) for c in lo), tuple(int(c * scale) for c in hi))
-        for lo, hi in corner_boxes
-    ]
+    d = max(dims, default=0)
+    return scale, *(np.array([[c.numerator * (scale // c.denominator) for c in pair[s]]
+                              for pair in corner_boxes], dtype=object).reshape(-1, d)
+                    for s in (0, 1))
 
 
-def _frag_minus(piece: IntBox, cut: IntBox) -> list[IntBox]:
-    lo, hi = piece
-    clo, chi = cut
-    n = len(lo)
-    for d in range(n):
-        if chi[d] <= lo[d] or hi[d] <= clo[d]:
-            return [piece]
-    out: list[IntBox] = []
-    lo = list(lo)
-    hi = list(hi)
-    for d in range(n):
-        if lo[d] < clo[d]:
-            nhi = hi.copy()
-            nhi[d] = clo[d]
-            out.append((tuple(lo), tuple(nhi)))
-            lo[d] = clo[d]
-        if chi[d] < hi[d]:
-            nlo = lo.copy()
-            nlo[d] = chi[d]
-            out.append((tuple(nlo), tuple(hi)))
-            hi[d] = chi[d]
-    # remaining core is inside cut and is dropped
-    return out
+def _axes(coords: Iterable[Iterable[int]]) -> list[np.ndarray]:
+    """Per axis, the sorted distinct integers of coords[a]: int64 while every
+    |coordinate| and the product of the axis spans are below 2^62, else Python ints."""
+    axes = [sorted(set(c)) for c in coords]
+    small = (max((max(-ax[0], ax[-1]) for ax in axes), default=0) < 2**62
+             and math.prod(ax[-1] - ax[0] for ax in axes) < 2**62)
+    return [np.array(ax, dtype=np.int64 if small else object) for ax in axes]
 
 
-def _disjointify(boxes: Sequence[IntBox]) -> list[IntBox]:
-    frags: list[IntBox] = []
-    for b in boxes:
-        lo, hi = b
-        if any(l >= h for l, h in zip(lo, hi)):
-            continue
-        parts = [b]
-        for f in frags:
-            parts = [p for piece in parts for p in _frag_minus(piece, f)]
-            if not parts:
-                break
-        frags.extend(parts)
-    return frags
+def _volume(mask: np.ndarray, widths: Sequence[np.ndarray]) -> int:
+    """Exact integer volume of the marked cells; widths[a] are the cell widths
+    along axis a.  einsum streams the mask, where `@` would cast a full copy."""
+    v = np.einsum("...k,k->...", mask, widths[-1])
+    for w in reversed(widths[:-1]):
+        v = v @ w
+    return int(v)
 
 
-def _int_volume(frags: Iterable[IntBox]) -> int:
-    total = 0
-    for lo, hi in frags:
-        v = 1
-        for l, h in zip(lo, hi):
-            v *= h - l
-        total += v
-    return total
+class _Grid:
+    """The compressed grid of k integer boxes [L_i, H_i) on one scale; box i
+    covers the cells start[i][a] <= m < stop[i][a] of axis a."""
+
+    def __init__(self, scale: int, lo: np.ndarray, hi: np.ndarray):
+        self.scale, self.dim = scale, lo.shape[1]
+        self.axes = _axes(np.concatenate([lo, hi]).T.tolist())
+        self.widths = [np.diff(ax) for ax in self.axes]
+        self.shape = tuple(len(w) for w in self.widths)
+        self.start, self.stop = (
+            list(zip(*(np.searchsorted(ax, c[:, a].astype(ax.dtype)).tolist()
+                       for a, ax in enumerate(self.axes))))
+            for c in (lo, hi))
+        self.slices = [_cells(s, t, (0,) * self.dim) for s, t in zip(self.start, self.stop)]
+
+    def cover(self, idx: Iterable[int]) -> np.ndarray:
+        """Mask of the union of the boxes idx."""
+        mask = np.zeros(self.shape, dtype=bool)
+        for i in idx:
+            mask[self.slices[i]] = True
+        return mask
+
+    def measure(self, mask: np.ndarray, cells: tuple[slice, ...] | None = None) -> Fraction:
+        """Exact measure of the marked cells of mask, which spans the cells `cells`."""
+        widths = self.widths if cells is None else [w[c] for w, c in zip(self.widths, cells)]
+        return Fraction(_volume(mask, widths), self.scale ** self.dim)
+
+
+def _cells(start: Sequence[int], stop: Sequence[int], origin: Sequence[int]):
+    """Slices of the cells start <= m < stop from origin on (indexing cuts the far end)."""
+    return tuple(slice(max(s - o, 0), max(t - o, 0)) for s, t, o in zip(start, stop, origin))
 
 
 class BoxRegion:
-    """Finite union of boxes with exact measure and membership queries."""
+    """Finite union of boxes: a boolean mask over the cells of a compressed
+    grid whose coordinates are `axes` divided by `scale`."""
 
-    __slots__ = ("dim", "scale", "frags")
+    __slots__ = ("dim", "scale", "axes", "mask")
 
-    def __init__(self, dim: int, scale: int, frags: list[IntBox]):
-        self.dim = dim
-        self.scale = scale
-        self.frags = frags
+    def __init__(self, dim: int, scale: int, axes: list[np.ndarray], mask: np.ndarray):
+        self.dim, self.scale, self.axes, self.mask = dim, scale, axes, mask
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def empty(dim: int) -> "BoxRegion":
-        return BoxRegion(dim, 1, [])
+        return BoxRegion(dim, 1, [np.zeros(1, dtype=np.int64)] * dim,
+                         np.zeros((0,) * dim, dtype=bool))
 
     @staticmethod
     def from_boxes(boxes: Sequence[Box]) -> "BoxRegion":
         boxes = list(boxes)
         if not boxes:
             raise ValueError("from_boxes needs at least one box; use empty(dim)")
-        scale, raw = _to_int_boxes([(b.lo, b.hi) for b in boxes])
-        return BoxRegion(boxes[0].dim, scale, _disjointify(raw))
+        return BoxRegion.from_rational_corners(boxes[0].dim, [(b.lo, b.hi) for b in boxes])
 
     @staticmethod
     def from_rational_corners(
         dim: int, corner_boxes: Sequence[tuple[Sequence[Fraction], Sequence[Fraction]]]
     ) -> "BoxRegion":
-        scale, raw = _to_int_boxes(corner_boxes)
-        return BoxRegion(dim, scale, _disjointify(raw))
+        if not corner_boxes:
+            return BoxRegion.empty(dim)
+        g = _Grid(*_int_corners(corner_boxes))
+        if g.dim != dim:
+            raise ValueError("dimension mismatch")
+        return BoxRegion(dim, g.scale, g.axes, g.cover(range(len(corner_boxes))))
 
-    # -- internals ----------------------------------------------------------
-
-    def _rescaled_frags(self, scale: int) -> list[IntBox]:
-        if scale == self.scale:
-            return self.frags
-        if scale % self.scale != 0:
-            raise ValueError("rescale target must be a multiple of current scale")
-        k = scale // self.scale
-        return [
-            (tuple(x * k for x in lo), tuple(x * k for x in hi))
-            for lo, hi in self.frags
-        ]
+    @property
+    def frags(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """One half-open integer box per marked cell, on the scale `scale`."""
+        cells = np.nonzero(self.mask)
+        lo, hi = ([ax[c + k].tolist() for ax, c in zip(self.axes, cells)] for k in (0, 1))
+        return list(zip(zip(*lo), zip(*hi)))
 
     def rational_frags(self) -> list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]:
-        d = self.scale
-        return [
-            (
-                tuple(Fraction(x, d) for x in lo),
-                tuple(Fraction(x, d) for x in hi),
-            )
-            for lo, hi in self.frags
-        ]
+        return [tuple(tuple(Fraction(x, self.scale) for x in c) for c in frag)
+                for frag in self.frags]
 
     # -- queries ------------------------------------------------------------
 
     @property
     def is_empty(self) -> bool:
-        return not self.frags
+        return not self.mask.any()
 
     def measure(self) -> Fraction:
-        return Fraction(_int_volume(self.frags), self.scale ** self.dim)
+        return Fraction(_volume(self.mask, [np.diff(ax) for ax in self.axes]),
+                        self.scale ** self.dim)
 
     def contains_point(self, pt: Sequence) -> bool:
-        pt = tuple(_to_rat(x) for x in pt)
-        s = self.scale
-        for lo, hi in self.frags:
-            if all(Fraction(l, s) <= x <= Fraction(h, s) for l, x, h in zip(lo, pt, hi)):
-                return True
-        return False
+        pt = tuple(_to_rat(x) * self.scale for x in pt)
+        if len(pt) != self.dim:
+            raise ValueError("dimension mismatch")
+        return any(all(l <= x <= h for l, x, h in zip(lo, pt, hi)) for lo, hi in self.frags)
 
     # -- set operations -----------------------------------------------------
 
-    def union(self, other: "BoxRegion") -> "BoxRegion":
+    def _on(self, axes: list[np.ndarray], scale: int) -> np.ndarray:
+        """This mask on the finer grid `axes` at `scale`, a multiple of self.scale."""
+        # padded cell p + 1 is own cell p; the pads hold what lies outside
+        mask = np.zeros([n + 2 for n in self.mask.shape], dtype=bool)
+        mask[(slice(1, -1),) * self.dim] = self.mask
+        for a, (own, ax) in enumerate(zip(self.axes, axes)):
+            own = own.astype(ax.dtype) * (scale // self.scale)
+            mask = mask.take(np.searchsorted(own, ax[:-1], side="right"), axis=a)
+        return mask
+
+    def _merged(self, other: "BoxRegion") -> tuple[int, list[np.ndarray], np.ndarray, np.ndarray]:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         scale = math.lcm(self.scale, other.scale)
-        frags = _disjointify(self._rescaled_frags(scale) + other._rescaled_frags(scale))
-        return BoxRegion(self.dim, scale, frags)
+        axes = _axes([[x * (scale // r.scale) for r in (self, other) for x in r.axes[a].tolist()]
+                      for a in range(self.dim)])
+        return scale, axes, self._on(axes, scale), other._on(axes, scale)
+
+    def union(self, other: "BoxRegion") -> "BoxRegion":
+        scale, axes, a, b = self._merged(other)
+        return BoxRegion(self.dim, scale, axes, a | b)
 
     def subtract(self, other: "BoxRegion") -> "BoxRegion":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        scale = math.lcm(self.scale, other.scale)
-        parts = self._rescaled_frags(scale)
-        for cut in other._rescaled_frags(scale):
-            parts = [p for piece in parts for p in _frag_minus(piece, cut)]
-            if not parts:
-                break
-        return BoxRegion(self.dim, scale, parts)
+        scale, axes, a, b = self._merged(other)
+        return BoxRegion(self.dim, scale, axes, a & ~b)
 
     def dilate_about(self, center: Sequence, factor) -> "BoxRegion":
-        """Image under x -> center + factor*(x - center); exact affine map."""
+        """Image under x -> center + factor*(x - center); exact affine map.  It
+        is increasing on every axis, so it moves the grid lines and keeps the mask."""
         factor = _to_rat(factor)
         if factor <= 0:
             raise ValueError("dilation factor must be positive")
         center = tuple(_to_rat(c) for c in center)
         if len(center) != self.dim:
             raise ValueError("dimension mismatch")
-        mapped = []
-        d = self.scale
-        for lo, hi in self.frags:
-            nlo = tuple(c + factor * (Fraction(x, d) - c) for c, x in zip(center, lo))
-            nhi = tuple(c + factor * (Fraction(x, d) - c) for c, x in zip(center, hi))
-            mapped.append((nlo, nhi))
-        scale, frags = _to_int_boxes(mapped)
-        # affine bijection keeps fragments disjoint
-        return BoxRegion(self.dim, scale, frags)
+        mapped = [[c + factor * (Fraction(int(x), self.scale) - c) for x in ax]
+                  for c, ax in zip(center, self.axes)]
+        scale = math.lcm(*(x.denominator for ax in mapped for x in ax))
+        axes = _axes([[x.numerator * (scale // x.denominator) for x in ax] for ax in mapped])
+        return BoxRegion(self.dim, scale, axes, self.mask)
 
 
 def symmetric_difference_measure(a: BoxRegion, b: BoxRegion) -> Fraction:
@@ -337,29 +337,23 @@ def union_measure(f: BoxFamily | Sequence[Box]) -> Fraction:
     return BoxRegion.from_boxes(boxes).measure()
 
 
-def _increment_regions(boxes: Sequence[Box]) -> list[BoxRegion]:
-    """E_0 = Q_0, E_j = Q_j minus the union of the earlier boxes, in list order."""
-    out: list[BoxRegion] = []
-    prev: list[Box] = []
-    for b in boxes:
-        r = BoxRegion.from_boxes([b])
-        if prev:
-            r = r.subtract(BoxRegion.from_boxes(prev))
-        out.append(r)
-        prev.append(b)
-    return out
-
-
 def increments(f: BoxFamily) -> list[BoxRegion]:
-    """Disjointification of a decreasing-ordered family into increment regions."""
+    """Disjointification of a decreasing-ordered family into increment
+    regions E_j = Q_j minus the earlier boxes, by one pass with a running OR."""
     if f.ordering_tag != ORDER_DECREASING:
         raise OrderingViolation("increments require a decreasing-sidelength family")
-    return _increment_regions(list(f))
+    grid = _Grid(*_int_corners([(b.lo, b.hi) for b in f]))
+    masks = [grid.cover([i]) for i in range(len(grid.slices))]
+    seen = np.logical_or.accumulate([np.zeros(grid.shape, dtype=bool)] + masks)
+    return [BoxRegion(grid.dim, grid.scale, grid.axes, m & ~s) for m, s in zip(masks, seen)]
 
 
 class IdentityCheck(NamedTuple):
     holds: bool
     defect: Fraction
+
+
+_BLOCK_CELLS = 1 << 17  # cells per slab in the sweep of check_dilation_identity
 
 
 def check_dilation_identity(f: BoxFamily | Sequence[Box], delta) -> IdentityCheck:
@@ -368,6 +362,14 @@ def check_dilation_identity(f: BoxFamily | Sequence[Box], delta) -> IdentityChec
     For every family ordered by nonincreasing sidelength the two unions agree
     exactly and the defect is 0; for order-violating families the defect is
     the exact measure of the symmetric difference.
+
+    D_j, the dilation by t = 1 + delta = p/q about the centre of Q_j, is an
+    affine bijection, so D_j(E_j) = D_j(Q_j) minus the D_j(Q_i), i < j: both
+    sides live on the grid of the k(k+1)/2 boxes D_j(Q_i), i <= j, whose
+    corners at scale 2qD are (q-p)(L_j+H_j) + 2p L_i and (q-p)(L_j+H_j) + 2p H_i.
+    That grid has up to (k(k+1))^d cells; it is swept along axis 0 in slabs of
+    at most _BLOCK_CELLS = 2^17 cells (one row of axis 0 if a row is larger),
+    and each D_j(E_j) is built inside its own slice.
     """
     delta = _to_rat(delta)
     if delta <= 0:
@@ -375,33 +377,55 @@ def check_dilation_identity(f: BoxFamily | Sequence[Box], delta) -> IdentityChec
     boxes = list(f)
     if not boxes:
         return IdentityCheck(True, Fraction(0))
-    factor = 1 + delta
-    lhs = BoxRegion.from_boxes([dilate(b, factor) for b in boxes])
-    incs = _increment_regions(boxes)
-    dilated_frags = []
-    for b, e in zip(boxes, incs):
-        if e.is_empty:
-            continue
-        dilated_frags.extend(e.dilate_about(b.center, factor).rational_frags())
-    if dilated_frags:
-        rhs = BoxRegion.from_rational_corners(boxes[0].dim, dilated_frags)
-    else:
-        rhs = BoxRegion.empty(boxes[0].dim)
-    defect = symmetric_difference_measure(lhs, rhs)
-    return IdentityCheck(defect == 0, defect)
+    scale, lo, hi = _int_corners([(b.lo, b.hi) for b in boxes])
+    p, q = (1 + delta).numerator, (1 + delta).denominator
+    jj, ii = np.tril_indices(len(boxes))  # box j * (j + 1) // 2 + i is D_j(Q_i)
+    base = (q - p) * (lo + hi)[jj]
+    grid = _Grid(2 * q * scale, base + 2 * p * lo[ii], base + 2 * p * hi[ii])
+    rows = max(1, _BLOCK_CELLS // math.prod(grid.shape[1:]))
+    defect = 0
+    for a in range(0, grid.shape[0], rows):
+        b = min(a + rows, grid.shape[0])
+        slab = (a,) + (0,) * (grid.dim - 1)
+        lhs = np.zeros((b - a,) + grid.shape[1:], dtype=bool)
+        rhs = np.zeros_like(lhs)
+        for j in range(len(boxes)):
+            own = j * (j + 1) // 2 + j
+            if grid.start[own][0] >= b or grid.stop[own][0] <= a:
+                continue
+            sl = _cells(grid.start[own], grid.stop[own], slab)
+            part = np.ones(lhs[sl].shape, dtype=bool)
+            origin = tuple(map(max, grid.start[own], slab))
+            for i in range(own - j, own):
+                part[_cells(grid.start[i], grid.stop[i], origin)] = False
+            lhs[sl] = True
+            rhs[sl] |= part
+        defect += _volume(lhs ^ rhs, [grid.widths[0][a:b]] + grid.widths[1:])
+    return IdentityCheck(defect == 0, Fraction(defect, grid.scale ** grid.dim))
 
 
 def enlargement_excess(f: BoxFamily | Sequence[Box], delta) -> Fraction:
-    """Exact measure of (union of (1+delta)-dilates) minus (union of the boxes)."""
+    """Exact measure of (union of (1+delta)-dilates) minus (union of the boxes),
+    taken on one grid of the boxes and their dilates."""
     delta = _to_rat(delta)
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     boxes = list(f)
     if not boxes:
         return Fraction(0)
-    dil = BoxRegion.from_boxes([dilate(b, 1 + delta) for b in boxes])
-    orig = BoxRegion.from_boxes(boxes)
-    return dil.subtract(orig).measure()
+    k = len(boxes)
+    grid = _dilated_grid(*_int_corners([(b.lo, b.hi) for b in boxes]), 1 + delta)
+    return grid.measure(grid.cover(range(k, 2 * k)) & ~grid.cover(range(k)))
+
+
+def _dilated_grid(scale: int, lo: np.ndarray, hi: np.ndarray, t: Fraction,
+                  first: int = 0) -> _Grid:
+    """The grid of the boxes [lo, hi], then the concentric t-dilates of the
+    boxes from `first` on, at scale 2q * scale for t = p/q."""
+    p, q = t.numerator, t.denominator
+    mid, half = q * (lo[first:] + hi[first:]), p * (hi[first:] - lo[first:])
+    return _Grid(2 * q * scale, np.concatenate([2 * q * lo, mid - half]),
+                 np.concatenate([2 * q * hi, mid + half]))
 
 
 def is_satellite(f: BoxFamily | Sequence[Box], center_index: int = 0) -> bool:

@@ -6,12 +6,15 @@ and its oracle.
 """
 
 import itertools
+import math
 from bisect import bisect_right
 from fractions import Fraction
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from tauberian_lab.geometry import _to_rat
+from tauberian_lab.covering import SelectionResult
+from tauberian_lab.geometry import _to_rat, dilate
 from tauberian_lab.maximal import IntervalSet, MaximalSpec, PiecewiseWeight1D
 from tauberian_lab.weights import GridCube, GridWeight
 
@@ -182,3 +185,151 @@ def exact_halo_1d_sweep(e: IntervalSet, alpha, weight: PiecewiseWeight1D | None 
             if reach is not None:
                 parts.append((min(p, reach), max(p, reach)))
     return IntervalSet.merge(parts)
+
+
+# ---------------------------------------------------------------------------
+# Pairwise fragment engine: how box families were measured before the
+# compressed grid, kept as the oracle for `geometry` and `covering`.
+# ---------------------------------------------------------------------------
+
+IntBox = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _frag_minus(piece: IntBox, cut: IntBox) -> list[IntBox]:
+    lo, hi = piece
+    clo, chi = cut
+    n = len(lo)
+    for d in range(n):
+        if chi[d] <= lo[d] or hi[d] <= clo[d]:
+            return [piece]
+    out: list[IntBox] = []
+    lo = list(lo)
+    hi = list(hi)
+    for d in range(n):
+        if lo[d] < clo[d]:
+            nhi = hi.copy()
+            nhi[d] = clo[d]
+            out.append((tuple(lo), tuple(nhi)))
+            lo[d] = clo[d]
+        if chi[d] < hi[d]:
+            nlo = lo.copy()
+            nlo[d] = chi[d]
+            out.append((tuple(nlo), tuple(hi)))
+            hi[d] = chi[d]
+    # remaining core is inside cut and is dropped
+    return out
+
+
+def _disjointify(boxes: Sequence[IntBox]) -> list[IntBox]:
+    frags: list[IntBox] = []
+    for b in boxes:
+        lo, hi = b
+        if any(l >= h for l, h in zip(lo, hi)):
+            continue
+        parts = [b]
+        for f in frags:
+            parts = [p for piece in parts for p in _frag_minus(piece, f)]
+            if not parts:
+                break
+        frags.extend(parts)
+    return frags
+
+
+class FragRegion(NamedTuple):
+    """Disjoint half-open integer fragments; true coordinate = integer / scale."""
+
+    scale: int
+    frags: list[IntBox]
+
+    @staticmethod
+    def of(corner_boxes, scale: int) -> "FragRegion":
+        """The union of rational (lo, hi) corner boxes; scale clears every denominator."""
+        return FragRegion(scale, _disjointify([
+            (tuple(int(c * scale) for c in lo), tuple(int(c * scale) for c in hi))
+            for lo, hi in corner_boxes]))
+
+    def minus(self, other: "FragRegion") -> "FragRegion":
+        parts = self.frags
+        for cut in other.frags:
+            parts = [p for piece in parts for p in _frag_minus(piece, cut)]
+        return FragRegion(self.scale, parts)
+
+    def measure(self, dim: int) -> Fraction:
+        return Fraction(sum(math.prod(h - l for l, h in zip(lo, hi)) for lo, hi in self.frags),
+                        self.scale ** dim)
+
+    def rational(self):
+        return [(tuple(Fraction(x, self.scale) for x in lo),
+                 tuple(Fraction(x, self.scale) for x in hi)) for lo, hi in self.frags]
+
+
+def _corners(boxes):
+    return [(b.lo, b.hi) for b in boxes]
+
+
+def _scale(*corner_lists) -> int:
+    return math.lcm(*(c.denominator for cs in corner_lists for lo, hi in cs for c in (*lo, *hi)))
+
+
+def frag_enlargement_excess(boxes, delta) -> Fraction:
+    """Measure of the union of the (1 + delta)-dilates minus the union of the boxes."""
+    dil, orig = _corners([dilate(b, 1 + delta) for b in boxes]), _corners(boxes)
+    scale = _scale(dil, orig)
+    return FragRegion.of(dil, scale).minus(FragRegion.of(orig, scale)).measure(boxes[0].dim)
+
+
+def frag_increments(boxes) -> list[FragRegion]:
+    """E_j = Q_j minus the union of the earlier boxes, in list order."""
+    cs = _corners(boxes)
+    scale = _scale(cs)
+    return [FragRegion.of(cs[j:j + 1], scale).minus(FragRegion.of(cs[:j], scale))
+            for j in range(len(boxes))]
+
+
+def frag_identity_defect(boxes, delta) -> Fraction:
+    """Measure of the symmetric difference of the union of the dilates and
+    the union of the increments, each dilated about its own box's centre."""
+    t = 1 + delta
+    lhs = _corners([dilate(b, t) for b in boxes])
+    rhs = [tuple(tuple(c + t * (x - c) for c, x in zip(b.center, corner)) for corner in frag)
+           for b, e in zip(boxes, frag_increments(boxes)) for frag in e.rational()]
+    scale = _scale(lhs, rhs)
+    lhs, rhs = FragRegion.of(lhs, scale), FragRegion.of(rhs, scale)
+    dim = boxes[0].dim
+    return lhs.minus(rhs).measure(dim) + rhs.minus(lhs).measure(dim)
+
+
+def frag_cf_select_lebesgue(f, delta) -> SelectionResult:
+    """Córdoba-Fefferman selection with each new measure taken by the
+    fragment engine: the box minus the union of the boxes kept so far."""
+    boxes = list(f)
+    cs = _corners(boxes)
+    scale = _scale(cs)
+    selected, certs, incs, equality = [], {}, {}, []
+    for i, q in enumerate(boxes):
+        vol = q.volume()
+        kept = FragRegion.of([cs[j] for j in selected], scale)
+        new = FragRegion.of([cs[i]], scale).minus(kept).measure(q.dim)
+        overlap = vol - new
+        if overlap <= (1 - delta) * vol:
+            if overlap == (1 - delta) * vol and selected:
+                equality.append(i)
+            selected.append(i)
+            incs[i] = new
+        else:
+            certs[i] = {"rule": "overlap-fraction", "overlap": overlap,
+                        "fraction": overlap / vol}
+    return SelectionResult("cf-lebesgue", f, tuple(range(len(boxes))), tuple(selected), certs,
+                           {"delta": delta}, incs, tuple(equality))
+
+
+def frag_minimal_cover_dilation(boxes, selected, candidates) -> Fraction:
+    """The first candidate, in increasing order, whose dilates of the selected
+    boxes cover every box."""
+    whole = _corners(boxes)
+    for t in sorted(candidates):
+        cover = _corners([dilate(b, t) for b in selected])
+        scale = _scale(whole, cover)
+        if not FragRegion.of(whole, scale).minus(FragRegion.of(cover, scale)).frags:
+            return t
+    raise ValueError("no candidate dilation factor covers the family")

@@ -255,3 +255,44 @@ def test_minimal_cover_dilation_vitali():
         res = vitali_select(fam)
         t = minimal_cover_dilation(fam, list(res.selected))
         assert t <= 3
+
+
+def test_minimal_cover_dilation_without_selected_boxes_raises():
+    fam = [interval(0, 1), interval(2, 3)]
+    with pytest.raises(ValueError, match="no candidate dilation factor covers the family"):
+        minimal_cover_dilation(fam, [])
+    with pytest.raises(ValueError, match="no candidate dilation factor covers the family"):
+        minimal_cover_dilation(fam, fam, candidates=[])
+
+
+def test_minimal_cover_dilation_rejects_nonpositive_candidates():
+    with pytest.raises(ValueError, match="positive"):
+        minimal_cover_dilation([interval(0, 1)], [interval(0, 1)], [F(0), F(1)])
+
+
+# -- the verifier compares stored numbers -----------------------------------------
+
+
+def _cf_with_rejection():
+    fam = sorted_decreasing([interval(0, 2), interval(F(1, 2), F(3, 2)), interval(3, 4)])
+    res = cf_select_lebesgue(fam, F(1, 2))
+    assert res.selected_indices == (0, 2) and set(res.certificates) == {1}
+    assert verify_selection_contract(res)["all"]["pass"]
+    return res
+
+
+def test_cf_lebesgue_tampered_increment_values_fail():
+    res = _cf_with_rejection()
+    bad = replace(res, increments={i: v + 5 for i, v in res.increments.items()})
+    rep = verify_selection_contract(bad)
+    assert not rep["selected-increments"]["pass"] and not rep["all"]["pass"]
+
+
+@pytest.mark.parametrize("key", ["overlap", "fraction"])
+def test_cf_lebesgue_tampered_certificate_fails(key):
+    res = _cf_with_rejection()
+    cert = dict(res.certificates[1])
+    cert[key] = cert[key] / 2
+    bad = replace(res, certificates={1: cert})
+    rep = verify_selection_contract(bad)
+    assert not rep["rejected-replay"]["pass"] and not rep["all"]["pass"]

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from oracles import frag_enlargement_excess, frag_identity_defect
 from tauberian_lab import geometry
 from tauberian_lab.errors import InvariantViolation, OrderingViolation
 from tauberian_lab.geometry import (
@@ -122,6 +123,27 @@ def test_union_measure_matches_inclusion_exclusion():
         count = int(rng.integers(1, 7))
         fam = random_family(rng, dim, count, decreasing=False)
         assert union_measure(fam) == inclusion_exclusion_measure(list(fam))
+
+
+WIDE_FAMILIES = {
+    # scaled corners beyond 2^63: the common denominator is 3^25 5^20 7^18
+    "corners-past-2^63": [Box((F(1, 3**25), F(2, 5**20)), F(3, 7**18)),
+                          Box((F(0), F(1, 5**20)), F(1, 3**25)),
+                          Box((F(1, 7**18), F(0)), F(2, 5**20))],
+    # corners fit in int64, but the product of the three scaled spans does not
+    "spans-past-2^62": [Box((F(1, 2000003), F(0), F(5, 3)), 3),
+                        Box((F(2), F(1, 1999993), F(1)), F(7, 2000003)),
+                        Box((F(-1), F(1), F(1, 1999993)), 2)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_FAMILIES))
+def test_wide_integer_grids_stay_exact(name):
+    boxes = WIDE_FAMILIES[name]
+    assert union_measure(boxes) == inclusion_exclusion_measure(boxes)
+    delta = F(1, 3)
+    assert enlargement_excess(boxes, delta) == frag_enlargement_excess(boxes, delta)
+    assert check_dilation_identity(boxes, delta).defect == frag_identity_defect(boxes, delta)
 
 
 def test_region_monotone_under_union():
