@@ -20,6 +20,7 @@ Superlevel sets use strict inequality throughout.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import UnsupportedGeometry
-from .geometry import Box, _to_rat
+from .geometry import Box, _int_corners, _to_rat
 from .gridops import prefix, resolution, window_sums
 from .weights import GridWeight
 
@@ -75,22 +76,16 @@ def grid_maximal(e: np.ndarray, spec: MaximalSpec = MaximalSpec(),
         if weight.values.shape != e.shape:
             raise ValueError("weight grid and set grid differ in shape")
         pn = prefix(np.where(e, weight.values, 0.0))
-        pd = weight.prefix
-        pc = prefix(weight.values > 0)
     else:
         pn = prefix(e)
-        pd = pc = prefix(np.ones(e.shape))
 
     def ratio(s):
         """mu(R∩E)/mu(R) for every side-s cube R, -inf where R has no cell of
-        positive mass.  Cell counts are sums of small integers and so exact;
-        a 2-D prefix difference over a zero-mass cube can round to about
-        ±1e-16 instead of 0, so den > 0 alone would admit a ratio of two
-        rounding errors."""
-        num, den = window_sums(pn, s), window_sums(pd, s)
-        live = (den > 0) & (window_sums(pc, s) > 0)
+        positive mass (GridWeight gives such a cube mass exactly 0)."""
+        num = window_sums(pn, s)
+        den = weight.window_sums(s) if spec.measure == "grid-weight" else float(s**e.ndim)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(live, num / den, -np.inf)
+            return np.where(den > 0, num / den, -np.inf)
 
     vals = np.full(e.shape, -np.inf)
     if spec.variant == "uncentered":
@@ -437,8 +432,10 @@ def atomic_maximal_lower(mu: AtomicMeasure, e_indices: Sequence[int], alpha,
     all its points, in particular all its atoms, inside the halo.  The bound
     is the exact mass of the union of certified atoms.
 
-    Membership is prefiltered in floating point with a slack wide enough to
-    never drop a true member, then confirmed in exact rational arithmetic.
+    Candidates and atoms go onto one integer grid (`_int_corners`) and the
+    masses onto integers over their lcm, so membership is one comparison of
+    Python ints per candidate, atom and axis, and for alpha = p/q a candidate
+    is certified iff q * (its E-mass) > p * (its mass), an exact test.
     """
     alpha = _to_rat(alpha)
     if not 0 < alpha < 1:
@@ -446,30 +443,23 @@ def atomic_maximal_lower(mu: AtomicMeasure, e_indices: Sequence[int], alpha,
     e_indices = list(e_indices)
     if not e_indices:
         raise ValueError("E must contain at least one atom")
-    eset = set(e_indices)
-    if any(not 0 <= i < len(mu.atoms) for i in eset):
+    if any(not 0 <= i < len(mu.atoms) for i in e_indices):
         raise ValueError("atom index out of range")
     if candidate_boxes is None:
         candidate_boxes = default_atomic_candidates(mu, e_indices)
-    pts_f = np.array([[float(c) for c in pt] for pt, _ in mu.atoms])
-    slack = 1e-9 * max(1.0, float(np.abs(pts_f).max()))
-    covered: set[int] = set()
-    witnesses = []
-    for box in candidate_boxes:
-        if box.dim != mu.dim:
-            raise UnsupportedGeometry("candidate box dimension mismatch")
-        lo_f = np.array([float(x) for x in box.lo])
-        hi_f = np.array([float(x) for x in box.hi])
-        rough = np.flatnonzero(
-            np.all((pts_f >= lo_f - slack) & (pts_f <= hi_f + slack), axis=1))
-        inside = [int(k) for k in rough if box.contains_point(mu.atoms[k][0])]
-        if not inside:
-            continue
-        mass = sum((mu.atoms[k][1] for k in inside), Fraction(0))
-        mass_e = sum((mu.atoms[k][1] for k in inside if k in eset), Fraction(0))
-        ratio = mass_e / mass
-        if ratio > alpha:
-            covered.update(inside)
-            witnesses.append((box, ratio))
-    lower = sum((mu.atoms[k][1] for k in covered), Fraction(0))
-    return AtomicHaloBound(lower, frozenset(covered), tuple(witnesses))
+    boxes = list(candidate_boxes)
+    if any(box.dim != mu.dim for box in boxes):
+        raise UnsupportedGeometry("candidate box dimension mismatch")
+    _, lo, hi = _int_corners([(b.lo, b.hi) for b in boxes] + [(pt, pt) for pt, _ in mu.atoms])
+    pts = lo[len(boxes):]
+    inside = ((lo[:len(boxes), None] <= pts) & (pts <= hi[:len(boxes), None])).all(axis=2)
+    scale = math.lcm(*(m.denominator for _, m in mu.atoms))
+    masses = np.array([m.numerator * (scale // m.denominator) for _, m in mu.atoms], dtype=object)
+    in_e = np.zeros(len(masses), dtype=bool)
+    in_e[e_indices] = True
+    mass, mass_e = inside @ masses, inside @ np.where(in_e, masses, 0)
+    certified = mass_e * alpha.denominator > alpha.numerator * mass
+    covered = inside[certified].any(axis=0)
+    witnesses = tuple((boxes[c], Fraction(mass_e[c], mass[c])) for c in np.flatnonzero(certified))
+    return AtomicHaloBound(Fraction(int(covered @ masses), scale),
+                           frozenset(np.flatnonzero(covered).tolist()), witnesses)

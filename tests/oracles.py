@@ -2,7 +2,9 @@
 
 No oracle here calls `gridops`, the window kernel that the fast paths share,
 so a wrong slice or sign there shows up as a difference between a fast path
-and its oracle.
+and its oracle.  The one exception is `sidelength_growth_exponent_pairs`,
+which takes its cube masses from `GridWeight.window_sums` as the code it
+replaced did, so that `==` compares the pair families and not two roundings.
 """
 
 import itertools
@@ -14,8 +16,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from tauberian_lab.covering import SelectionResult
-from tauberian_lab.geometry import _to_rat, dilate
-from tauberian_lab.maximal import IntervalSet, MaximalSpec, PiecewiseWeight1D
+from tauberian_lab.errors import UnsupportedGeometry
+from tauberian_lab.geometry import Box, _to_rat, dilate
+from tauberian_lab.maximal import (AtomicHaloBound, AtomicMeasure, IntervalSet, MaximalSpec,
+                                   PiecewiseWeight1D, default_atomic_candidates)
 from tauberian_lab.weights import GridCube, GridWeight
 
 
@@ -48,16 +52,22 @@ def _prefix_mass(values: np.ndarray):
     return mass
 
 
-def fujii_wilson_naive(w: GridWeight) -> float:
-    """Fujii-Wilson gauge by enumeration: for every cube Q and every cell of Q,
-    the largest average over the cubes inside Q that cover the cell."""
+def slice_mass(values: np.ndarray):
+    """cube -> mass as the sum of the cube's slice of cells."""
+    return lambda q: float(values[_cells(q)].sum())
+
+
+def fujii_wilson_naive(w: GridWeight, cube_masses=_prefix_mass) -> float:
+    """Fujii-Wilson gauge by enumeration: for every cube Q with a positive
+    cell and every cell of Q, the largest average over the cubes inside Q
+    that cover the cell.  cube_masses(values) gives the cube -> mass map."""
     best = 0.0
     cubes = list(w.cubes())
-    cube_mass = _prefix_mass(w.values)
+    cube_mass = cube_masses(w.values)
     for q in cubes:
-        mass = cube_mass(q)
-        if mass <= 0:
+        if not w.values[_cells(q)].any():
             continue
+        mass = cube_mass(q)
         integ = 0.0
         for cell in np.ndindex(*(q.side,) * w.dim):
             c = tuple(q.corner[d] + cell[d] for d in range(w.dim))
@@ -76,6 +86,129 @@ def fujii_wilson_naive(w: GridWeight) -> float:
             integ += m * w.cell_volume
         best = max(best, integ / mass)
     return best
+
+
+def doubling_exact(w: GridWeight) -> float:
+    """doubling_constant by exact Fraction sums of the cell masses: the largest
+    w(2Q)/w(Q) over even-sided Q with w(Q) > 0 whose double is in the domain."""
+    n, best = w.resolution, Fraction(0)
+
+    def mass(q: GridCube) -> Fraction:
+        return sum(map(Fraction, w.values[_cells(q)].ravel().tolist()), Fraction(0))
+
+    for s in range(2, n // 2 + 1, 2):
+        h = s // 2
+        for corner in itertools.product(range(h, n - s - h + 1), repeat=w.dim):
+            inner = mass(GridCube(corner, s))
+            if inner > 0:
+                best = max(best, mass(GridCube(tuple(c - h for c in corner), 2 * s)) / inner)
+    return float(best)
+
+
+# ---------------------------------------------------------------------------
+# Per-pair gamma and the float-prefiltered atomic bound: how the two sups were
+# taken before their array passes, kept as oracles for `weights` and `maximal`.
+# ---------------------------------------------------------------------------
+
+
+def _gamma_pairs(n: int, dim: int):
+    """Deterministic nested (Q2, Q1) pairs: a halving ladder of sides with
+    corner / end / centered placements, plus (full domain, small cube) pairs
+    at every position."""
+    ladder = []
+    s = n
+    while s >= 1:
+        ladder.append(s)
+        s //= 2
+    pairs = []
+
+    def corners(side):
+        step = max(1, side // 2)
+        cs = sorted(set(list(range(0, n - side + 1, step)) + [n - side]))
+        return cs
+
+    for i2, s2 in enumerate(ladder):
+        for s1 in ladder[i2 + 1 :]:
+            for c2 in itertools.product(corners(s2), repeat=dim):
+                placements = {
+                    tuple(c for c in c2),
+                    tuple(c + s2 - s1 for c in c2),
+                    tuple(c + (s2 - s1) // 2 for c in c2),
+                }
+                for c1 in placements:
+                    pairs.append((GridCube(c2, s2), GridCube(c1, s1)))
+    full = GridCube((0,) * dim, n)
+    for s1 in ladder[1:]:
+        for c1 in itertools.product(range(n - s1 + 1), repeat=dim):
+            pairs.append((full, GridCube(c1, s1)))
+    return pairs
+
+
+def sidelength_growth_exponent_pairs(w: GridWeight) -> float:
+    """Empirical exponent gamma with w(Q1)/w(Q2) >~ (r1/r2)^gamma over sampled
+    nested pairs; the max of log(w(Q2)/w(Q1)) / log(r2/r1)."""
+    if w.resolution < 8:
+        raise ValueError("resolution must be >= 8")
+    pairs = _gamma_pairs(w.resolution, w.dim)
+    masses = {s: w.window_sums(s) for s in {q.side for pair in pairs for q in pair}}
+    best = None
+    for q2, q1 in pairs:
+        m1 = float(masses[q1.side][q1.corner])
+        if m1 <= 0:
+            continue
+        m2 = float(masses[q2.side][q2.corner])
+        val = math.log(m2 / m1) / math.log(q2.side / q1.side)
+        best = val if best is None else max(best, val)
+    if best is None:
+        raise ValueError("degenerate weight: all sampled inner cubes have zero mass")
+    return best
+
+
+def atomic_maximal_lower_float(mu: AtomicMeasure, e_indices: Sequence[int], alpha,
+                               candidate_boxes: Sequence[Box] | None = None
+                               ) -> AtomicHaloBound:
+    """Certified lower bound on the halo mass of an atom subset.
+
+    Every candidate cube whose E-mass fraction strictly exceeds alpha puts
+    all its points, in particular all its atoms, inside the halo.  The bound
+    is the exact mass of the union of certified atoms.
+
+    Membership is prefiltered in floating point with a slack wide enough to
+    never drop a true member, then confirmed in exact rational arithmetic.
+    """
+    alpha = _to_rat(alpha)
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie in (0, 1)")
+    e_indices = list(e_indices)
+    if not e_indices:
+        raise ValueError("E must contain at least one atom")
+    eset = set(e_indices)
+    if any(not 0 <= i < len(mu.atoms) for i in eset):
+        raise ValueError("atom index out of range")
+    if candidate_boxes is None:
+        candidate_boxes = default_atomic_candidates(mu, e_indices)
+    pts_f = np.array([[float(c) for c in pt] for pt, _ in mu.atoms])
+    slack = 1e-9 * max(1.0, float(np.abs(pts_f).max()))
+    covered: set[int] = set()
+    witnesses = []
+    for box in candidate_boxes:
+        if box.dim != mu.dim:
+            raise UnsupportedGeometry("candidate box dimension mismatch")
+        lo_f = np.array([float(x) for x in box.lo])
+        hi_f = np.array([float(x) for x in box.hi])
+        rough = np.flatnonzero(
+            np.all((pts_f >= lo_f - slack) & (pts_f <= hi_f + slack), axis=1))
+        inside = [int(k) for k in rough if box.contains_point(mu.atoms[k][0])]
+        if not inside:
+            continue
+        mass = sum((mu.atoms[k][1] for k in inside), Fraction(0))
+        mass_e = sum((mu.atoms[k][1] for k in inside if k in eset), Fraction(0))
+        ratio = mass_e / mass
+        if ratio > alpha:
+            covered.update(inside)
+            witnesses.append((box, ratio))
+    lower = sum((mu.atoms[k][1] for k in covered), Fraction(0))
+    return AtomicHaloBound(lower, frozenset(covered), tuple(witnesses))
 
 
 def _admissible_cubes(variant: str, n: int, dim: int):

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exact_halo_1d_sweep, grid_maximal_naive
+from oracles import atomic_maximal_lower_float, exact_halo_1d_sweep, grid_maximal_naive
+from tauberian_lab.errors import UnsupportedGeometry
+from tauberian_lab.geometry import Box
 from tauberian_lab.maximal import (
     VARIANTS,
     AtomicMeasure,
@@ -497,3 +499,41 @@ def test_atomic_candidates_include_pair_cubes():
     cands = default_atomic_candidates(mu, [0])
     assert len(cands) >= 11
     assert all(b.dim == 2 for b in cands)
+
+
+def test_atomic_rejects_candidate_of_other_dimension():
+    mu = AtomicMeasure([((F(0),), F(1)), ((F(1),), F(2))])
+    with pytest.raises(UnsupportedGeometry, match="dimension mismatch"):
+        atomic_maximal_lower(mu, [0], F(1, 2), [Box((F(0),), 1), Box((F(0), F(0)), 1)])
+
+
+# 3^41 and 2^70 + 1 put the scaled corners past 2^63
+DENOMINATORS = (1, 3, 5, 7, 64, 3**41, 2**70 + 1)
+
+
+@st.composite
+def rationals(draw, lo, hi):
+    q = draw(st.sampled_from(DENOMINATORS))
+    return F(draw(st.integers(lo * q, hi * q)), q)
+
+
+@st.composite
+def atomic_cases(draw):
+    d = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[rationals(-2, 2)] * d), min_size=1, max_size=9,
+                        unique=True))
+    masses = draw(st.lists(rationals(0, 4).filter(lambda m: m > 0),
+                           min_size=len(pts), max_size=len(pts)))
+    e_idx = draw(st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=len(pts)))
+    q = draw(st.integers(2, 12))
+    alpha = F(draw(st.integers(1, q - 1)), q)
+    boxes = st.builds(Box, st.tuples(*[rationals(-2, 2)] * d),
+                      rationals(0, 4).filter(lambda side: side > 0))
+    candidates = draw(st.one_of(st.none(), st.just([]), st.lists(boxes, max_size=12)))
+    return AtomicMeasure(list(zip(pts, masses))), e_idx, alpha, candidates
+
+
+@settings(max_examples=300)
+@given(atomic_cases())
+def test_atomic_matches_float_prefilter(case):
+    assert atomic_maximal_lower(*case) == atomic_maximal_lower_float(*case)

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fujii_wilson_naive
+from oracles import (doubling_exact, fujii_wilson_naive, sidelength_growth_exponent_pairs,
+                     slice_mass)
 from tauberian_lab.weights import (
+    DEFAULT_PROFILE_T,
     GridCube,
     GridWeight,
     WeightFamilySpec,
@@ -504,3 +506,153 @@ def test_corollary_ordering_fw_vs_hruscev():
     for spec in CORPUS_1D:
         w = generate_weight(spec)
         assert fujii_wilson(w) <= 2 * hruscev_constant(w) + 1e-9
+
+
+# -- zero-mass cubes -------------------------------------------------------------
+
+
+def zero_cell_grid(seed, n):
+    """2-D masses from e^-8 to e^6 with about half the cells exactly 0."""
+    rng = np.random.default_rng(seed)
+    v = np.exp(rng.uniform(-8, 6, size=(n, n)))
+    v[rng.random((n, n)) < 0.5] = 0.0
+    return GridWeight(v)
+
+
+# A prefix difference is off by at most a few ulps of the grid total (below
+# 64 e^6 here), so relative to the lightest positive cube (e^-8) it is off by
+# less than 1e-7; a gauge read off such masses is as close.
+ZERO_CELL_REL = 1e-6
+
+
+@pytest.mark.parametrize("seed", [38, 109, 137])
+def test_fw_skips_zero_mass_cubes(seed):
+    # prefix rounding on cubes of zero cells once passed for mass: seed 38
+    # gave 8.43 where slice sums give 3.77
+    w = zero_cell_grid(seed, 6)
+    assert fujii_wilson(w) == pytest.approx(fujii_wilson_naive(w, slice_mass),
+                                            rel=ZERO_CELL_REL)
+
+
+def test_doubling_matches_exact_sums_with_zero_cells():
+    for seed in range(60):
+        w = zero_cell_grid(seed, 8)
+        assert doubling_constant(w) == pytest.approx(doubling_exact(w), rel=ZERO_CELL_REL)
+
+
+def test_zero_mass_cubes_have_mass_zero():
+    w = zero_cell_grid(2, 8)
+    empty = ~w.values.astype(bool)
+    for s in range(1, 9):
+        sums = w.window_sums(s)
+        for corner in np.ndindex(*sums.shape):
+            q = GridCube(corner, s)
+            if empty[tuple(slice(c, c + s) for c in corner)].all():
+                assert sums[corner] == 0.0 and w.cube_mass(q) == 0.0
+            else:
+                assert w.cube_mass(q) == sums[corner] > 0
+
+
+def test_gamma_defined_with_zero_cells():
+    # a zero-mass Q1 beside heavy cells once read as mass and gave log of a
+    # ratio <= 0, "math domain error"
+    for seed in range(60):
+        w = zero_cell_grid(seed, 8)
+        assert math.isfinite(sidelength_growth_exponent(w))
+
+
+# -- parameters ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.5, -1.0, float("nan")])
+def test_rh_rejects_nonpositive_eps(eps):
+    with pytest.raises(ValueError, match="eps must be positive"):
+        reverse_holder_holds(power_w(16, 1.0), eps)
+
+
+@pytest.mark.parametrize("p", [float("inf"), float("nan"), 1.0, 0.5])
+def test_ap_rejects_p_outside_open_range(p):
+    with pytest.raises(ValueError, match="p must be a finite number exceeding 1"):
+        ap_constant(power_w(16, 1.0), p)
+
+
+def test_growth_profile_rejects_nan_t():
+    with pytest.raises(ValueError, match=r"t values must lie in \(0, 1\]"):
+        growth_profile(const_w(8), [0.25, float("nan")])
+
+
+# -- gamma against the per-pair loop ------------------------------------------------
+
+POSITIVE = st.floats(min_value=math.exp(-8), max_value=math.exp(6))
+
+
+@st.composite
+def gamma_grids(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(8, 40) if dim == 1 else st.integers(8, 14))
+    vals = draw(st.lists(POSITIVE, min_size=n**dim, max_size=n**dim))
+    return GridWeight(np.reshape(vals, (n,) * dim))
+
+
+@settings(max_examples=150)
+@given(gamma_grids())
+def test_gamma_matches_pair_loop(w):
+    assert sidelength_growth_exponent(w) == sidelength_growth_exponent_pairs(w)
+
+
+@pytest.mark.parametrize("n", [8, 9, 12, 13, 15, 24, 37])
+def test_gamma_matches_pair_loop_on_power_weights(n):
+    for dim in (1, 2) if n <= 14 else (1,):
+        w = power_w(n, 1.5, dim=dim, x0=0.3 if dim == 1 else (0.3, 0.7))
+        assert sidelength_growth_exponent(w) == sidelength_growth_exponent_pairs(w)
+
+
+# -- refinement --------------------------------------------------------------------
+
+
+def refine(w):
+    """The same weight on a grid twice as fine: each cell's mass split equally."""
+    v = w.values
+    for axis in range(w.dim):
+        v = np.repeat(v, 2, axis=axis)
+    return GridWeight(v / 2**w.dim)
+
+
+# within a factor 16 of each other, so every prefix difference on a cube with
+# a positive cell is exact to far better than the 1e-9 of the properties below
+FLAT = st.floats(min_value=0.25, max_value=4.0)
+REFINE_REL = 1e-9
+
+
+@st.composite
+def dyadic_grids(draw, cells):
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.sampled_from([8, 16] if dim == 1 else [8]))
+    # doubling needs a positive cell where its cubes Q lie, off the border
+    vals = draw(st.lists(cells, min_size=n**dim, max_size=n**dim)
+                .filter(lambda v: np.reshape(v, (n,) * dim)[(slice(1, n - 1),) * dim].any()))
+    return GridWeight(np.reshape(vals, (n,) * dim))
+
+
+def no_lower(fine, coarse):
+    return fine >= coarse - REFINE_REL * abs(coarse)
+
+
+@settings(max_examples=60)
+@given(dyadic_grids(st.one_of(st.just(0.0), FLAT)))
+def test_sup_gauges_nondecreasing_under_refinement(w):
+    fine = refine(w)
+    assert no_lower(fujii_wilson(fine), fujii_wilson(w))
+    assert no_lower(doubling_constant(fine), doubling_constant(w))
+    assert no_lower(sidelength_growth_exponent(fine), sidelength_growth_exponent(w))
+    phi, fine_phi = (growth_profile(v, DEFAULT_PROFILE_T) for v in (w, fine))
+    assert all(no_lower(fine_phi[t], phi[t]) for t in DEFAULT_PROFILE_T)
+
+
+@settings(max_examples=60)
+@given(dyadic_grids(FLAT))
+def test_positive_gauges_monotone_under_refinement(w):
+    fine = refine(w)
+    assert no_lower(ap_constant(fine, 2.0), ap_constant(w, 2.0))
+    assert no_lower(hruscev_constant(fine), hruscev_constant(w))
+    assert reverse_holder_exponent(fine) <= reverse_holder_exponent(w)
