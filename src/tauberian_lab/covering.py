@@ -149,11 +149,6 @@ def box_to_grid_cube(b: Box, n: int) -> GridCube:
     return q
 
 
-def grid_cube_to_box(q: GridCube, n: int) -> Box:
-    center = tuple(Fraction(2 * c + q.side, 2 * n) for c in q.corner)
-    return Box(center, Fraction(q.side, n))
-
-
 def _cube_slices(q: GridCube):
     return tuple(slice(c, c + q.side) for c in q.corner)
 

@@ -314,20 +314,9 @@ class BoxRegion:
         return BoxRegion(self.dim, scale, axes, self.mask)
 
 
-def symmetric_difference_measure(a: BoxRegion, b: BoxRegion) -> Fraction:
-    return a.subtract(b).measure() + b.subtract(a).measure()
-
-
 # ---------------------------------------------------------------------------
 # Operations on families
 # ---------------------------------------------------------------------------
-
-
-def dilate_set_about(b_center: Box, region: BoxRegion, factor) -> BoxRegion:
-    """Dilate a region about the center of a reference box."""
-    if region.dim != b_center.dim:
-        raise ValueError("dimension mismatch between box and region")
-    return region.dilate_about(b_center.center, factor)
 
 
 def union_measure(f: BoxFamily | Sequence[Box]) -> Fraction:

@@ -2,10 +2,9 @@
 
 A GridWeight stores cell masses (integrals of the weight over grid cells),
 not point samples, so w(Q) is exact for grid cubes and refining the grid
-never loses mass.  A cube with no positive cell has mass exactly 0.  Cube
-masses are prefix differences, which on such a cube can round to about
-1e-14 instead of 0, so GridWeight also counts the positive cells of every
-cube and zeroes the mass of each cube that has none.
+never loses mass.  Cube masses are sums of cells by additions only
+(`gridops.side_sums`), so each is exact to rounding relative to itself, and
+a cube with no positive cell has mass exactly 0.
 
 All cube suprema run over grid-aligned cubes inside the domain; every
 constant here is therefore a lower approximation of its continuous
@@ -17,6 +16,7 @@ Supported grids: 1-D and 2-D, resolution N cells per axis.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -61,16 +61,9 @@ def _require_finite(masses: np.ndarray) -> None:
         raise ValueError(f"cell masses must be finite, got {bad}")
 
 
-def _masses(prefix: np.ndarray, counts: np.ndarray, s: int) -> np.ndarray:
-    """Side-s window sums of prefix, set to 0.0 where counts has no positive cell."""
-    sums = gridops.window_sums(prefix, s)
-    sums[gridops.window_sums(counts, s) == 0] = 0.0
-    return sums
-
-
 class GridWeight:
-    """Nonnegative cell masses on an N^n grid over [0,1)^n with prefix sums of
-    the masses and of the positive-cell counts."""
+    """Nonnegative cell masses on an N^n grid over [0,1)^n and the masses of
+    all its grid cubes."""
 
     def __init__(self, values: np.ndarray, meta: dict | None = None):
         values = np.asarray(values, dtype=float)
@@ -83,8 +76,6 @@ class GridWeight:
         self.values = values
         self.dim = values.ndim
         self.meta = dict(meta or {})
-        self.prefix = gridops.prefix(values)
-        self.counts = gridops.prefix(values > 0)
 
     # -- basic queries -------------------------------------------------------
 
@@ -106,10 +97,14 @@ class GridWeight:
         if any(c + q.side > self.resolution for c in q.corner):
             raise ValueError("cube exceeds the grid")
 
+    @functools.cached_property
+    def _sides(self) -> tuple[np.ndarray, ...]:
+        # built on first use: O(N^(d+1)) floats, 4 MB at 1-D N=1024
+        return tuple(gridops.side_sums(self.values))
+
     def cube_mass(self, q: GridCube) -> float:
         self._check_cube(q)
-        corners = tuple(slice(c, c + q.side + 1) for c in q.corner)
-        return _masses(self.prefix[corners], self.counts[corners], q.side).item()
+        return float(self._sides[q.side - 1][q.corner])
 
     def cube_volume(self, q: GridCube) -> float:
         return (q.side / self.resolution) ** self.dim
@@ -118,10 +113,13 @@ class GridWeight:
         return self.cube_mass(q) / self.cube_volume(q)
 
     def window_sums(self, s: int) -> np.ndarray:
-        """Masses of all side-s grid cubes, indexed by corner; exactly 0.0 on
-        every cube with no positive cell.  The positive-cell counts are sums
-        of small integers and so exact."""
-        return _masses(self.prefix, self.counts, s)
+        """Masses of all side-s grid cubes, as a read-only array indexed by
+        corner, 1 <= s <= N.  Each is within d*s*u / (1 - d*s*u) of the
+        exact sum of the cube's cells, relative to that sum (u = 2^-53), and
+        exactly 0.0 on every cube with no positive cell."""
+        if not 1 <= s <= self.resolution:
+            raise ValueError(f"cube side must lie in 1..{self.resolution}, got {s}")
+        return self._sides[s - 1]
 
     def cubes(self):
         """All grid cubes, as (corner tuple, side) pairs; O(N^2) or O(N^3)."""
@@ -236,25 +234,19 @@ def _require_positive_cells(w: GridWeight, what: str) -> None:
         raise ValueError(f"{what} undefined: weight has zero-mass cells")
 
 
-def _finite_prefix(masses: np.ndarray) -> np.ndarray:
-    """gridops.prefix of derived cell masses; ValueError if a power overflowed to inf."""
-    _require_finite(masses)
-    return gridops.prefix(masses)
-
-
 def ap_constant(w: GridWeight, p: float) -> float:
     """Muckenhoupt A_p gauge: sup over grid cubes of avg(w) * avg(w^{-1/(p-1)})^(p-1)."""
     if not 1 < p < math.inf:
         raise ValueError(f"p must be a finite number exceeding 1, got {p}")
     _require_positive_cells(w, "dual weight")
-    sigma = _finite_prefix(w.density ** (-1.0 / (p - 1)) * w.cell_volume)
+    sigma = w.density ** (-1.0 / (p - 1)) * w.cell_volume
+    _require_finite(sigma)
     n = w.resolution
     best = 0.0
-    for s in range(1, n + 1):
+    for s, sums in enumerate(gridops.side_sums(sigma), 1):
         vol = (s / n) ** w.dim
         avg_w = w.window_sums(s) / vol
-        avg_sigma = gridops.window_sums(sigma, s) / vol
-        cand = float(np.max(avg_w * avg_sigma ** (p - 1)))
+        cand = float(np.max(avg_w * (sums / vol) ** (p - 1)))
         best = max(best, cand)
     return best
 
@@ -298,15 +290,20 @@ def fujii_wilson(w: GridWeight) -> float:
 
 
 def hruscev_constant(w: GridWeight) -> float:
-    """Endpoint A_infinity gauge: sup of avg(w) * exp(avg of log(1/w))."""
+    """Endpoint A_infinity gauge: sup of avg(w) * exp(avg of log(1/w)).
+
+    The cell integrals of log(1/w) have mixed signs, so their sum over a
+    side-s cube Q is exact only to about d*s*u times the sum of their
+    absolute values (u = 2^-53; see gridops.side_sums).  The value on Q is
+    therefore exact to a relative error of about d*s*u times the average of
+    |log w| over Q, whatever the average of log w itself.
+    """
     _require_positive_cells(w, "log of weight")
     n = w.resolution
-    # prefix of the (possibly negative) cell integrals of log(1/w)
-    lp = gridops.prefix(-np.log(w.density) * w.cell_volume)
+    logs = -np.log(w.density) * w.cell_volume
     best = 0.0
-    for s in range(1, n + 1):
+    for s, lsum in enumerate(gridops.side_sums(logs), 1):
         vol = (s / n) ** w.dim
-        lsum = gridops.window_sums(lp, s)
         val = (w.window_sums(s) / vol) * np.exp(lsum / vol)
         best = max(best, float(val.max()))
     return best
@@ -394,11 +391,12 @@ def reverse_holder_holds(w: GridWeight, eps: float, constant: float = 2.0) -> bo
     if not eps > 0:
         raise ValueError(f"reverse Holder exponent eps must be positive, got {eps}")
     _require_positive_cells(w, "reverse Holder powers")
-    pw = _finite_prefix(w.density ** (1 + eps) * w.cell_volume)
+    powers = w.density ** (1 + eps) * w.cell_volume
+    _require_finite(powers)
     n = w.resolution
-    for s in range(1, n + 1):
+    for s, sums in enumerate(gridops.side_sums(powers), 1):
         vol = (s / n) ** w.dim
-        lhs = (gridops.window_sums(pw, s) / vol) ** (1 / (1 + eps))
+        lhs = (sums / vol) ** (1 / (1 + eps))
         rhs = constant * (w.window_sums(s) / vol)
         if np.any(lhs > rhs):
             return False

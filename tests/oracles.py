@@ -1,10 +1,12 @@
 """Slow reference implementations that the fast library paths are tested against.
 
-No oracle here calls `gridops`, the window kernel that the fast paths share,
-so a wrong slice or sign there shows up as a difference between a fast path
-and its oracle.  The one exception is `sidelength_growth_exponent_pairs`,
-which takes its cube masses from `GridWeight.window_sums` as the code it
-replaced did, so that `==` compares the pair families and not two roundings.
+No oracle here calls `gridops`, the cube-sum kernel that the fast paths
+share, so a wrong slice or term there shows up as a difference between a
+fast path and its oracle.  Cube masses here are `math.fsum`s of the cube's
+cells, which are correctly rounded.  The one exception is
+`sidelength_growth_exponent_pairs`, which takes its cube masses from
+`GridWeight.window_sums` as the code it replaced did, so that `==` compares
+the pair families and not two roundings.
 """
 
 import itertools
@@ -27,47 +29,30 @@ def _cells(q: GridCube) -> tuple[slice, ...]:
     return tuple(slice(c, c + q.side) for c in q.corner)
 
 
-def _prefix_mass(values: np.ndarray):
-    """cube -> mass by inclusion-exclusion over prefix sums built here.
-
-    The rounding is the fast path's on purpose.  A prefix difference is exact
-    only to rounding of the grid total, so a light cube beside heavy cells
-    carries a large relative error: on [[0, 256, 66], [0, 0, 0], [0.001, 0, 254]]
-    fast Fujii-Wilson gives 1.75 * (1 + 1.35e-11), where slice sums (and exact
-    arithmetic) give 1.75, outside the 1e-12 of the Fujii-Wilson properties.
-    """
-    sums = values
-    for axis in range(values.ndim):
-        sums = np.cumsum(sums, axis=axis)
-    p = np.zeros(tuple(k + 1 for k in values.shape))
-    p[(slice(1, None),) * values.ndim] = sums
-
-    def mass(q: GridCube) -> float:
-        if values.ndim == 1:
-            (i,), s = q.corner, q.side
-            return float(p[i + s] - p[i])
-        (i, j), s = q.corner, q.side
-        return float(p[i + s, j + s] - p[i, j + s] - p[i + s, j] + p[i, j])
-
-    return mass
+def fsum_mass(values: np.ndarray, q: GridCube) -> float:
+    """The mass of cube q as the correctly rounded sum of its cells."""
+    return math.fsum(values[_cells(q)].ravel().tolist())
 
 
-def slice_mass(values: np.ndarray):
-    """cube -> mass as the sum of the cube's slice of cells."""
-    return lambda q: float(values[_cells(q)].sum())
+def side_sum_rel(dim: int, s: int) -> float:
+    """Largest relative distance of a side-s `gridops.side_sums` entry from
+    fsum_mass: d*s*u / (1 - d*s*u) from the exact sum (its docstring), plus
+    the u of fsum's own rounding, u = 2^-53."""
+    u = 2.0**-53
+    return (dim * s * u / (1 - dim * s * u) + u) / (1 - u)
 
 
-def fujii_wilson_naive(w: GridWeight, cube_masses=_prefix_mass) -> float:
+def fujii_wilson_naive(w: GridWeight) -> float:
     """Fujii-Wilson gauge by enumeration: for every cube Q with a positive
     cell and every cell of Q, the largest average over the cubes inside Q
-    that cover the cell.  cube_masses(values) gives the cube -> mass map."""
+    that cover the cell."""
     best = 0.0
     cubes = list(w.cubes())
-    cube_mass = cube_masses(w.values)
+    masses = {q: fsum_mass(w.values, q) for q in cubes}
     for q in cubes:
         if not w.values[_cells(q)].any():
             continue
-        mass = cube_mass(q)
+        mass = masses[q]
         integ = 0.0
         for cell in np.ndindex(*(q.side,) * w.dim):
             c = tuple(q.corner[d] + cell[d] for d in range(w.dim))
@@ -82,7 +67,7 @@ def fujii_wilson_naive(w: GridWeight, cube_masses=_prefix_mass) -> float:
                 covers = all(
                     r.corner[d] <= c[d] < r.corner[d] + r.side for d in range(w.dim))
                 if inside and covers:
-                    m = max(m, cube_mass(r) / w.cube_volume(r))
+                    m = max(m, masses[r] / w.cube_volume(r))
             integ += m * w.cell_volume
         best = max(best, integ / mass)
     return best

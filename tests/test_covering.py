@@ -9,7 +9,6 @@ from tauberian_lab.covering import (
     box_to_grid_cube,
     cf_select_lebesgue,
     cf_select_weighted,
-    grid_cube_to_box,
     minimal_cover_dilation,
     overlap2_select_1d,
     satellite_decompose,
@@ -27,6 +26,12 @@ F = Fraction
 def interval(a, b):
     a, b = F(a), F(b)
     return Box(((a + b) / 2,), b - a)
+
+
+def grid_cube_to_box(q: GridCube, n: int) -> Box:
+    """The box of grid cube q on an n-cell grid over [0, 1)^d."""
+    center = tuple(F(2 * c + q.side, 2 * n) for c in q.corner)
+    return Box(center, F(q.side, n))
 
 
 # -- vitali -------------------------------------------------------------------

@@ -1,33 +1,49 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
+from oracles import fsum_mass, side_sum_rel
 from tauberian_lab import gridops
+from tauberian_lab.weights import GridCube
 
-MASSES = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3))
+# cell masses over fourteen orders of magnitude, with exact zeros among them
+MASSES = st.one_of(st.just(0.0), st.floats(min_value=math.exp(-8), max_value=math.exp(6)))
 
 
 @st.composite
-def grids_and_sides(draw):
+def grids(draw):
     dim = draw(st.sampled_from([1, 2]))
-    n = draw(st.integers(min_value=1, max_value=12 if dim == 1 else 6))
-    vals = draw(st.lists(MASSES, min_size=n**dim, max_size=n**dim))
-    return np.reshape(vals, (n,) * dim), draw(st.integers(min_value=1, max_value=n))
+    n = draw(st.integers(min_value=1, max_value=16 if dim == 1 else 8))
+    return np.reshape(draw(st.lists(MASSES, min_size=n**dim, max_size=n**dim)), (n,) * dim)
 
 
-@given(grids_and_sides())
-def test_window_sums_match_brute_force(case):
-    v, s = case
-    k = v.shape[0] - s + 1
-    want = np.array([v[tuple(slice(i, i + s) for i in corner)].sum()
-                     for corner in np.ndindex(*(k,) * v.ndim)]).reshape((k,) * v.ndim)
-    got = gridops.window_sums(gridops.prefix(v), s)
-    # a difference of prefix sums is exact to rounding relative to the grid
-    # total, not to the window, so the tolerance scales with the total
-    assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * v.sum())
+@given(grids())
+def test_side_sums_match_fsum(v):
+    """Every side-s sum is within side_sum_rel(d, s) of the correctly rounded
+    sum of its cube, relative to that cube and to nothing larger."""
+    n, d = v.shape[0], v.ndim
+    sides = list(gridops.side_sums(v))
+    assert len(sides) == n
+    for s, sums in enumerate(sides, 1):
+        assert sums.shape == (n - s + 1,) * d
+        for corner in np.ndindex(*sums.shape):
+            want = fsum_mass(v, GridCube(corner, s))
+            assert abs(sums[corner] - want) <= side_sum_rel(d, s) * want
 
 
-def test_window_sums_rejects_3d():
-    with pytest.raises(ValueError, match="3-D"):
-        gridops.window_sums(gridops.prefix(np.ones((2, 2, 2))), 1)
+@given(grids())
+def test_side_sums_zero_exactly_on_cubes_without_mass(v):
+    for s, sums in enumerate(gridops.side_sums(v), 1):
+        cells = sliding_window_view(v > 0, (s,) * v.ndim)
+        has_mass = cells.any(axis=tuple(range(v.ndim, 2 * v.ndim)))
+        assert np.array_equal(sums > 0, has_mass)
+        assert np.all(sums[~has_mass] == 0.0)
+
+
+def test_side_sums_rejects_3d():
+    with pytest.raises(ValueError, match="1-D and 2-D"):
+        next(gridops.side_sums(np.ones((2, 2, 2))))

@@ -132,21 +132,21 @@ MASK_1D = np.unpackbits(np.frombuffer(bytes.fromhex(
 MASK_2D = np.unpackbits(np.frombuffer(bytes.fromhex(
     "aa0824f94943c88b41805193a080c0c2480a93648611820840800c2c2c32d0c4"),
     dtype=np.uint8)).astype(bool).reshape(16, 16)
-# sha256 of grid_maximal(...).tobytes(), computed with the hand-written
-# prefix and window sums that the gridops kernel replaced
+# sha256 of grid_maximal(...).tobytes(); the grid-weight ratios take their
+# masses from gridops.side_sums, the Lebesgue ones are ratios of exact counts
 MAXIMAL_DIGESTS = {
     (1, "uncentered", "lebesgue"): "ee52d15d063a904eb571dab27f6dedd8829923c961af6d898801b5249bf0c39e",
-    (1, "uncentered", "grid-weight"): "b32586c1b3ca24ba4bf390d12d07fdfa7ec709f1a242607faa350f9d32209890",
+    (1, "uncentered", "grid-weight"): "e3d4ce9ea37974dea72c70942e9d10fb8b635d09995f54b67c432c5963ea22a6",
     (1, "centered", "lebesgue"): "9c998b076e9317c54c88bdbd77f05164ddafdac678b69cde5dc7e12aaa2fa435",
-    (1, "centered", "grid-weight"): "6d12cc4d00ab9938929f3b8c7b2d7a71dea6ad0d5bf0de03fccee082b759605e",
+    (1, "centered", "grid-weight"): "9a0549d6ed15701589fe5d3c7e260cdabba1af5681666945c7237f6b0916a104",
     (1, "dyadic", "lebesgue"): "32fefe73ca7c0985d5e7a29b23085ee7114af6699d1fc22c08493637b9f23c87",
-    (1, "dyadic", "grid-weight"): "b5d5cb7f738862dc3e8d143f8b8abdcdb922b7148f5894b1d8a1ff08d05f1fe3",
+    (1, "dyadic", "grid-weight"): "6c56b04d28b795eccc7fd064a8f4b39e812bd45c9aa1ba33d1c6ec989704f8b6",
     (2, "uncentered", "lebesgue"): "ddf9db319aa774a810441d10a3e862d28755db2d58d98f622658edc03fd19611",
-    (2, "uncentered", "grid-weight"): "01ba43e028de88634ff1442e331cf0df77717355c54d94e7a566435c3cd76adf",
+    (2, "uncentered", "grid-weight"): "e9cc643870078016d015a6167497396f41ebb5657f96be60ca6d81de439cc0f4",
     (2, "centered", "lebesgue"): "6e302f8b93abeb236d32169811104cc4526a61d43b89fdbd23e2dbb70d4fbcd0",
-    (2, "centered", "grid-weight"): "ea39093d68dcd4a41e4cf3036a656046c7471a5273158b097c6f208b736af05b",
+    (2, "centered", "grid-weight"): "2426fcbb53d270ac354d7a198af039765887299683686d10883a7be846e90144",
     (2, "dyadic", "lebesgue"): "4ad677179d340ccffc635af443227406e613f5860488a7bf7ea000c7f0d79fa0",
-    (2, "dyadic", "grid-weight"): "9da39acd757c8eac3e6d48fed4c987b940b85770e65ffdfa34d829baec10dc85",
+    (2, "dyadic", "grid-weight"): "5f7b8ad7eb00376de683d57dbe2686e9a8c2fa2be0c8660415af39c96b85c0e1",
 }
 
 
@@ -164,8 +164,9 @@ def test_grid_maximal_pinned_digests(key):
 
 
 def test_zero_mass_cubes_are_skipped_2d():
-    # the 2-D prefix differences over the zero cell (2, 1) round to 1.1e-16
-    # (E-mass) and 5.6e-17 (mass) rather than 0, a ratio of 2 that must not count
+    # the cube of the zero cell (2, 1) alone has mass 0 and must not count;
+    # prefix differences once rounded its E-mass and mass to 1.1e-16 and
+    # 5.6e-17, a ratio of 2
     w = GridWeight(np.array([[0, .2, .3], [.2, .7, 0], [.9, 0, 0]]))
     e = np.array([[1, 1, 1], [0, 0, 1], [1, 1, 1]], dtype=bool)
     uncentered = grid_maximal(e, MaximalSpec("uncentered", "grid-weight"), w)
@@ -175,8 +176,8 @@ def test_zero_mass_cubes_are_skipped_2d():
     assert np.all(uncentered <= 1) and np.all(centered <= 1)
 
 
-# cell masses: exact zeros, or within a factor 16 of each other, so that a
-# prefix difference is accurate to far better than the 1e-9 tolerance
+# cell masses: exact zeros, or within a factor 16 of each other; every cube
+# mass is exact to d*s*u relative to itself, far inside the 1e-9 tolerance
 CELLS = st.one_of(st.just(0.0), st.floats(min_value=0.25, max_value=4.0))
 
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (doubling_exact, fujii_wilson_naive, sidelength_growth_exponent_pairs,
-                     slice_mass)
+from oracles import (doubling_exact, fsum_mass, fujii_wilson_naive,
+                     sidelength_growth_exponent_pairs, side_sum_rel)
 from tauberian_lab.weights import (
     DEFAULT_PROFILE_T,
     GridCube,
@@ -106,6 +106,18 @@ def test_cube_out_of_range():
     w = const_w(4)
     with pytest.raises(ValueError):
         w.cube_mass(GridCube((2,), 4))
+    for s in (0, -1, 5):
+        with pytest.raises(ValueError, match="cube side must lie in 1..4"):
+            w.window_sums(s)
+
+
+def test_window_sums_are_read_only():
+    values = np.array([[1.0, 2.0], [3.0, 4.0]])
+    w = GridWeight(values)
+    for s in (1, 2):
+        with pytest.raises(ValueError, match="read-only"):
+            w.window_sums(s)[0, 0] = 0.0
+    assert values.flags.writeable and w.cube_mass(GridCube((0, 0), 2)) == 10.0
 
 
 # -- A_p ----------------------------------------------------------------------
@@ -206,9 +218,9 @@ def test_fw_resolution_cap():
         fujii_wilson(const_w(2048))
 
 
-# values computed by an earlier, independent per-cube evaluation with pruning;
-# the sweep does the same float operations on each candidate, so it must
-# reproduce them to the last bit
+# values computed by an earlier, independent per-cube evaluation with pruning,
+# over the cube masses of gridops.side_sums; the sweep does the same float
+# operations on each candidate, so it must reproduce them to the last bit
 FW_PINNED = [
     (WeightFamilySpec("constant", 1, 64), 1.0),
     (WeightFamilySpec("power", 1, 64, a=1.0), 1.4921875),
@@ -217,12 +229,12 @@ FW_PINNED = [
     (WeightFamilySpec("checkerboard", 1, 64), 1.6804790632423978),
     (WeightFamilySpec("log-smooth-random", 1, 64, seed=5), 1.3434294415838401),
     (WeightFamilySpec("power", 1, 256, a=2.0, x0=0.37), 2.0419581586904356),
-    (WeightFamilySpec("power", 1, 128, a=-0.5, x0=0.5), 2.1683866925943023),
-    (WeightFamilySpec("log-smooth-random", 2, 16, seed=9), 1.1371108895723396),
-    (WeightFamilySpec("power", 2, 16, a=1.0, x0=(0.3, 0.6)), 1.350530547181342),
-    (WeightFamilySpec("power", 2, 16, a=-1.0, x0=(0.5, 0.5)), 2.1959734987203046),
-    (WeightFamilySpec("checkerboard", 2, 16), 1.462221800171668),
-    (WeightFamilySpec("power", 2, 32, a=2.0, x0=(0.45, 0.55)), 1.6593155322204638),
+    (WeightFamilySpec("power", 1, 128, a=-0.5, x0=0.5), 2.1683866925943014),
+    (WeightFamilySpec("log-smooth-random", 2, 16, seed=9), 1.1371108895723394),
+    (WeightFamilySpec("power", 2, 16, a=1.0, x0=(0.3, 0.6)), 1.3505305471813425),
+    (WeightFamilySpec("power", 2, 16, a=-1.0, x0=(0.5, 0.5)), 2.195973498720304),
+    (WeightFamilySpec("checkerboard", 2, 16), 1.4622218001716571),
+    (WeightFamilySpec("power", 2, 32, a=2.0, x0=(0.45, 0.55)), 1.6593155322204642),
 ]
 
 
@@ -238,27 +250,33 @@ def test_fw_pinned_values_zero_cells():
     assert fujii_wilson(w2) == 1.8020833333333333
 
 
-# values computed with the hand-written prefix and window sums that the gridops
-# kernel replaced; the kernel keeps their term order, so they must match to the
-# last bit
+def test_fw_light_cube_beside_heavy_cells():
+    # prefix differences, whose error is relative to the grid total, gave
+    # 1.7500000000236469 here; sums of the cells give the exact 1.75
+    w = GridWeight(np.array([[0, 256, 66], [0, 0, 0], [0.001, 0, 254]]))
+    assert fujii_wilson(w) == 1.75
+
+
+# values computed with cube masses from gridops.side_sums; the gauges keep
+# their term order, so they must match to the last bit
 GAUGES_PINNED = [
     (WeightFamilySpec("power", 1, 64, a=2.0),
      (2.4227377992126304, (83.20486150089837, 5.863707250489445, 3.295215284963046),
       2.4615384615384617, 0.0625, 3.0)),
     (WeightFamilySpec("checkerboard", 1, 64),
-     (1.6068340442494544, (2.3810978455418232, 1.8573633982742939, 1.7084938814525432),
-      2.0000000000000036, 0.0625, 3.0685084938595257)),
+     (1.6068340442494535, (2.381097845541816, 1.8573633982742914, 1.7084938814525426),
+      2.0000000000000004, 0.0625, 3.0685084938595226)),
     (WeightFamilySpec("log-smooth-random", 1, 64, seed=5),
-     (1.0679369060848707, (1.129779957285668, 1.089346741107109, 1.0772230879885971),
-      2.583534077274692, 0.5, 1.5117793083511522)),
+     (1.0679369060848705, (1.129779957285667, 1.0893467411071094, 1.0772230879886002),
+      2.583534077274692, 0.5, 1.5117793083511515)),
     (WeightFamilySpec("log-smooth-random", 2, 16, seed=9),
-     (1.0214859675116277, (1.046423897015489, 1.0294043487287956, 1.0248318390680777),
-      4.050872749566101, 1.0, 2.4289237783174853)),
+     (1.0214859675116283, (1.0464238970154889, 1.029404348728797, 1.0248318390680828),
+      4.050872749566112, 1.0, 2.428923778317481)),
     (WeightFamilySpec("power", 2, 16, a=1.0, x0=(0.3, 0.6)),
-     (1.1796029545681657, (1.6076046327998463, 1.2739834769951432, 1.2167018427578788),
-      7.9736637641078625, 0.25, 3.8190367853702556)),
+     (1.179602954568176, (1.6076046327998466, 1.2739834769951401, 1.2167018427578928),
+      7.973663764107859, 0.25, 3.819036785370329)),
     (WeightFamilySpec("power", 2, 16, a=-1.0, x0=(0.5, 0.5)),
-     (1.3161252896312285, (1.5276501812878287, 1.3977800572686276, 1.3526688353668759),
+     (1.3161252896312279, (1.527650181287828, 1.3977800572686276, 1.352668835366876),
       5.040276656949108, 0.125, 2.8481755578625783)),
 ]
 
@@ -272,6 +290,20 @@ def test_gauges_pinned_values(spec, values):
             doubling_constant(w),
             reverse_holder_exponent(w, constant=1.05),
             sidelength_growth_exponent(w)) == values
+
+
+PINNED_WEIGHTS = sorted({spec for spec, _ in FW_PINNED + GAUGES_PINNED}, key=WeightFamilySpec.label)
+
+
+@pytest.mark.parametrize("spec", PINNED_WEIGHTS, ids=WeightFamilySpec.label)
+def test_pinned_weight_masses_within_side_sums_bound(spec):
+    # the pins above rest on these cube masses
+    w = generate_weight(spec)
+    for s in range(1, w.resolution + 1):
+        sums = w.window_sums(s)
+        for corner in np.ndindex(*sums.shape):
+            want = fsum_mass(w.values, GridCube(corner, s))
+            assert abs(sums[corner] - want) <= side_sum_rel(w.dim, s) * want
 
 
 # cell masses with exact zeros among them; grids with no mass are discarded
@@ -519,9 +551,8 @@ def zero_cell_grid(seed, n):
     return GridWeight(v)
 
 
-# A prefix difference is off by at most a few ulps of the grid total (below
-# 64 e^6 here), so relative to the lightest positive cube (e^-8) it is off by
-# less than 1e-7; a gauge read off such masses is as close.
+# Every cube mass is within d*s*u of itself (gridops.side_sums, under 1e-14
+# here), so a gauge read off these masses is far closer than this.
 ZERO_CELL_REL = 1e-6
 
 
@@ -530,7 +561,7 @@ def test_fw_skips_zero_mass_cubes(seed):
     # prefix rounding on cubes of zero cells once passed for mass: seed 38
     # gave 8.43 where slice sums give 3.77
     w = zero_cell_grid(seed, 6)
-    assert fujii_wilson(w) == pytest.approx(fujii_wilson_naive(w, slice_mass),
+    assert fujii_wilson(w) == pytest.approx(fujii_wilson_naive(w),
                                             rel=ZERO_CELL_REL)
 
 
@@ -618,8 +649,8 @@ def refine(w):
     return GridWeight(v / 2**w.dim)
 
 
-# within a factor 16 of each other, so every prefix difference on a cube with
-# a positive cell is exact to far better than the 1e-9 of the properties below
+# within a factor 16 of each other; every cube mass is exact to d*s*u relative
+# to itself (gridops.side_sums), far inside the 1e-9 of the properties below
 FLAT = st.floats(min_value=0.25, max_value=4.0)
 REFINE_REL = 1e-9
 
