@@ -7,6 +7,7 @@ run and re-check every contract clause exactly.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,8 +23,8 @@ from .geometry import (
     BoxRegion,
     dilate,
     _dilated_grid,
-    _Grid,
-    _int_corners,
+    _family,
+    _meets,
     _to_rat,
     is_satellite,
 )
@@ -56,21 +57,24 @@ class SelectionResult:
 # ---------------------------------------------------------------------------
 
 
+def _volumes_and_meets(fam: BoxFamily) -> tuple[list[int], list[list[bool]]]:
+    """The boxes' integer volumes at the family's scale, which order them as
+    their sides do, and the k x k matrix of which closed boxes meet."""
+    _, lo, hi = fam._ints
+    return np.prod(hi - lo, axis=1).tolist(), _meets(lo, hi).tolist()
+
+
 def vitali_select(f: BoxFamily | Sequence[Box]) -> SelectionResult:
     """Greedy disjoint subfamily; every rejected box meets a selected box of
     at least its sidelength, so triple dilates of the selection cover the
     whole union."""
-    boxes = list(f)
-    fam = f if isinstance(f, BoxFamily) else BoxFamily(boxes)
-    order = sorted(range(len(boxes)), key=lambda i: -boxes[i].side)
+    fam = _family(f)
+    vols, meets = _volumes_and_meets(fam)
+    order = sorted(range(len(fam)), key=lambda i: -vols[i])
     selected: list[int] = []
     certs: dict[int, dict] = {}
     for i in order:
-        hit = None
-        for j in selected:
-            if boxes[j].intersects(boxes[i]):
-                hit = j
-                break
+        hit = next((j for j in selected if meets[j][i]), None)
         if hit is None:
             selected.append(i)
         else:
@@ -98,32 +102,32 @@ def cf_select_lebesgue(f: BoxFamily, delta) -> SelectionResult:
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     _require_decreasing(f)
-    boxes = list(f)
+    _, lo, hi = f._ints
+    grid = f._grid
+    unit = grid.scale ** grid.dim
+    p, q = delta.numerator, delta.denominator
     selected: list[int] = []
     certs: dict[int, dict] = {}
     incs: dict[int, Fraction] = {}
-    grid = _Grid(*_int_corners([(b.lo, b.hi) for b in boxes]))
     covered = np.zeros(grid.shape, dtype=bool)
     equality: list[int] = []
-    for i, q in enumerate(boxes):
-        vol = q.volume()
-        sl = grid.slices[i]
-        new = grid.measure(~covered[sl], sl)
-        overlap = vol - new
-        if overlap <= (1 - delta) * vol:
-            if overlap == (1 - delta) * vol and selected:
+    # at scale D: overlap <= (1 - delta) vol iff q * overlap <= (q - p) * vol
+    for i, (vol, sl) in enumerate(zip(np.prod(hi - lo, axis=1).tolist(), grid.slices)):
+        overlap = grid.volume(covered[sl], sl)
+        if q * overlap <= (q - p) * vol:
+            if q * overlap == (q - p) * vol and selected:
                 equality.append(i)
             selected.append(i)
-            incs[i] = new
+            incs[i] = Fraction(vol - overlap, unit)
             covered[sl] = True
         else:
             certs[i] = {
                 "rule": "overlap-fraction",
-                "overlap": overlap,
-                "fraction": overlap / vol,
+                "overlap": Fraction(overlap, unit),
+                "fraction": Fraction(overlap, vol),
             }
     return SelectionResult(
-        "cf-lebesgue", f, tuple(range(len(boxes))), tuple(selected), certs,
+        "cf-lebesgue", f, tuple(range(len(f))), tuple(selected), certs,
         {"delta": delta}, incs, tuple(equality))
 
 
@@ -201,22 +205,21 @@ def satellite_decompose(f: BoxFamily | Sequence[Box]) -> dict[int, list[int]]:
     """Group the family around its Vitali centers: a box joins every center
     it intersects whose sidelength is at least its own.  A box may appear in
     several groups; each group is a satellite configuration."""
-    boxes = list(f)
-    res = vitali_select(f)
+    fam = _family(f)
+    vols, meets = _volumes_and_meets(fam)
+    res = vitali_select(fam)
     groups: dict[int, list[int]] = {c: [c] for c in res.selected_indices}
-    for i, b in enumerate(boxes):
+    for i in range(len(fam)):
         for c in res.selected_indices:
-            if c == i:
-                continue
-            if b.side <= boxes[c].side and b.intersects(boxes[c]):
+            if c != i and vols[i] <= vols[c] and meets[i][c]:
                 groups[c].append(i)
     assigned = set()
     for c, members in groups.items():
         assigned.update(members)
-        fam = BoxFamily([boxes[c]] + [boxes[i] for i in members if i != c])
-        if not is_satellite(fam, 0):
+        group = BoxFamily([fam[c]] + [fam[i] for i in members if i != c])
+        if not is_satellite(group, 0):
             raise InvariantViolation("group is not a satellite configuration")
-    if assigned != set(range(len(boxes))):
+    if assigned != set(range(len(fam))):
         raise InvariantViolation("satellite groups lost a box")
     return groups
 
@@ -401,19 +404,24 @@ def minimal_cover_dilation(f: BoxFamily | Sequence[Box], selected: Sequence[Box]
     Factors default to the ladder k/8 for k = 8..40; raises if none covers.
     The dilates are concentric, so coverage is monotone in t: candidates are bisected.
     """
-    boxes = list(f)
-    if not boxes:
+    fam, sel = _family(f), _family(selected)
+    if not fam:
         return Fraction(1)
     if candidates is None:
         candidates = [Fraction(k, 8) for k in range(8, 41)]
     ts = sorted(candidates)
     if any(_to_rat(t) <= 0 for t in ts):
         raise ValueError("dilation factor must be positive")
-    k, n = len(boxes), len(boxes) + len(selected)
-    corners = _int_corners([(b.lo, b.hi) for b in [*boxes, *selected]])
+    if sel and sel.dim != fam.dim:
+        raise ValueError("dimension mismatch")
+    # the family, then the selected boxes, on the lcm of their scales
+    scale = math.lcm(fam._ints[0], sel._ints[0])
+    lo, hi = (np.concatenate([c[s].reshape(-1, fam.dim) * (scale // c[0])
+                              for c in (fam._ints, sel._ints)]) for s in (1, 2))
+    k, n = len(fam), len(fam) + len(sel)
 
     def covers(t) -> bool:
-        grid = _dilated_grid(*corners, _to_rat(t), k)
+        grid = _dilated_grid(scale, lo, hi, _to_rat(t), k)
         return not (grid.cover(range(k)) & ~grid.cover(range(n, len(grid.slices)))).any()
 
     i = bisect_left(ts, True, key=covers)

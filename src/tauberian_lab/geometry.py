@@ -4,8 +4,12 @@ Everything in this module is exact; there are no tolerances.  A Box is a
 closed axis-parallel cube (one sidelength for all axes).
 
 Box families are measured by coordinate compression on one integer grid, as
-in Klee's measure problem.  A family is converted once to integer corner
-arrays L, H at one scale D, the lcm of the corner denominators.  Per axis, the
+in Klee's measure problem.  A family is converted once, on first use, to
+integer corner arrays L, H at one scale D, the lcm of the corner denominators,
+and to the compressed grid of its boxes; BoxFamily caches both, and every
+family operation here and in `covering` reads them (a plain sequence of boxes
+is wrapped into a BoxFamily once per call).  Decisions that compare volumes or
+test whether closed boxes meet are integer comparisons on L, H.  Per axis, the
 grid coordinates are the distinct corners, so a box is a slice tuple into the
 grid and a region is a boolean mask over its cells: union is `|`, difference
 `& ~`, and measure the integer sum of the marked cells' volumes divided once
@@ -18,6 +22,7 @@ Supported dimensions: 1, 2, 3.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -108,7 +113,7 @@ class BoxFamily:
         if boxes:
             dims = {b.dim for b in boxes}
             if len(dims) != 1:
-                raise ValueError("boxes in a family must share a dimension")
+                raise ValueError("dimension mismatch: boxes in a family must share a dimension")
         if ordering_tag not in (ORDER_DECREASING, ORDER_UNORDERED):
             raise ValueError(f"unknown ordering tag {ordering_tag!r}")
         if ordering_tag == ORDER_DECREASING:
@@ -133,6 +138,32 @@ class BoxFamily:
             raise ValueError("empty family has no dimension")
         return self.boxes[0].dim
 
+    @functools.cached_property
+    def _ints(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """The scale D and the read-only (k, d) integer corner arrays L, H;
+        (0, 0) arrays on scale 1 for the empty family."""
+        scale, lo, hi = _int_corners([(b.lo, b.hi) for b in self.boxes])
+        lo.flags.writeable = hi.flags.writeable = False
+        return scale, lo, hi
+
+    @functools.cached_property
+    def _grid(self) -> "_Grid":
+        """The compressed grid of the family's own boxes, box i is slices[i];
+        its axes are read-only, since increments' regions share them."""
+        grid = _Grid(*self._ints)
+        for ax in grid.axes:
+            ax.flags.writeable = False
+        return grid
+
+
+def _family(f: BoxFamily | Sequence[Box]) -> BoxFamily:
+    return f if isinstance(f, BoxFamily) else BoxFamily(f)
+
+
+def _meets(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """k x k matrix: closed boxes i and j meet (touching faces count)."""
+    return ((lo[:, None] <= hi[None]) & (lo[None] <= hi[:, None])).all(axis=-1)
+
 
 def sorted_decreasing(boxes: Iterable[Box]) -> BoxFamily:
     """Stable sort by nonincreasing sidelength; ties keep input order."""
@@ -152,9 +183,9 @@ def _int_corners(corner_boxes: Sequence[tuple[Sequence[Fraction], Sequence[Fract
     if len(dims) > 1:
         raise ValueError("dimension mismatch")
     scale = math.lcm(*(c.denominator for lo, hi in corner_boxes for c in (*lo, *hi)))
-    d = max(dims, default=0)
+    shape = (len(corner_boxes), max(dims, default=0))
     return scale, *(np.array([[c.numerator * (scale // c.denominator) for c in pair[s]]
-                              for pair in corner_boxes], dtype=object).reshape(-1, d)
+                              for pair in corner_boxes], dtype=object).reshape(shape)
                     for s in (0, 1))
 
 
@@ -189,7 +220,7 @@ class _Grid:
             list(zip(*(np.searchsorted(ax, c[:, a].astype(ax.dtype)).tolist()
                        for a, ax in enumerate(self.axes))))
             for c in (lo, hi))
-        self.slices = [_cells(s, t, (0,) * self.dim) for s, t in zip(self.start, self.stop)]
+        self.slices = [tuple(map(slice, s, t)) for s, t in zip(self.start, self.stop)]
 
     def cover(self, idx: Iterable[int]) -> np.ndarray:
         """Mask of the union of the boxes idx."""
@@ -198,10 +229,13 @@ class _Grid:
             mask[self.slices[i]] = True
         return mask
 
-    def measure(self, mask: np.ndarray, cells: tuple[slice, ...] | None = None) -> Fraction:
-        """Exact measure of the marked cells of mask, which spans the cells `cells`."""
-        widths = self.widths if cells is None else [w[c] for w, c in zip(self.widths, cells)]
-        return Fraction(_volume(mask, widths), self.scale ** self.dim)
+    def volume(self, mask: np.ndarray, cells: tuple[slice, ...]) -> int:
+        """Integer volume at scale^dim of the marked cells of mask, which spans `cells`."""
+        return _volume(mask, [w[c] for w, c in zip(self.widths, cells)])
+
+    def measure(self, mask: np.ndarray) -> Fraction:
+        """Exact measure of the marked cells of a mask over the whole grid."""
+        return Fraction(_volume(mask, self.widths), self.scale ** self.dim)
 
 
 def _cells(start: Sequence[int], stop: Sequence[int], origin: Sequence[int]):
@@ -320,10 +354,10 @@ class BoxRegion:
 
 
 def union_measure(f: BoxFamily | Sequence[Box]) -> Fraction:
-    boxes = list(f)
-    if not boxes:
+    fam = _family(f)
+    if not fam:
         return Fraction(0)
-    return BoxRegion.from_boxes(boxes).measure()
+    return fam._grid.measure(fam._grid.cover(range(len(fam))))
 
 
 def increments(f: BoxFamily) -> list[BoxRegion]:
@@ -331,7 +365,7 @@ def increments(f: BoxFamily) -> list[BoxRegion]:
     regions E_j = Q_j minus the earlier boxes, by one pass with a running OR."""
     if f.ordering_tag != ORDER_DECREASING:
         raise OrderingViolation("increments require a decreasing-sidelength family")
-    grid = _Grid(*_int_corners([(b.lo, b.hi) for b in f]))
+    grid = f._grid
     masks = [grid.cover([i]) for i in range(len(grid.slices))]
     seen = np.logical_or.accumulate([np.zeros(grid.shape, dtype=bool)] + masks)
     return [BoxRegion(grid.dim, grid.scale, grid.axes, m & ~s) for m, s in zip(masks, seen)]
@@ -352,23 +386,35 @@ def check_dilation_identity(f: BoxFamily | Sequence[Box], delta) -> IdentityChec
     exactly and the defect is 0; for order-violating families the defect is
     the exact measure of the symmetric difference.
 
-    D_j, the dilation by t = 1 + delta = p/q about the centre of Q_j, is an
-    affine bijection, so D_j(E_j) = D_j(Q_j) minus the D_j(Q_i), i < j: both
-    sides live on the grid of the k(k+1)/2 boxes D_j(Q_i), i <= j, whose
-    corners at scale 2qD are (q-p)(L_j+H_j) + 2p L_i and (q-p)(L_j+H_j) + 2p H_i.
-    That grid has up to (k(k+1))^d cells; it is swept along axis 0 in slabs of
-    at most _BLOCK_CELLS = 2^17 cells (one row of axis 0 if a row is larger),
-    and each D_j(E_j) is built inside its own slice.
+    Why 0 when the sides s_i do not increase: let D_j be the dilation by
+    t = 1 + delta about the centre c_j of Q_j, take x in the union of the
+    D_j(Q_j) and j minimal with x in D_j(Q_j).  If D_j^-1(x) lay in some Q_i,
+    i < j, then |x - c_i|_inf <= s_i/2 + (t - 1)s_j/2 <= t s_i/2, so x would
+    lie in D_i(Q_i), against the choice of j; so x lies in D_j(E_j).
+
+    D_j is an affine bijection, so D_j(E_j) = D_j(Q_j) minus the D_j(Q_i),
+    i < j, and when Q_i misses Q_j, D_j(Q_i) misses D_j(Q_j) and cuts nothing.
+    Both sides therefore live on the grid of the k boxes D_j(Q_j) and the m
+    boxes D_j(Q_i), i < j, for the pairs whose closed boxes meet; at scale 2qD,
+    for t = p/q, their corners are (q-p)(L_j+H_j) + 2p L_i and
+    (q-p)(L_j+H_j) + 2p H_i.  That grid has O((k + m)^d) cells, at most
+    (2(k + m))^d, so up to (k(k+1))^d when every pair meets; it is swept along
+    axis 0 in slabs of at most _BLOCK_CELLS = 2^17 cells (one row of axis 0 if
+    a row is larger), and each D_j(E_j) is built inside its own slice.
     """
     delta = _to_rat(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    boxes = list(f)
-    if not boxes:
+    fam = _family(f)
+    if not fam:
         return IdentityCheck(True, Fraction(0))
-    scale, lo, hi = _int_corners([(b.lo, b.hi) for b in boxes])
+    scale, lo, hi = fam._ints
     p, q = (1 + delta).numerator, (1 + delta).denominator
-    jj, ii = np.tril_indices(len(boxes))  # box j * (j + 1) // 2 + i is D_j(Q_i)
+    # box n is D_jj[n](Q_ii[n]): grouped by j, each group ending with D_j(Q_j)
+    jj, ii = np.tril_indices(len(fam))
+    meet = _meets(lo, hi)[jj, ii]
+    jj, ii = jj[meet], ii[meet]
+    ends = np.flatnonzero(ii == jj).tolist()
     base = (q - p) * (lo + hi)[jj]
     grid = _Grid(2 * q * scale, base + 2 * p * lo[ii], base + 2 * p * hi[ii])
     rows = max(1, _BLOCK_CELLS // math.prod(grid.shape[1:]))
@@ -378,14 +424,13 @@ def check_dilation_identity(f: BoxFamily | Sequence[Box], delta) -> IdentityChec
         slab = (a,) + (0,) * (grid.dim - 1)
         lhs = np.zeros((b - a,) + grid.shape[1:], dtype=bool)
         rhs = np.zeros_like(lhs)
-        for j in range(len(boxes)):
-            own = j * (j + 1) // 2 + j
-            if grid.start[own][0] >= b or grid.stop[own][0] <= a:
+        for first, end in zip([0] + [e + 1 for e in ends], ends):
+            if grid.start[end][0] >= b or grid.stop[end][0] <= a:
                 continue
-            sl = _cells(grid.start[own], grid.stop[own], slab)
+            sl = _cells(grid.start[end], grid.stop[end], slab)
             part = np.ones(lhs[sl].shape, dtype=bool)
-            origin = tuple(map(max, grid.start[own], slab))
-            for i in range(own - j, own):
+            origin = tuple(map(max, grid.start[end], slab))
+            for i in range(first, end):
                 part[_cells(grid.start[i], grid.stop[i], origin)] = False
             lhs[sl] = True
             rhs[sl] |= part
@@ -399,11 +444,11 @@ def enlargement_excess(f: BoxFamily | Sequence[Box], delta) -> Fraction:
     delta = _to_rat(delta)
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    boxes = list(f)
-    if not boxes:
+    fam = _family(f)
+    if not fam:
         return Fraction(0)
-    k = len(boxes)
-    grid = _dilated_grid(*_int_corners([(b.lo, b.hi) for b in boxes]), 1 + delta)
+    k = len(fam)
+    grid = _dilated_grid(*fam._ints, 1 + delta)
     return grid.measure(grid.cover(range(k, 2 * k)) & ~grid.cover(range(k)))
 
 

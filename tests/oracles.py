@@ -18,8 +18,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from tauberian_lab.covering import SelectionResult
-from tauberian_lab.errors import UnsupportedGeometry
-from tauberian_lab.geometry import Box, _to_rat, dilate
+from tauberian_lab.errors import InvariantViolation, UnsupportedGeometry
+from tauberian_lab.geometry import (_BLOCK_CELLS, Box, BoxFamily, IdentityCheck, _Grid,
+                                    _int_corners, _to_rat, _volume, dilate, is_satellite)
+from tauberian_lab.geometry import _cells as _grid_cells
 from tauberian_lab.maximal import (AtomicHaloBound, AtomicMeasure, IntervalSet, MaximalSpec,
                                    PiecewiseWeight1D, default_atomic_candidates)
 from tauberian_lab.weights import GridCube, GridWeight
@@ -451,3 +453,88 @@ def frag_minimal_cover_dilation(boxes, selected, candidates) -> Fraction:
         if not FragRegion.of(whole, scale).minus(FragRegion.of(cover, scale)).frags:
             return t
     raise ValueError("no candidate dilation factor covers the family")
+
+
+# ---------------------------------------------------------------------------
+# The dilation identity on the grid of all k(k+1)/2 boxes D_j(Q_i), i <= j,
+# and Vitali and the satellite grouping by pairwise `Box.intersects`: how
+# they were computed before the family's integer form, kept as oracles.
+# ---------------------------------------------------------------------------
+
+
+def full_grid_dilation_identity(f, delta) -> IdentityCheck:
+    """check_dilation_identity with every pair i <= j on the grid, met or not."""
+    delta = _to_rat(delta)
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    boxes = list(f)
+    if not boxes:
+        return IdentityCheck(True, Fraction(0))
+    scale, lo, hi = _int_corners([(b.lo, b.hi) for b in boxes])
+    p, q = (1 + delta).numerator, (1 + delta).denominator
+    jj, ii = np.tril_indices(len(boxes))  # box j * (j + 1) // 2 + i is D_j(Q_i)
+    base = (q - p) * (lo + hi)[jj]
+    grid = _Grid(2 * q * scale, base + 2 * p * lo[ii], base + 2 * p * hi[ii])
+    rows = max(1, _BLOCK_CELLS // math.prod(grid.shape[1:]))
+    defect = 0
+    for a in range(0, grid.shape[0], rows):
+        b = min(a + rows, grid.shape[0])
+        slab = (a,) + (0,) * (grid.dim - 1)
+        lhs = np.zeros((b - a,) + grid.shape[1:], dtype=bool)
+        rhs = np.zeros_like(lhs)
+        for j in range(len(boxes)):
+            own = j * (j + 1) // 2 + j
+            if grid.start[own][0] >= b or grid.stop[own][0] <= a:
+                continue
+            sl = _grid_cells(grid.start[own], grid.stop[own], slab)
+            part = np.ones(lhs[sl].shape, dtype=bool)
+            origin = tuple(map(max, grid.start[own], slab))
+            for i in range(own - j, own):
+                part[_grid_cells(grid.start[i], grid.stop[i], origin)] = False
+            lhs[sl] = True
+            rhs[sl] |= part
+        defect += _volume(lhs ^ rhs, [grid.widths[0][a:b]] + grid.widths[1:])
+    return IdentityCheck(defect == 0, Fraction(defect, grid.scale ** grid.dim))
+
+
+def pairwise_vitali_select(f) -> SelectionResult:
+    """Vitali selection with each test a `Box.intersects` of two boxes."""
+    boxes = list(f)
+    fam = f if isinstance(f, BoxFamily) else BoxFamily(boxes)
+    order = sorted(range(len(boxes)), key=lambda i: -boxes[i].side)
+    selected: list[int] = []
+    certs: dict[int, dict] = {}
+    for i in order:
+        hit = None
+        for j in selected:
+            if boxes[j].intersects(boxes[i]):
+                hit = j
+                break
+        if hit is None:
+            selected.append(i)
+        else:
+            certs[i] = {"rule": "intersects-selected", "selected_index": hit}
+    return SelectionResult("vitali", fam, tuple(order), tuple(selected), certs)
+
+
+def pairwise_satellite_decompose(f) -> dict[int, list[int]]:
+    """Satellite grouping around the pairwise Vitali centers, by `Box.intersects`
+    and `Fraction` sides."""
+    boxes = list(f)
+    res = pairwise_vitali_select(f)
+    groups: dict[int, list[int]] = {c: [c] for c in res.selected_indices}
+    for i, b in enumerate(boxes):
+        for c in res.selected_indices:
+            if c == i:
+                continue
+            if b.side <= boxes[c].side and b.intersects(boxes[c]):
+                groups[c].append(i)
+    assigned = set()
+    for c, members in groups.items():
+        assigned.update(members)
+        fam = BoxFamily([boxes[c]] + [boxes[i] for i in members if i != c])
+        if not is_satellite(fam, 0):
+            raise InvariantViolation("group is not a satellite configuration")
+    if assigned != set(range(len(boxes))):
+        raise InvariantViolation("satellite groups lost a box")
+    return groups

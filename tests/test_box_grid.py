@@ -1,6 +1,8 @@
 """The compressed-grid box geometry against the pairwise fragment engine it
-replaced (`tests/oracles.py`), its dimension guards, and the contract that
-the benchmark's tracer wraps."""
+replaced, the dilation identity against its all-pairs grid, and Vitali and
+the satellite grouping against their pairwise `Box.intersects` loops (all in
+`tests/oracles.py`); its dimension guards, and the contract that the
+benchmark's tracer wraps."""
 
 from fractions import Fraction
 
@@ -14,10 +16,14 @@ from oracles import (
     frag_identity_defect,
     frag_increments,
     frag_minimal_cover_dilation,
+    full_grid_dilation_identity,
+    pairwise_satellite_decompose,
+    pairwise_vitali_select,
 )
 from tauberian_lab.covering import (
     cf_select_lebesgue,
     minimal_cover_dilation,
+    satellite_decompose,
     vitali_select,
 )
 from tauberian_lab.geometry import (
@@ -49,6 +55,32 @@ def box_lists(draw, max_boxes=8):
 
 
 @st.composite
+def crowded_families(draw):
+    """Up to 16 boxes in 2-D or 12 in 3-D, the benchmark's family sizes, with
+    centres in [0, 4]^d and sides up to 2, so that most pairs meet; in list
+    order (nonzero identity defects) or sorted by nonincreasing side."""
+    dim = draw(st.integers(2, 3))
+    boxes = []
+    for _ in range(draw(st.integers(1, 16 if dim == 2 else 12))):
+        den, side_den = draw(DENOMS), draw(DENOMS)
+        center = tuple(F(draw(st.integers(0, 4 * den)), den) for _ in range(dim))
+        boxes.append(Box(center, F(draw(st.integers(1, 2 * side_den)), side_den)))
+    return list(sorted_decreasing(boxes)) if draw(st.booleans()) else boxes
+
+
+@st.composite
+def lattice_box_lists(draw, max_boxes=8):
+    """Boxes with integer corners in [0, 6]: faces and corners often touch."""
+    dim = draw(st.integers(1, 3))
+    boxes = []
+    for _ in range(draw(st.integers(1, max_boxes))):
+        side = draw(st.integers(1, 3))
+        corner = [draw(st.integers(0, 6 - side)) for _ in range(dim)]
+        boxes.append(Box(tuple(F(2 * c + side, 2) for c in corner), side))
+    return boxes
+
+
+@st.composite
 def fractions_in_01(draw):
     q = draw(st.integers(2, 9))
     return F(draw(st.integers(1, q - 1)), q)
@@ -75,6 +107,12 @@ def test_identity_defect_matches_fragment_engine(boxes, delta, ordered):
     assert res.holds == (expected == 0)
     if ordered:
         assert res.holds
+
+
+@settings(max_examples=80)
+@given(crowded_families(), fractions_in_01())
+def test_identity_matches_full_grid_sweep(boxes, delta):
+    assert check_dilation_identity(boxes, delta) == full_grid_dilation_identity(boxes, delta)
 
 
 def test_identity_defect_nonzero_on_an_unordered_family():
@@ -111,6 +149,22 @@ def test_cover_dilation_bisection_matches_linear_scan(boxes, nums, den):
             minimal_cover_dilation(boxes, selected, candidates)
     else:
         assert minimal_cover_dilation(boxes, selected, candidates) == expected
+
+
+@settings(max_examples=150)
+@given(st.one_of(box_lists(), lattice_box_lists()))
+def test_vitali_and_satellites_match_pairwise_loops(boxes):
+    assert vitali_select(boxes) == pairwise_vitali_select(boxes)
+    assert satellite_decompose(boxes) == pairwise_satellite_decompose(boxes)
+
+
+def test_boxes_touching_at_a_face_or_corner_meet():
+    # closed boxes: [0, 2]^2 and [2, 3] x [0, 1] share a face, [2, 3]^2 a corner
+    boxes = [Box((F(1), F(1)), 2), Box((F(5, 2), F(1, 2)), 1), Box((F(5, 2), F(5, 2)), 1)]
+    res = vitali_select(boxes)
+    assert res.selected_indices == (0,) and res == pairwise_vitali_select(boxes)
+    assert {i: c["selected_index"] for i, c in res.certificates.items()} == {1: 0, 2: 0}
+    assert satellite_decompose(boxes) == {0: [0, 1, 2]} == pairwise_satellite_decompose(boxes)
 
 
 # -- dimension guards -----------------------------------------------------------

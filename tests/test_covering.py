@@ -16,7 +16,16 @@ from tauberian_lab.covering import (
     vitali_select,
 )
 from tauberian_lab.errors import InvariantViolation, OrderingViolation, UnsupportedGeometry
-from tauberian_lab.geometry import Box, BoxFamily, sorted_decreasing, union_measure
+from tauberian_lab.geometry import (
+    ORDER_DECREASING,
+    Box,
+    BoxFamily,
+    check_dilation_identity,
+    enlargement_excess,
+    increments,
+    sorted_decreasing,
+    union_measure,
+)
 from tauberian_lab.sampling import random_family, random_grid_cube_family, rng_for
 from tauberian_lab.weights import GridCube, WeightFamilySpec, generate_weight
 
@@ -123,6 +132,27 @@ def test_cf_lebesgue_tampered_increment_fails():
     bad = replace(res, selected_indices=(0, 1), certificates={})
     rep = verify_selection_contract(bad)
     assert not rep["selected-increments"]["pass"]
+
+
+def test_cf_lebesgue_empty_family():
+    empty = BoxFamily([], ORDER_DECREASING)
+    res = cf_select_lebesgue(empty, F(1, 2))
+    assert (res.selected_indices, res.certificates, res.increments) == ((), {}, {})
+    assert verify_selection_contract(res)["all"]["pass"]
+
+
+def test_increments_of_the_empty_family():
+    assert increments(BoxFamily([], ORDER_DECREASING)) == []
+
+
+def test_every_family_operation_accepts_the_empty_family():
+    empty = BoxFamily([], ORDER_DECREASING)
+    assert vitali_select(empty).selected_indices == ()
+    assert satellite_decompose(empty) == {}
+    assert enlargement_excess(empty, F(1, 2)) == 0
+    assert check_dilation_identity(empty, F(1, 2)) == (True, 0)
+    assert minimal_cover_dilation(empty, []) == 1
+    assert union_measure(empty) == 0
 
 
 # -- CF weighted ------------------------------------------------------------------
