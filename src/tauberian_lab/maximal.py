@@ -8,9 +8,9 @@ Three engines:
   approximations of their continuous counterparts.
 * exact 1-D: interval sets and piecewise-constant weights over Fraction
   arithmetic; maximal values and full superlevel sets ("halos") are exact.
-  Optima snap to breakpoints, and the halo comes from one pass over the
-  piecewise-linear excess Phi(x) = mu(E ∩ [l, x]) - alpha * mu([l, x]), its
-  boundaries solving linear equations over the rationals.
+  The Lebesgue halo is one pass over the excess |E ∩ [l, x]| - alpha*(x - l).
+  A weight's distribution F(x) = w([l, x]) maps intervals to intervals and w
+  to length, so weighted results are Lebesgue results on F(E), moved by F^-1.
 * atomic: finite atomic measures; halo mass is certified from below by
   candidate cubes.
 
@@ -19,6 +19,7 @@ Superlevel sets use strict inequality throughout.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from bisect import bisect_right
@@ -201,7 +202,11 @@ class IntervalSet:
 
 @dataclass(frozen=True)
 class PiecewiseWeight1D:
-    """Positive piecewise-constant density on [breakpoints[0], breakpoints[-1]]."""
+    """Positive piecewise-constant density on [l, r] = [breakpoints[0], breakpoints[-1]].
+
+    Its distribution F(x) = w([l, x]) maps intervals onto intervals and w onto
+    length; F and its inverse `quantile` read one exact table of w([l, b_k]).
+    """
 
     breakpoints: tuple[Fraction, ...]
     densities: tuple[Fraction, ...]
@@ -222,19 +227,36 @@ class PiecewiseWeight1D:
     def domain(self) -> tuple[Fraction, Fraction]:
         return self.breakpoints[0], self.breakpoints[-1]
 
+    @functools.cached_property
+    def _cumulative(self) -> tuple[Fraction, ...]:
+        """w([l, b_k]) for every breakpoint b_k."""
+        steps = (d * (b - a) for a, b, d in zip(self.breakpoints, self.breakpoints[1:],
+                                                self.densities))
+        return tuple(itertools.accumulate(steps, initial=Fraction(0)))
+
+    def distribution(self, x) -> Fraction:
+        """F(x) = w([l, x]), x in the domain."""
+        x = _to_rat(x)
+        if not self.domain[0] <= x <= self.domain[1]:
+            raise ValueError("x escapes the weight domain")
+        k = min(bisect_right(self.breakpoints, x), len(self.densities)) - 1
+        return self._cumulative[k] + self.densities[k] * (x - self.breakpoints[k])
+
+    def quantile(self, y) -> Fraction:
+        """F^-1(y), y in [0, w(domain)]."""
+        y = _to_rat(y)
+        if not 0 <= y <= self._cumulative[-1]:
+            raise ValueError("y escapes [0, w(domain)]")
+        k = min(bisect_right(self._cumulative, y), len(self.densities)) - 1
+        return self.breakpoints[k] + (y - self._cumulative[k]) / self.densities[k]
+
     def mass(self, a, b) -> Fraction:
         a, b = _to_rat(a), _to_rat(b)
         if a > b:
             raise ValueError("empty interval")
-        lo, hi = self.domain
-        if a < lo or b > hi:
+        if a < self.domain[0] or b > self.domain[1]:
             raise ValueError("interval escapes the weight domain")
-        total = Fraction(0)
-        for l, r, d in zip(self.breakpoints, self.breakpoints[1:], self.densities):
-            seg = min(b, r) - max(a, l)
-            if seg > 0:
-                total += d * seg
-        return total
+        return self.distribution(b) - self.distribution(a)
 
     @staticmethod
     def from_grid(w: GridWeight) -> "PiecewiseWeight1D":
@@ -248,50 +270,36 @@ class PiecewiseWeight1D:
         return PiecewiseWeight1D(bps, dens)
 
 
-def _measure_1d(weight: PiecewiseWeight1D | None, a: Fraction, b: Fraction) -> Fraction:
-    if weight is None:
-        return b - a
-    return weight.mass(a, b)
-
-
-def _set_measure_1d(weight, e: IntervalSet, a: Fraction, b: Fraction) -> Fraction:
-    total = Fraction(0)
-    for lo, hi in e.intervals:
-        l, r = max(lo, a), min(hi, b)
-        if l < r:
-            total += _measure_1d(weight, l, r)
-    return total
+def _pushed(e: IntervalSet, weight: PiecewiseWeight1D) -> IntervalSet:
+    """F(E) for a nonempty E; E must lie in the weight's domain."""
+    lo, hi = weight.domain
+    if e.intervals[0][0] < lo or e.intervals[-1][1] > hi:
+        raise ValueError("set escapes the weight domain")
+    return IntervalSet((weight.distribution(a), weight.distribution(b)) for a, b in e.intervals)
 
 
 def point_eval_1d(e: IntervalSet, x, weight: PiecewiseWeight1D | None = None) -> Fraction:
     """Exact value at x of the uncentered maximal function of the indicator of e.
 
-    Candidate interval endpoints snap to breakpoints of e and the weight, or
-    to x itself.
+    Candidate interval endpoints snap to breakpoints of e, or to x itself.
+    With a weight this is the Lebesgue value of F(E) at F(x): F carries
+    intervals and w onto intervals and length, and cutting an interval down
+    to [0, w(domain)] only raises its E-fraction.
     """
-    x = _to_rat(x)
     if e.is_empty:
         raise ValueError("empty set")
-    if weight is not None:
-        lo, hi = weight.domain
-        if not lo <= x <= hi:
-            raise ValueError("x escapes the weight domain")
+    e, x = (e, _to_rat(x)) if weight is None else (_pushed(e, weight), weight.distribution(x))
     if e.contains_point(x):
         return Fraction(1)
-    bps = set(e.breakpoints())
-    if weight is not None:
-        bps |= set(weight.breakpoints)
+    bps = e.breakpoints()
     left = sorted(b for b in bps if b <= x) + [x]
     right = [x] + sorted(b for b in bps if b >= x)
     best = Fraction(0)
-    for p in left:
-        for q in right:
-            if p >= q:
-                continue
-            den = _measure_1d(weight, p, q)
-            if den <= 0:
-                continue
-            best = max(best, _set_measure_1d(weight, e, p, q) / den)
+    for p, q in itertools.product(left, right):
+        if p < q:
+            inside = sum((min(b, q) - max(a, p) for a, b in e.intervals if a < q and p < b),
+                         Fraction(0))
+            best = max(best, inside / (q - p))
     return best
 
 
@@ -299,45 +307,37 @@ def exact_halo_1d(e: IntervalSet, alpha, weight: PiecewiseWeight1D | None = None
                   ) -> IntervalSet:
     """Exact superlevel set {x : M(indicator of e)(x) > alpha} in one dimension.
 
-    Let Phi(x) = mu(E ∩ [l, x]) - alpha * mu([l, x]), l the left end of the
-    domain.  Every nondegenerate interval has positive mass, so [p, q] has
-    E-mass fraction > alpha exactly when Phi(q) > Phi(p), and x lies in the
-    halo iff min over p <= x of Phi(p) < max over q >= x of Phi(q).  Phi is
-    linear on each piece of the refinement of the E and weight breakpoints,
-    so both extrema are a running min from the left and a running max from
-    the right over its values at the grid points, together with Phi(x).  A
-    piece lies in the halo wholesale or Phi falls across it, and then its
-    halo is {Phi > running min} ∪ {Phi < running max}, two linear solves
-    over the rationals.  That is O(B) Fraction operations after one sort.
+    With a weight this is F^-1 of the Lebesgue halo of F(E), clipped to
+    [0, w(domain)]: F carries intervals and w onto intervals and length, and
+    clipping only raises an interval's E-fraction.  Every halo component
+    meets F(E), so no clipped piece is degenerate.
     """
     alpha = _to_rat(alpha)
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     if e.is_empty:
         raise ValueError("empty set")
-    bps = sorted(set(e.breakpoints()) | (set(weight.breakpoints) if weight else set()))
-    if weight is not None:
-        lo, hi = weight.domain
-        if e.intervals[0][0] < lo or e.intervals[-1][1] > hi:
-            raise ValueError("set escapes the weight domain")
-        left_end, right_end = lo, hi
-    else:
-        # beyond the outermost breakpoints the ratio only decays; a spare
-        # piece of width |E|/alpha contains every boundary solution
-        margin = e.measure() / alpha
-        left_end, right_end = bps[0] - margin, bps[-1] + margin
+    if weight is None:
+        return _halo(e, alpha)
+    top = weight._cumulative[-1]
+    return IntervalSet((weight.quantile(max(a, 0)), weight.quantile(min(b, top)))
+                       for a, b in _halo(_pushed(e, weight), alpha).intervals)
 
-    grid = sorted(set([left_end, right_end] + bps))
-    starts = [a for a, _ in e.intervals]
-    # slope of Phi on each piece: (1[piece ⊂ E] - alpha) * density
-    slopes = []
-    for a in grid[:-1]:
-        i = bisect_right(starts, a) - 1
-        in_e = i >= 0 and a < e.intervals[i][1]
-        dens = (Fraction(1) if weight is None
-                else weight.densities[bisect_right(weight.breakpoints, a) - 1])
-        slopes.append((int(in_e) - alpha) * dens)
 
+def _halo(e: IntervalSet, alpha: Fraction) -> IntervalSet:
+    """The Lebesgue halo, from one pass over Phi(x) = |E ∩ [l, x]| - alpha*(x - l).
+
+    [p, q] has E-fraction > alpha iff Phi(q) > Phi(p), so x is in the halo iff
+    min over p <= x of Phi(p) < max over q >= x of Phi(q).  Between E's
+    endpoints Phi has slope -alpha off E and 1 - alpha on it; spare pieces of
+    width |E|/alpha, from l on the left, hold every boundary solution.  A
+    piece is in the halo wholesale, or Phi falls across it and two linear
+    solves against the running min and max give its halo.  O(B).
+    """
+    bps = e.breakpoints()
+    margin = e.measure() / alpha
+    grid = [bps[0] - margin] + bps + [bps[-1] + margin]
+    slopes = [-alpha, 1 - alpha] * len(e.intervals) + [-alpha]
     steps = (s * (b - a) for s, a, b in zip(slopes, grid, grid[1:]))
     phi = list(itertools.accumulate(steps, initial=Fraction(0)))
     low = list(itertools.accumulate(phi, min))

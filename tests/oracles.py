@@ -308,6 +308,72 @@ def exact_halo_1d_sweep(e: IntervalSet, alpha, weight: PiecewiseWeight1D | None 
 
 
 # ---------------------------------------------------------------------------
+# Weighted 1-D masses and point values by density arithmetic: how
+# `PiecewiseWeight1D.mass` and `point_eval_1d` computed them before both went
+# through the weight's distribution F, kept as their oracles.
+# ---------------------------------------------------------------------------
+
+
+def piecewise_mass_loop(weight: PiecewiseWeight1D, a: Fraction, b: Fraction) -> Fraction:
+    """w([a, b]) as a sum over the weight's pieces, for a <= b in its domain."""
+    total = Fraction(0)
+    for l, r, d in zip(weight.breakpoints, weight.breakpoints[1:], weight.densities):
+        seg = min(b, r) - max(a, l)
+        if seg > 0:
+            total += d * seg
+    return total
+
+
+def _measure_1d(weight: PiecewiseWeight1D | None, a: Fraction, b: Fraction) -> Fraction:
+    if weight is None:
+        return b - a
+    return piecewise_mass_loop(weight, a, b)
+
+
+def _set_measure_1d(weight, e: IntervalSet, a: Fraction, b: Fraction) -> Fraction:
+    total = Fraction(0)
+    for lo, hi in e.intervals:
+        l, r = max(lo, a), min(hi, b)
+        if l < r:
+            total += _measure_1d(weight, l, r)
+    return total
+
+
+def point_eval_1d_direct(e: IntervalSet, x, weight: PiecewiseWeight1D | None = None
+                         ) -> Fraction:
+    """Exact value at x of the uncentered maximal function of the indicator of
+    e, the oracle for `maximal.point_eval_1d`: every pair of candidate
+    endpoints, among the breakpoints of e and the weight and x itself, with
+    the masses summed piece by piece over the density."""
+    x = _to_rat(x)
+    if e.is_empty:
+        raise ValueError("empty set")
+    if weight is not None:
+        lo, hi = weight.domain
+        if not lo <= x <= hi:
+            raise ValueError("x escapes the weight domain")
+        if e.intervals[0][0] < lo or e.intervals[-1][1] > hi:
+            raise ValueError("set escapes the weight domain")
+    if e.contains_point(x):
+        return Fraction(1)
+    bps = set(e.breakpoints())
+    if weight is not None:
+        bps |= set(weight.breakpoints)
+    left = sorted(b for b in bps if b <= x) + [x]
+    right = [x] + sorted(b for b in bps if b >= x)
+    best = Fraction(0)
+    for p in left:
+        for q in right:
+            if p >= q:
+                continue
+            den = _measure_1d(weight, p, q)
+            if den <= 0:
+                continue
+            best = max(best, _set_measure_1d(weight, e, p, q) / den)
+    return best
+
+
+# ---------------------------------------------------------------------------
 # Pairwise fragment engine: how box families were measured before the
 # compressed grid, kept as the oracle for `geometry` and `covering`.
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import atomic_maximal_lower_float, exact_halo_1d_sweep, grid_maximal_naive
+from oracles import (atomic_maximal_lower_float, exact_halo_1d_sweep, grid_maximal_naive,
+                     piecewise_mass_loop, point_eval_1d_direct)
 from tauberian_lab.errors import UnsupportedGeometry
 from tauberian_lab.geometry import Box
 from tauberian_lab.maximal import (
@@ -244,6 +245,20 @@ def test_interval_set_validation():
         IntervalSet([(F(0), F(2)), (F(1), F(3))])
 
 
+@st.composite
+def piecewise_weights(draw):
+    """1-8 pieces on [0, 1] whose breakpoints sit on a 1/60 grid."""
+    m = draw(st.integers(min_value=1, max_value=8))
+    inner = draw(st.lists(st.integers(min_value=1, max_value=59), min_size=m - 1,
+                          max_size=m - 1, unique=True))
+    dens = draw(st.lists(st.fractions(min_value=F(1, 4), max_value=8, max_denominator=4),
+                         min_size=m, max_size=m))
+    return PiecewiseWeight1D([F(0)] + [F(k, 60) for k in sorted(inner)] + [F(1)], dens)
+
+
+unit_points = st.fractions(min_value=0, max_value=1, max_denominator=120)
+
+
 def test_piecewise_weight_mass():
     w = PiecewiseWeight1D([F(0), F(1, 2), F(1)], [F(1), F(3)])
     assert w.mass(F(0), F(1)) == 2
@@ -256,6 +271,32 @@ def test_piecewise_from_grid_roundtrip():
     gw = generate_weight(WeightFamilySpec("checkerboard", 1, 4, levels=(1.0, 3.0)))
     pw = PiecewiseWeight1D.from_grid(gw)
     assert pw.mass(F(0), F(1)) == F(gw.total_mass)
+
+
+@given(piecewise_weights(), unit_points, unit_points)
+def test_mass_matches_piece_loop(w, a, b):
+    a, b = min(a, b), max(a, b)
+    assert w.mass(a, b) == piecewise_mass_loop(w, a, b)
+
+
+@given(piecewise_weights(), unit_points, unit_points)
+def test_distribution_quantile_round_trip(w, x, t):
+    top = w.distribution(F(1))
+    assert w.distribution(F(0)) == 0 and top == piecewise_mass_loop(w, F(0), F(1))
+    for p in (F(0), x, F(1)):
+        assert w.quantile(w.distribution(p)) == p
+    for y in (F(0), t * top, top):
+        assert w.distribution(w.quantile(y)) == y
+
+
+def test_distribution_and_quantile_reject_points_outside():
+    w = PiecewiseWeight1D([F(0), F(1, 2), F(1)], [F(1), F(3)])
+    for x in (F(-1, 100), F(101, 100)):
+        with pytest.raises(ValueError, match="x escapes the weight domain"):
+            w.distribution(x)
+    for y in (F(-1, 100), F(201, 100)):
+        with pytest.raises(ValueError, match=r"y escapes \[0, w\(domain\)\]"):
+            w.quantile(y)
 
 
 # -- exact engine: point values ------------------------------------------------
@@ -279,6 +320,14 @@ def test_point_eval_far_decay():
     assert v4 < v2
 
 
+def test_exact_1d_rejects_set_outside_weight_domain():
+    e, w = IntervalSet([(F(1, 2), F(2))]), PiecewiseWeight1D([0, 1], [1])
+    with pytest.raises(ValueError, match="set escapes the weight domain"):
+        point_eval_1d(e, F(1, 4), w)
+    with pytest.raises(ValueError, match="set escapes the weight domain"):
+        exact_halo_1d(e, F(1, 2), w)
+
+
 # -- exact engine: halos --------------------------------------------------------
 
 
@@ -300,6 +349,29 @@ def test_halo_sharp_ratio_single_interval(alpha):
     e = IntervalSet([(F(0), F(1))])
     halo = exact_halo_1d(e, alpha)
     assert halo.measure() == (2 - alpha) / alpha
+
+
+ANCHOR_WEIGHTS = [
+    PiecewiseWeight1D([0, 1], [1]),
+    PiecewiseWeight1D([0, F(1, 2), 1], [1, 9]),
+    PiecewiseWeight1D([F(k, 10) for k in range(11)],
+                      [10, 3, 5, F(7, 4), F(3, 4), 4, 3, F(11, 4), F(8, 3), 2]),
+]
+
+
+@pytest.mark.parametrize("alpha", [F(1, 2), F(2, 3), F(3, 4), F(9, 10)])
+@pytest.mark.parametrize("w", ANCHOR_WEIGHTS, ids=range(len(ANCHOR_WEIGHTS)))
+def test_halo_sharp_ratio_single_interval_weighted(w, alpha):
+    # F(x) = w([0, x]) moves M_w to the Lebesgue M: when the Lebesgue halo of
+    # F(E), F(E) grown by w(E)(1 - alpha)/alpha on each side, stays inside
+    # [0, w(domain)], the weighted ratio is the Lebesgue (2 - alpha)/alpha
+    a, b = F(19, 40), F(21, 40)
+    w_e = piecewise_mass_loop(w, a, b)
+    reach = w_e * (1 - alpha) / alpha
+    assert reach <= piecewise_mass_loop(w, F(0), a) and reach <= piecewise_mass_loop(w, b, F(1))
+    halo = exact_halo_1d(IntervalSet([(a, b)]), alpha, w)
+    w_halo = sum((piecewise_mass_loop(w, lo, hi) for lo, hi in halo.intervals), F(0))
+    assert w_halo / w_e == (2 - alpha) / alpha
 
 
 def test_halo_two_intervals():
@@ -392,22 +464,15 @@ def test_halo_boundary_is_exactly_at_level(case):
 
 
 @st.composite
-def wide_halo_cases(draw):
-    """Up to 40 cells, alpha = p/q with q <= 64, and Lebesgue or 1-8 weight
+def wide_halo_cases(draw, max_cells=40):
+    """Up to max_cells cells, alpha = p/q with q <= 64, and Lebesgue or 1-8 weight
     pieces whose breakpoints sit on a 1/60 grid, out of step with E's."""
-    n = draw(st.integers(min_value=1, max_value=40))
+    n = draw(st.integers(min_value=1, max_value=max_cells))
     mask = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
     e = IntervalSet.merge([(F(i, n), F(i + 1, n)) for i in range(n) if mask[i]])
     q = draw(st.integers(min_value=2, max_value=64))
     alpha = F(draw(st.integers(min_value=1, max_value=q - 1)), q)
-    weight = None
-    if draw(st.booleans()):
-        m = draw(st.integers(min_value=1, max_value=8))
-        inner = draw(st.lists(st.integers(min_value=1, max_value=59), min_size=m - 1,
-                              max_size=m - 1, unique=True))
-        dens = draw(st.lists(st.fractions(min_value=F(1, 4), max_value=8, max_denominator=4),
-                             min_size=m, max_size=m))
-        weight = PiecewiseWeight1D([F(0)] + [F(k, 60) for k in sorted(inner)] + [F(1)], dens)
+    weight = draw(piecewise_weights()) if draw(st.booleans()) else None
     return e, alpha, weight
 
 
@@ -416,6 +481,16 @@ def wide_halo_cases(draw):
 def test_halo_matches_per_anchor_sweep(case):
     e, alpha, weight = case
     assert exact_halo_1d(e, alpha, weight) == exact_halo_1d_sweep(e, alpha, weight)
+
+
+@given(wide_halo_cases(max_cells=24))
+def test_point_eval_matches_direct_density_scan(case):
+    e, alpha, weight = case
+    pts = set(e.breakpoints()) | set(exact_halo_1d(e, alpha, weight).breakpoints())
+    if weight is not None:
+        pts |= set(weight.breakpoints)  # the domain ends among them
+    for x in sorted(pts):
+        assert point_eval_1d(e, x, weight) == point_eval_1d_direct(e, x, weight)
 
 
 # halos computed before the exact 1-D engine became one pass over the excess
