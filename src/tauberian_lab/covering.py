@@ -1,12 +1,15 @@
 """Greedy cube-selection procedures with verifiable certificates.
 
 Each selector returns a SelectionResult that records, for every rejected
-box, the rule that rejected it, so an independent pass can replay the whole
-run and re-check every contract clause exactly.
+box, the rule that rejected it.  verify_selection_contract replays the run
+and re-checks every clause in exact integers on a cell grid, the family's
+(with triple dilates for Vitali) or the weight's, whose float masses it
+reads exactly; it shares only grid construction with the selectors.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -20,15 +23,12 @@ from .geometry import (
     ORDER_DECREASING,
     Box,
     BoxFamily,
-    BoxRegion,
-    dilate,
     _dilated_grid,
     _family,
     _meets,
     _to_rat,
     is_satellite,
 )
-from .maximal import IntervalSet
 from .weights import GridCube, GridWeight
 
 
@@ -147,10 +147,9 @@ def box_to_grid_cube(b: Box, n: int) -> GridCube:
     side = b.side * n
     if side.denominator != 1:
         raise UnsupportedGeometry("box side is not a whole number of cells")
-    q = GridCube(tuple(corner), int(side))
-    if any(c < 0 or c + q.side > n for c in q.corner):
+    if any(c < 0 or c + side > n for c in corner):
         raise UnsupportedGeometry("box escapes the grid domain")
-    return q
+    return GridCube(tuple(corner), int(side))
 
 
 def _cube_slices(q: GridCube):
@@ -159,8 +158,8 @@ def _cube_slices(q: GridCube):
 
 def cf_select_weighted(f: BoxFamily, w: GridWeight, xi) -> SelectionResult:
     """Weighted variant: keep a cube iff the already-covered part carries at
-    most a (1-xi) fraction of its w-mass.  Exact on grid cubes; acceptance
-    with exact equality is allowed and flagged."""
+    most a (1-xi) fraction of its w-mass.  Decided on float sums, so within
+    rounding it can disagree with the exact contract; float equality is flagged."""
     xi = _to_rat(xi)
     if not 0 < xi < 1:
         raise ValueError("xi must lie in (0, 1)")
@@ -292,7 +291,7 @@ def verify_selection_contract(result: SelectionResult,
 
     Returns {clause: {"pass": bool, "defect": quantity}}; replays greedy
     decisions from scratch instead of trusting stored certificates, and in
-    the Lebesgue replay compares the stored increments and certificates exactly.
+    the Lebesgue CF replay compares the stored increments and certificates exactly.
     """
     boxes = list(result.input)
     report: dict[str, dict] = {}
@@ -315,70 +314,68 @@ def verify_selection_contract(result: SelectionResult,
             for i, rec in result.certificates.items())
         _clause(report, "rejection-certificates", cert_ok)
         if boxes:
-            whole = BoxRegion.from_boxes(boxes)
-            cover = BoxRegion.from_boxes(
-                [dilate(boxes[i], 3) for i in result.selected_indices])
-            defect = whole.subtract(cover).measure()
+            # the family, then the triple dilates of the selected boxes
+            scale, lo, hi = result.input._ints
+            chosen, k = list(result.selected_indices), len(boxes)
+            grid = _dilated_grid(scale, np.concatenate([lo, lo[chosen]]),
+                                 np.concatenate([hi, hi[chosen]]), Fraction(3), k)
+            defect = grid.measure(grid.cover(range(k)) & ~grid.cover(
+                range(k + len(chosen), len(grid.slices))))
             _clause(report, "triple-dilate-cover", defect == 0, defect)
     elif result.kind in ("cf-lebesgue", "cf-weighted"):
-        level = result.params["delta" if result.kind == "cf-lebesgue" else "xi"]
+        lebesgue = result.kind == "cf-lebesgue"
+        level = result.params["delta" if lebesgue else "xi"]
+        if lebesgue:
+            grid = result.input._grid
+            cells = functools.reduce(np.multiply.outer, grid.widths, np.ones((), np.int64))
+            slices, unit = grid.slices, grid.scale ** grid.dim
+        elif w is None:
+            raise ValueError("weighted contract verification needs the weight")
+        else:
+            slices = [_cube_slices(box_to_grid_cube(q, w.resolution)) for q in boxes]
+            # the float masses exactly: int numerators over one power of two
+            ratios = [x.as_integer_ratio() for x in w.values.ravel().tolist()]
+            unit = max(d for _, d in ratios)
+            cells = np.array([n * (unit // d) for n, d in ratios],
+                             dtype=object).reshape(w.values.shape)
+        # each cell labelled with the first selected box that covers it
+        first = np.full(cells.shape, len(boxes))
+        for j in reversed(result.selected_indices):
+            first[slices[j]] = j
+        p, q = level.numerator, level.denominator
         ok_inc, ok_rej = True, True
         worst_inc, worst_rej = None, None
-        if result.kind == "cf-lebesgue":
-            region = BoxRegion.empty(boxes[0].dim) if boxes else None
-            for i, q in enumerate(boxes):
-                vol, cube = q.volume(), BoxRegion.from_boxes([q])
-                new = cube.subtract(region).measure()
-                if i in sel:
-                    if i != result.selected_indices[0] and new < level * vol:
-                        ok_inc = False
-                        worst_inc = float(new / vol)
-                    ok_inc &= result.increments.get(i) == new
-                    region = region.union(cube)
-                else:
-                    if vol - new <= (1 - level) * vol:
-                        ok_rej = False
-                        worst_rej = float((vol - new) / vol)
+        for i, sl in enumerate(slices):
+            part = cells[sl]
+            vol, overlap = int(part.sum()), int(part[first[sl] < i].sum())
+            # overlap <= (1 - level) vol iff q * overlap <= (q - p) * vol
+            if i in sel:
+                if i != result.selected_indices[0] and q * overlap > (q - p) * vol:
+                    ok_inc = False
+                    worst_inc = Fraction(vol - overlap, vol)
+                if lebesgue:
+                    ok_inc &= result.increments.get(i) == Fraction(vol - overlap, unit)
+            else:
+                if q * overlap <= (q - p) * vol:
+                    ok_rej = False
+                    worst_rej = Fraction(overlap, vol) if vol else Fraction(0)
+                if lebesgue:
                     cert = result.certificates.get(i, {})
                     ok_rej &= ((cert.get("overlap"), cert.get("fraction"))
-                               == (vol - new, (vol - new) / vol))
-        else:
-            if w is None:
-                raise ValueError("weighted contract verification needs the weight")
-            covered = np.zeros(w.values.shape, dtype=bool)
-            lv = float(level)
-            for i, q in enumerate(boxes):
-                gq = box_to_grid_cube(q, w.resolution)
-                sl = _cube_slices(gq)
-                vals = w.values[sl]
-                mass_q = float(vals.sum())
-                new = mass_q - float(vals[covered[sl]].sum())
-                if i in sel:
-                    if i != result.selected_indices[0] and new < lv * mass_q:
-                        ok_inc = False
-                        worst_inc = new / mass_q if mass_q else 0.0
-                    covered[sl] = True
-                else:
-                    if mass_q - new <= (1 - lv) * mass_q:
-                        ok_rej = False
-                        worst_rej = (mass_q - new) / mass_q if mass_q else 0.0
+                               == (Fraction(overlap, unit), Fraction(overlap, vol)))
         _clause(report, "selected-increments", ok_inc, worst_inc)
         _clause(report, "rejected-replay", ok_rej, worst_rej)
     elif result.kind == "overlap2":
-        pairs_all = [(b.lo[0], b.hi[0]) for b in boxes]
-        pairs_sel = [(boxes[i].lo[0], boxes[i].hi[0])
-                     for i in result.selected_indices]
-        union_all = IntervalSet.merge(pairs_all)
-        union_sel = IntervalSet.merge(pairs_sel) if pairs_sel else None
-        same = union_sel is not None and union_all.intervals == union_sel.intervals
-        _clause(report, "union-preserved", same,
-                None if same else float(union_all.measure()
-                                        - (union_sel.measure() if union_sel else 0)))
-        cuts = sorted({x for p in pairs_sel for x in p})
-        worst = 0
-        for a, b in zip(cuts, cuts[1:]):
-            mid = (a + b) / 2
-            worst = max(worst, sum(1 for lo, hi in pairs_sel if lo < mid < hi))
+        # per cell of the family's grid, how many selected intervals cover it
+        gap, worst = Fraction(0), 0
+        if boxes:
+            grid = result.input._grid
+            depth = np.zeros(grid.shape, dtype=np.int64)
+            for j in result.selected_indices:
+                depth[grid.slices[j]] += 1
+            gap = grid.measure(grid.cover(range(len(boxes))) & (depth == 0))
+            worst = int(depth.max())
+        _clause(report, "union-preserved", gap == 0, gap)
         _clause(report, "interior-overlap-at-most-2", worst <= 2, worst)
     else:
         raise ValueError(f"unknown selection kind {result.kind!r}")

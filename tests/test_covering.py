@@ -1,6 +1,7 @@
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tauberian_lab import covering
@@ -27,7 +28,7 @@ from tauberian_lab.geometry import (
     union_measure,
 )
 from tauberian_lab.sampling import random_family, random_grid_cube_family, rng_for
-from tauberian_lab.weights import GridCube, WeightFamilySpec, generate_weight
+from tauberian_lab.weights import GridCube, GridWeight, WeightFamilySpec, generate_weight
 
 F = Fraction
 
@@ -82,6 +83,17 @@ def test_vitali_tampered_disjointness_fails():
     rep = verify_selection_contract(bad)
     assert not rep["selected-disjoint"]["pass"]
     assert rep["selected-disjoint"]["defect"] > 0
+
+
+def test_vitali_far_box_blamed_on_box_0_fails_cover():
+    fam = BoxFamily([interval(0, 4), interval(3, 5), interval(10, 11)])
+    res = vitali_select(fam)
+    assert set(res.selected_indices) == {0, 2}
+    blame = {"rule": "intersects-selected", "selected_index": 0}
+    bad = replace(res, selected_indices=(0,), certificates={1: blame, 2: blame})
+    rep = verify_selection_contract(bad)
+    # [10, 11] lies outside 3 * [0, 4] = [-4, 8]
+    assert rep["triple-dilate-cover"] == {"pass": False, "defect": 1}
 
 
 # -- CF Lebesgue ----------------------------------------------------------------
@@ -153,6 +165,7 @@ def test_every_family_operation_accepts_the_empty_family():
     assert check_dilation_identity(empty, F(1, 2)) == (True, 0)
     assert minimal_cover_dilation(empty, []) == 1
     assert union_measure(empty) == 0
+    assert verify_selection_contract(overlap2_select_1d([]))["all"]["pass"]
 
 
 # -- CF weighted ------------------------------------------------------------------
@@ -187,6 +200,37 @@ def test_cf_weighted_contract_random():
         assert rep["all"]["pass"], rep
 
 
+def test_cf_weighted_rejected_cube_flipped_to_selected_fails():
+    w = generate_weight(WeightFamilySpec("power", 2, 8, a=1.0))
+    b = grid_cube_to_box(GridCube((2, 2), 4), 8)
+    res = cf_select_weighted(sorted_decreasing([b, b]), w, F(1, 2))
+    assert res.selected_indices == (0,)
+    bad = replace(res, selected_indices=(0, 1), certificates={})
+    rep = verify_selection_contract(bad, w)
+    assert rep["selected-increments"] == {"pass": False, "defect": 0}
+
+
+def test_cf_weighted_zero_mass_cube_flipped_to_rejected_fails():
+    w = GridWeight(np.array([0.0, 1.0]))
+    res = cf_select_weighted(sorted_decreasing([interval(0, F(1, 2))]), w, F(1, 2))
+    assert res.selected_indices == (0,)
+    bad = replace(res, selected_indices=(), certificates={0: {"rule": "weighted-overlap"}})
+    rep = verify_selection_contract(bad, w)
+    assert rep["rejected-replay"] == {"pass": False, "defect": 0}
+
+
+def test_cf_weighted_float_equality_fails_the_exact_contract():
+    # the second cube's mass 1 + (1 - 2^-53) rounds to 2.0, so the float test
+    # keeps it at equality; exactly, its overlap 1 exceeds half its mass
+    w = GridWeight(np.array([1.0, 1.0, 1 - 2**-53, 1.0]))
+    fam = sorted_decreasing([interval(0, F(1, 2)), interval(F(1, 4), F(3, 4))])
+    res = cf_select_weighted(fam, w, F(1, 2))
+    assert res.selected_indices == (0, 1) and res.equality_acceptances == (1,)
+    rep = verify_selection_contract(res, w)
+    assert not rep["selected-increments"]["pass"]
+    assert rep["selected-increments"]["defect"] == 1 - F(1, 2 - F(1, 2**53))
+
+
 def test_cf_weighted_rejects_non_grid_boxes():
     w = generate_weight(WeightFamilySpec("constant", 1, 8))
     fam = sorted_decreasing([Box((F(1, 3),), F(1, 5))])
@@ -198,6 +242,12 @@ def test_grid_cube_box_roundtrip():
     q = GridCube((3, 5), 2)
     b = grid_cube_to_box(q, 8)
     assert box_to_grid_cube(b, 8) == q
+
+
+@pytest.mark.parametrize("center", [F(-1, 16), F(17, 16)])
+def test_box_outside_the_grid_domain_is_unsupported(center):
+    with pytest.raises(UnsupportedGeometry, match="escapes the grid domain"):
+        box_to_grid_cube(Box((center,), F(1, 8)), 8)
 
 
 # -- satellite decomposition -------------------------------------------------------
@@ -278,6 +328,15 @@ def test_overlap2_tampered_union_fails():
                   certificates={1: {"rule": "covered", "end": F(2)}})
     rep = verify_selection_contract(bad)
     assert not rep["union-preserved"]["pass"]
+    assert rep["union-preserved"]["defect"] == 1
+
+
+def test_overlap2_three_deep_fails():
+    res = overlap2_select_1d([(0, 3), (1, 4), (2, 5)])
+    assert res.selected_indices == (0, 2)
+    bad = replace(res, selected_indices=(0, 1, 2), certificates={})
+    rep = verify_selection_contract(bad)
+    assert rep["interior-overlap-at-most-2"] == {"pass": False, "defect": 3}
 
 
 # -- dilation cover measurement -------------------------------------------------
