@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import UnsupportedGeometry
 from .geometry import Box, _int_corners, _to_rat
-from .gridops import resolution, side_sums
+from .gridops import resolution, side_table
 from .weights import GridWeight
 
 VARIANTS = ("uncentered", "centered", "dyadic")
@@ -62,61 +62,51 @@ def grid_maximal(e: np.ndarray, spec: MaximalSpec = MaximalSpec(),
     value(c) = max over admissible grid cubes R containing c of mu(R∩E)/mu(R);
     cubes with no cell of positive mass are skipped.
 
-    The uncentered variant sweeps sides s = N..1 and keeps, for every side-s
-    cube Q(i, s), the largest ratio up(i, s) over the cubes of side >= s that
-    contain it.  A cube of side > s that contains Q(i, s) contains one of
-    its 2^d parents Q(i - o, s + 1), o in {0, 1}^d, so
+    The ratios of all cubes are one table, `gridops.side_table` of mu(R∩E)
+    divided in place by mu(R); a cube with no cell of positive mass keeps
+    mu(R∩E) = 0, which raises no value.  The uncentered variant sweeps sides
+    s = N..1 and keeps, for every side-s cube Q(i, s), the largest ratio
+    up(i, s) over the cubes of side >= s that contain it.  A cube of side > s
+    that contains Q(i, s) contains one of its 2^d parents Q(i - o, s + 1),
+    o in {0, 1}^d, so
     up(i, s) = max(ratio(i, s), max over o of up(i - o, s + 1)),
-    and the value of cell c is up(c, 1).  That is O(2^d N^(d+1)) work.  The
-    sums come from side 1 up and the sweep runs from side N down, so it keeps
-    the ratios of all sides: O(N^(d+1)) floats, 64 MB at 1-D N=4096.  The
-    centered and dyadic variants take each side as it comes.
+    and the value of cell c is up(c, 1).  That is O(2^d N^(d+1)) work, in
+    place in the table.  Memory: the set's table and one of cube masses (the
+    weight's, or the Lebesgue volumes), O(N^(d+1)) floats each, 64 MB at
+    1-D N=4096.
     """
     e = np.asarray(e, dtype=bool)
     n = resolution(e)
+    if spec.variant == "dyadic" and n & (n - 1):
+        raise ValueError("dyadic variant needs a power-of-two resolution")
     if spec.measure == "grid-weight":
         if weight is None:
             raise ValueError("grid-weight measure needs a weight")
         if weight.values.shape != e.shape:
             raise ValueError("weight grid and set grid differ in shape")
-        num = np.where(e, weight.values, 0.0)
+        flat, sides = side_table(np.where(e, weight.values, 0.0))
+        den = weight.table.flat
     else:
-        num = e
-
-    def ratio(s, sums):
-        """mu(R∩E)/mu(R) for every side-s cube R, from sums = mu(R∩E), -inf
-        where R has no cell of positive mass (its mass sums to exactly 0)."""
-        den = weight.window_sums(s) if spec.measure == "grid-weight" else float(s**e.ndim)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(den > 0, sums / den, -np.inf)
-
-    vals = np.full(e.shape, -np.inf)
-    sides = enumerate(side_sums(num), 1)
+        flat, sides = side_table(e)
+        den = np.repeat([float(s**e.ndim) for s in range(1, n + 1)], [a.size for a in sides])
+    np.divide(flat, den, out=flat, where=den > 0)
+    vals = np.zeros(e.shape)
     if spec.variant == "uncentered":
-        ups = [ratio(s, sums) for s, sums in sides]
-        vals = ups.pop()  # up(., s + 1) as the sweep enters side s
-        for s in range(n - 1, 0, -1):
-            up = ups.pop()
-            for o in itertools.product((0, 1), repeat=e.ndim):
-                child = up[tuple(slice(k, k + n - s) for k in o)]
-                np.maximum(child, vals, out=child)
-            vals = up
+        kids = list(itertools.product((slice(None, -1), slice(1, None)), repeat=e.ndim))
+        for up, parents in zip(sides[-2::-1], sides[:0:-1]):
+            for kid in kids:
+                child = up[kid]
+                np.maximum(child, parents, out=child)
+        vals[...] = sides[0]  # a copy: the result pins none of the O(N^(d+1)) table
     elif spec.variant == "centered":
         # odd-sided cubes centered at the cell, fully inside the domain
-        for t, sums in itertools.islice(sides, 0, None, 2):
+        for t in range(1, n + 1, 2):
             inner = vals[(slice(t // 2, n - t // 2),) * e.ndim]
-            np.maximum(inner, ratio(t, sums), out=inner)
-    else:  # dyadic
-        if n & (n - 1):
-            raise ValueError("dyadic variant needs a power-of-two resolution")
-        for s, sums in sides:
-            if s & (s - 1):
-                continue
-            m = ratio(s, sums)[(slice(None, None, s),) * e.ndim]
-            for axis in range(e.ndim):
-                m = np.repeat(m, s, axis=axis)
-            np.maximum(vals, m, out=vals)
-    vals[vals == -np.inf] = 0.0
+            np.maximum(inner, sides[t - 1], out=inner)
+    else:  # dyadic: the side-s cubes at multiples of s tile the grid
+        for s in (1 << k for k in range(n.bit_length())):
+            tiles = vals.reshape((n // s, s) * e.ndim)
+            np.maximum(tiles, sides[s - 1][(slice(None, None, s), None) * e.ndim], out=tiles)
     return vals
 
 

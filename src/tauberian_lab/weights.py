@@ -3,8 +3,9 @@
 A GridWeight stores cell masses (integrals of the weight over grid cells),
 not point samples, so w(Q) is exact for grid cubes and refining the grid
 never loses mass.  Cube masses are sums of cells by additions only
-(`gridops.side_sums`), so each is exact to rounding relative to itself, and
-a cube with no positive cell has mass exactly 0.
+(`gridops.side_table`), so each is exact to rounding relative to itself, and
+a cube with no positive cell has mass exactly 0.  A weight caches that table;
+the A_p, Hruscev and reverse-Holder gauges add at most two tables to it.
 
 All cube suprema run over grid-aligned cubes inside the domain; every
 constant here is therefore a lower approximation of its continuous
@@ -98,13 +99,16 @@ class GridWeight:
             raise ValueError("cube exceeds the grid")
 
     @functools.cached_property
-    def _sides(self) -> tuple[np.ndarray, ...]:
-        # built on first use: O(N^(d+1)) floats, 4 MB at 1-D N=1024
-        return tuple(gridops.side_sums(self.values))
+    def table(self) -> gridops.SideTable:
+        """The masses of all grid cubes (`gridops.side_table`), read-only."""
+        table = gridops.side_table(self.values)
+        for a in (table.flat, *table.sides):
+            a.flags.writeable = False
+        return table
 
     def cube_mass(self, q: GridCube) -> float:
         self._check_cube(q)
-        return float(self._sides[q.side - 1][q.corner])
+        return float(self.table.sides[q.side - 1][q.corner])
 
     def cube_volume(self, q: GridCube) -> float:
         return (q.side / self.resolution) ** self.dim
@@ -113,13 +117,11 @@ class GridWeight:
         return self.cube_mass(q) / self.cube_volume(q)
 
     def window_sums(self, s: int) -> np.ndarray:
-        """Masses of all side-s grid cubes, as a read-only array indexed by
-        corner, 1 <= s <= N.  Each is within d*s*u / (1 - d*s*u) of the
-        exact sum of the cube's cells, relative to that sum (u = 2^-53), and
-        exactly 0.0 on every cube with no positive cell."""
+        """The read-only masses of all side-s cubes, `table.sides[s - 1]`, 1 <= s <= N:
+        within `gridops.side_table`'s error bound, 0.0 on cubes with no positive cell."""
         if not 1 <= s <= self.resolution:
             raise ValueError(f"cube side must lie in 1..{self.resolution}, got {s}")
-        return self._sides[s - 1]
+        return self.table.sides[s - 1]
 
     def cubes(self):
         """All grid cubes, as (corner tuple, side) pairs; O(N^2) or O(N^3)."""
@@ -234,21 +236,27 @@ def _require_positive_cells(w: GridWeight, what: str) -> None:
         raise ValueError(f"{what} undefined: weight has zero-mass cells")
 
 
+def _cube_averages(w: GridWeight, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The averages over every grid cube of w and of the finite cell
+    integrals `cells`, as two fresh arrays laid out like `w.table.flat`."""
+    _require_finite(cells)
+    avg, sides = gridops.side_table(cells)
+    n = w.resolution
+    vol = np.repeat([(s / n) ** w.dim for s in range(1, n + 1)], [a.size for a in sides])
+    avg /= vol
+    return np.divide(w.table.flat, vol, out=vol), avg
+
+
 def ap_constant(w: GridWeight, p: float) -> float:
     """Muckenhoupt A_p gauge: sup over grid cubes of avg(w) * avg(w^{-1/(p-1)})^(p-1)."""
     if not 1 < p < math.inf:
         raise ValueError(f"p must be a finite number exceeding 1, got {p}")
     _require_positive_cells(w, "dual weight")
-    sigma = w.density ** (-1.0 / (p - 1)) * w.cell_volume
-    _require_finite(sigma)
-    n = w.resolution
-    best = 0.0
-    for s, sums in enumerate(gridops.side_sums(sigma), 1):
-        vol = (s / n) ** w.dim
-        avg_w = w.window_sums(s) / vol
-        cand = float(np.max(avg_w * (sums / vol) ** (p - 1)))
-        best = max(best, cand)
-    return best
+    with np.errstate(over="ignore"):
+        sigma = w.density ** (-1.0 / (p - 1)) * w.cell_volume
+    avg_w, avg_sigma = _cube_averages(w, sigma)
+    avg_sigma **= p - 1
+    return float(np.multiply(avg_w, avg_sigma, out=avg_sigma).max())
 
 
 def fujii_wilson(w: GridWeight) -> float:
@@ -294,19 +302,14 @@ def hruscev_constant(w: GridWeight) -> float:
 
     The cell integrals of log(1/w) have mixed signs, so their sum over a
     side-s cube Q is exact only to about d*s*u times the sum of their
-    absolute values (u = 2^-53; see gridops.side_sums).  The value on Q is
+    absolute values (u = 2^-53; see gridops.side_table).  The value on Q is
     therefore exact to a relative error of about d*s*u times the average of
     |log w| over Q, whatever the average of log w itself.
     """
     _require_positive_cells(w, "log of weight")
-    n = w.resolution
-    logs = -np.log(w.density) * w.cell_volume
-    best = 0.0
-    for s, lsum in enumerate(gridops.side_sums(logs), 1):
-        vol = (s / n) ** w.dim
-        val = (w.window_sums(s) / vol) * np.exp(lsum / vol)
-        best = max(best, float(val.max()))
-    return best
+    avg_w, avg_log = _cube_averages(w, -np.log(w.density) * w.cell_volume)
+    np.exp(avg_log, out=avg_log)
+    return float(np.multiply(avg_w, avg_log, out=avg_log).max())
 
 
 def doubling_constant(w: GridWeight) -> float:
@@ -391,16 +394,12 @@ def reverse_holder_holds(w: GridWeight, eps: float, constant: float = 2.0) -> bo
     if not eps > 0:
         raise ValueError(f"reverse Holder exponent eps must be positive, got {eps}")
     _require_positive_cells(w, "reverse Holder powers")
-    powers = w.density ** (1 + eps) * w.cell_volume
-    _require_finite(powers)
-    n = w.resolution
-    for s, sums in enumerate(gridops.side_sums(powers), 1):
-        vol = (s / n) ** w.dim
-        lhs = (sums / vol) ** (1 / (1 + eps))
-        rhs = constant * (w.window_sums(s) / vol)
-        if np.any(lhs > rhs):
-            return False
-    return True
+    with np.errstate(over="ignore"):
+        powers = w.density ** (1 + eps) * w.cell_volume
+    avg_w, avg_power = _cube_averages(w, powers)
+    avg_power **= 1 / (1 + eps)
+    avg_w *= constant
+    return not (avg_power > avg_w).any()
 
 
 def reverse_holder_exponent(w: GridWeight, constant: float = 2.0) -> float:

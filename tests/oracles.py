@@ -6,7 +6,10 @@ fast path and its oracle.  Cube masses here are `math.fsum`s of the cube's
 cells, which are correctly rounded.  The one exception is
 `sidelength_growth_exponent_pairs`, which takes its cube masses from
 `GridWeight.window_sums` as the code it replaced did, so that `==` compares
-the pair families and not two roundings.
+the pair families and not two roundings.  The per-side paths below keep the
+float operations of the code that `gridops.side_table` replaced, over their
+own copy of its per-side kernel, so the fast paths must equal them bit for
+bit.
 """
 
 import itertools
@@ -37,7 +40,7 @@ def fsum_mass(values: np.ndarray, q: GridCube) -> float:
 
 
 def side_sum_rel(dim: int, s: int) -> float:
-    """Largest relative distance of a side-s `gridops.side_sums` entry from
+    """Largest relative distance of a side-s `gridops.side_table` entry from
     fsum_mass: d*s*u / (1 - d*s*u) from the exact sum (its docstring), plus
     the u of fsum's own rounding, u = 2^-53."""
     u = 2.0**-53
@@ -90,6 +93,112 @@ def doubling_exact(w: GridWeight) -> float:
             if inner > 0:
                 best = max(best, mass(GridCube(tuple(c - h for c in corner), 2 * s)) / inner)
     return float(best)
+
+
+# ---------------------------------------------------------------------------
+# Per-side paths: the cube sums one side at a time, and the A_p, Hruscev,
+# reverse-Holder and grid maximal evaluations that read them side by side.
+# ---------------------------------------------------------------------------
+
+
+def side_sums(values):
+    """Yield, for s = 1..N, the sums of all side-s cubes of a 1-D or square
+    2-D grid, indexed by the cube's first cell, by the additions that
+    `gridops.side_table` documents: W_s = W_{s-1}[:-1] + v[s-1:] in 1-D; in
+    2-D, W_s = W_{s-1} + (last row) + (last column less that row's cell)."""
+    v = np.array(values, dtype=float)
+    if v.ndim not in (1, 2) or v.shape != (v.shape[0],) * v.ndim:
+        raise ValueError("only 1-D and square 2-D grids are supported")
+    n = v.shape[0]
+    yield v
+    sums = rows = v
+    for s in range(2, n + 1):
+        if v.ndim == 1:
+            sums = sums[:-1] + v[s - 1:]
+        else:
+            # rows[r, j]: cells (r, j..j+s-1); cols[i, c]: cells (i..i+s-2, c)
+            k = n - s + 1
+            rows = rows[:, :-1] + v[:, s - 1:]
+            cols = v if s == 2 else cols[:-1] + v[s - 2:]
+            sums = sums[:k, :k] + rows[s - 1:] + cols[:k, s - 1:]
+        yield sums
+
+
+def _side_averages(w: GridWeight, cells: np.ndarray):
+    """(avg of w, sums of cells, volume) over the side-s cubes, s = 1..N."""
+    n = w.resolution
+    for s, (mass, sums) in enumerate(zip(side_sums(w.values), side_sums(cells)), 1):
+        vol = (s / n) ** w.dim
+        yield mass / vol, sums, vol
+
+
+def ap_constant_sides(w: GridWeight, p: float) -> float:
+    """A_p gauge, the max of avg(w) * avg(sigma)^(p-1) taken side by side."""
+    sigma = w.density ** (-1.0 / (p - 1)) * w.cell_volume
+    best = 0.0
+    for avg_w, sums, vol in _side_averages(w, sigma):
+        best = max(best, float(np.max(avg_w * (sums / vol) ** (p - 1))))
+    return best
+
+
+def hruscev_constant_sides(w: GridWeight) -> float:
+    """Hruscev gauge, the max of avg(w) * exp(avg(log 1/w)) taken side by side."""
+    best = 0.0
+    for avg_w, lsum, vol in _side_averages(w, -np.log(w.density) * w.cell_volume):
+        best = max(best, float((avg_w * np.exp(lsum / vol)).max()))
+    return best
+
+
+def reverse_holder_holds_sides(w: GridWeight, eps: float, constant: float = 2.0) -> bool:
+    """Reverse-Holder test side by side, stopping at the first failing side."""
+    powers = w.density ** (1 + eps) * w.cell_volume
+    for avg_w, sums, vol in _side_averages(w, powers):
+        if np.any((sums / vol) ** (1 / (1 + eps)) > constant * avg_w):
+            return False
+    return True
+
+
+def grid_maximal_sides(e: np.ndarray, spec: MaximalSpec, weight: GridWeight | None = None
+                       ) -> np.ndarray:
+    """Grid maximal function with each side's ratios formed as the side comes,
+    -inf on cubes with no cell of positive mass; the uncentered sweep keeps
+    every side's ratios and walks them from side N down."""
+    e = np.asarray(e, dtype=bool)
+    n = e.shape[0]
+    weighted = spec.measure == "grid-weight"
+    num = np.where(e, weight.values, 0.0) if weighted else e
+    masses = list(side_sums(weight.values)) if weighted else None
+
+    def ratio(s, sums):
+        den = masses[s - 1] if weighted else float(s**e.ndim)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(den > 0, sums / den, -np.inf)
+
+    vals = np.full(e.shape, -np.inf)
+    sides = enumerate(side_sums(num), 1)
+    if spec.variant == "uncentered":
+        ups = [ratio(s, sums) for s, sums in sides]
+        vals = ups.pop()  # up(., s + 1) as the sweep enters side s
+        for s in range(n - 1, 0, -1):
+            up = ups.pop()
+            for o in itertools.product((0, 1), repeat=e.ndim):
+                child = up[tuple(slice(k, k + n - s) for k in o)]
+                np.maximum(child, vals, out=child)
+            vals = up
+    elif spec.variant == "centered":
+        for t, sums in itertools.islice(sides, 0, None, 2):
+            inner = vals[(slice(t // 2, n - t // 2),) * e.ndim]
+            np.maximum(inner, ratio(t, sums), out=inner)
+    else:
+        for s, sums in sides:
+            if s & (s - 1):
+                continue
+            m = ratio(s, sums)[(slice(None, None, s),) * e.ndim]
+            for axis in range(e.ndim):
+                m = np.repeat(m, s, axis=axis)
+            np.maximum(vals, m, out=vals)
+    vals[vals == -np.inf] = 0.0
+    return vals
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (atomic_maximal_lower_float, exact_halo_1d_sweep, grid_maximal_naive,
+                     grid_maximal_sides,
                      piecewise_mass_loop, point_eval_1d_direct)
 from tauberian_lab.errors import UnsupportedGeometry
 from tauberian_lab.geometry import Box
@@ -134,7 +135,7 @@ MASK_2D = np.unpackbits(np.frombuffer(bytes.fromhex(
     "aa0824f94943c88b41805193a080c0c2480a93648611820840800c2c2c32d0c4"),
     dtype=np.uint8)).astype(bool).reshape(16, 16)
 # sha256 of grid_maximal(...).tobytes(); the grid-weight ratios take their
-# masses from gridops.side_sums, the Lebesgue ones are ratios of exact counts
+# masses from gridops.side_table, the Lebesgue ones are ratios of exact counts
 MAXIMAL_DIGESTS = {
     (1, "uncentered", "lebesgue"): "ee52d15d063a904eb571dab27f6dedd8829923c961af6d898801b5249bf0c39e",
     (1, "uncentered", "grid-weight"): "e3d4ce9ea37974dea72c70942e9d10fb8b635d09995f54b67c432c5963ea22a6",
@@ -201,6 +202,24 @@ def test_grid_maximal_matches_naive(case):
     e, spec, w = case
     assert grid_maximal(e, spec, w) == pytest.approx(grid_maximal_naive(e, spec, w),
                                                      rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=300)
+@given(grid_cases())
+def test_grid_maximal_equals_per_side_sweep_bit_for_bit(case):
+    e, spec, w = case
+    assert grid_maximal(e, spec, w).tobytes() == grid_maximal_sides(e, spec, w).tobytes()
+
+
+@pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+def test_grid_maximal_result_holds_no_table(dim, n):
+    w = generate_weight(WeightFamilySpec("log-smooth-random", dim, n, seed=3))
+    e = np.random.default_rng(3).random((n,) * dim) < 0.4
+    for variant in VARIANTS:
+        for measure in ("lebesgue", "grid-weight"):
+            vals = grid_maximal(e, MaximalSpec(variant, measure), w)
+            assert vals.shape == e.shape and vals.flags.writeable and vals.flags.owndata
+            assert not np.shares_memory(vals, w.table.flat)
 
 
 def test_superlevel_rejects_alpha_outside_unit_interval():

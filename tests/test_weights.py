@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (doubling_exact, fsum_mass, fujii_wilson_naive,
+from oracles import (ap_constant_sides, doubling_exact, fsum_mass, fujii_wilson_naive,
+                     hruscev_constant_sides, reverse_holder_holds_sides,
                      sidelength_growth_exponent_pairs, side_sum_rel)
 from tauberian_lab.weights import (
     DEFAULT_PROFILE_T,
@@ -120,6 +121,21 @@ def test_window_sums_are_read_only():
     assert values.flags.writeable and w.cube_mass(GridCube((0, 0), 2)) == 10.0
 
 
+@pytest.mark.parametrize("values", [np.arange(1.0, 6.0), np.arange(1.0, 10.0).reshape(3, 3)])
+def test_cached_table_is_read_only(values):
+    w = GridWeight(values)
+    flat, sides = w.table
+    assert not flat.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        flat[0] = 0.0
+    for s, side in enumerate(sides, 1):
+        assert side is w.window_sums(s) and np.shares_memory(side, flat)
+        assert not side.flags.writeable
+        with pytest.raises(ValueError):
+            side.flags.writeable = True
+    assert w.table is w.table and w.cube_mass(GridCube((0,) * w.dim, 1)) == 1.0
+
+
 # -- A_p ----------------------------------------------------------------------
 
 
@@ -219,7 +235,7 @@ def test_fw_resolution_cap():
 
 
 # values computed by an earlier, independent per-cube evaluation with pruning,
-# over the cube masses of gridops.side_sums; the sweep does the same float
+# over the cube masses of the per-side kernel (now gridops.side_table); the sweep does the same float
 # operations on each candidate, so it must reproduce them to the last bit
 FW_PINNED = [
     (WeightFamilySpec("constant", 1, 64), 1.0),
@@ -257,7 +273,8 @@ def test_fw_light_cube_beside_heavy_cells():
     assert fujii_wilson(w) == 1.75
 
 
-# values computed with cube masses from gridops.side_sums; the gauges keep
+# values computed with cube masses from the per-side kernel (now
+# gridops.side_table, which adds in the same order); the gauges keep
 # their term order, so they must match to the last bit
 GAUGES_PINNED = [
     (WeightFamilySpec("power", 1, 64, a=2.0),
@@ -551,7 +568,7 @@ def zero_cell_grid(seed, n):
     return GridWeight(v)
 
 
-# Every cube mass is within d*s*u of itself (gridops.side_sums, under 1e-14
+# Every cube mass is within d*s*u of itself (gridops.side_table, under 1e-14
 # here), so a gauge read off these masses is far closer than this.
 ZERO_CELL_REL = 1e-6
 
@@ -631,6 +648,28 @@ def test_gamma_matches_pair_loop(w):
     assert sidelength_growth_exponent(w) == sidelength_growth_exponent_pairs(w)
 
 
+@st.composite
+def positive_grids(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, 24) if dim == 1 else st.integers(1, 8))
+    return GridWeight(np.reshape(draw(st.lists(POSITIVE, min_size=n**dim, max_size=n**dim)),
+                                 (n,) * dim))
+
+
+@given(positive_grids())
+def test_ap_and_hruscev_equal_per_side_loops(w):
+    for p in (1.5, 2.0, 8.0):
+        assert ap_constant(w, p) == ap_constant_sides(w, p)
+    assert hruscev_constant(w) == hruscev_constant_sides(w)
+
+
+@given(positive_grids(), st.sampled_from([0.5, 1.0, 7.0, 2.0**-5]),
+       st.sampled_from([1.0, 1.0 + 2.0**-40, 1.5, 2.0]))
+def test_reverse_holder_holds_equals_per_side_loop(w, eps, constant):
+    # constant 1 puts every single cell on the boundary, where rounding decides
+    assert reverse_holder_holds(w, eps, constant) == reverse_holder_holds_sides(w, eps, constant)
+
+
 @pytest.mark.parametrize("n", [8, 9, 12, 13, 15, 24, 37])
 def test_gamma_matches_pair_loop_on_power_weights(n):
     for dim in (1, 2) if n <= 14 else (1,):
@@ -650,7 +689,7 @@ def refine(w):
 
 
 # within a factor 16 of each other; every cube mass is exact to d*s*u relative
-# to itself (gridops.side_sums), far inside the 1e-9 of the properties below
+# to itself (gridops.side_table), far inside the 1e-9 of the properties below
 FLAT = st.floats(min_value=0.25, max_value=4.0)
 REFINE_REL = 1e-9
 
