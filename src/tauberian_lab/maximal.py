@@ -15,6 +15,23 @@ Three engines:
   candidate cubes.
 
 Superlevel sets use strict inequality throughout.
+
+Each engine's alpha-free stage is remembered on its measure object, one
+(key, value) entry in the object's __dict__ as `functools.cached_property`
+keeps its value, so an alpha ladder on one (measure, E) pair pays only for
+its thresholds:
+
+* `superlevel` keeps the last `grid_maximal` values (one read-only N^d float
+  array) on the `GridWeight`, keyed by (spec, E's shape, E's bytes).  A
+  Lebesgue call has no measure object and is not memoized.
+* `exact_halo_1d` keeps F(E) (one `IntervalSet`) on the `PiecewiseWeight1D`,
+  keyed by E.
+* `atomic_maximal_lower` without explicit candidates keeps one candidate set
+  (its boxes, atom incidence and integer masses) on the `AtomicMeasure`,
+  keyed by the tuple of E's indices.
+
+A new key replaces the entry, so each measure holds at most one.
+`grid_maximal`, `default_atomic_candidates` and `_pushed` are not memoized.
 """
 
 from __future__ import annotations
@@ -35,6 +52,18 @@ from .gridops import resolution, side_table
 from .weights import GridWeight
 
 VARIANTS = ("uncentered", "centered", "dyadic")
+_MEMO = "_maximal_memo"
+
+
+def _remembered(owner, key, compute):
+    """compute(), or what it gave owner's last call with an equal key: one
+    (key, value) entry in owner.__dict__, replaced on a miss."""
+    last = owner.__dict__.get(_MEMO)
+    if last is not None and last[0] == key:
+        return last[1]
+    value = compute()
+    owner.__dict__[_MEMO] = (key, value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -73,26 +102,43 @@ def grid_maximal(e: np.ndarray, spec: MaximalSpec = MaximalSpec(),
     and the value of cell c is up(c, 1).  That is O(2^d N^(d+1)) work, in
     place in the table.  Memory: the set's table and one of cube masses (the
     weight's, or the Lebesgue volumes), O(N^(d+1)) floats each, 64 MB at
-    1-D N=4096.
+    1-D N=4096.  The dyadic variant divides only the cubes it reads (side
+    2^k at multiples of 2^k), and the Lebesgue centered variant only the odd
+    sides, by one volume each; neither builds a table of Lebesgue volumes.
     """
     e = np.asarray(e, dtype=bool)
-    n = resolution(e)
+    n, d = resolution(e), e.ndim
     if spec.variant == "dyadic" and n & (n - 1):
         raise ValueError("dyadic variant needs a power-of-two resolution")
-    if spec.measure == "grid-weight":
+    weighted = spec.measure == "grid-weight"
+    if weighted:
         if weight is None:
             raise ValueError("grid-weight measure needs a weight")
         if weight.values.shape != e.shape:
             raise ValueError("weight grid and set grid differ in shape")
-        flat, sides = side_table(np.where(e, weight.values, 0.0))
-        den = weight.table.flat
-    else:
-        flat, sides = side_table(e)
-        den = np.repeat([float(s**e.ndim) for s in range(1, n + 1)], [a.size for a in sides])
-    np.divide(flat, den, out=flat, where=den > 0)
+    flat, sides = side_table(np.where(e, weight.values, 0.0) if weighted else e)
+    # dyadic reads log2 N sides; Lebesgue centered divides its odd sides by one
+    # volume each, with no volume table; else one call over the whole table
+    # beats one call per side
+    per_side = spec.variant == "dyadic" or (spec.variant == "centered" and not weighted)
+    if not per_side:
+        den = (weight.table.flat if weighted else
+               np.repeat([float(s**d) for s in range(1, n + 1)], [a.size for a in sides]))
+        np.divide(flat, den, out=flat, where=den > 0)
+
+    def ratios(s, step):
+        """Side s's ratios at the corners that are multiples of step."""
+        if not per_side:  # centered, step 1: divided above
+            return sides[s - 1]
+        at = (slice(None, None, step),) * d
+        cubes = sides[s - 1][at]
+        den = weight.table.sides[s - 1][at] if weighted else float(s**d)
+        np.divide(cubes, den, out=cubes, where=den > 0)
+        return cubes
+
     vals = np.zeros(e.shape)
     if spec.variant == "uncentered":
-        kids = list(itertools.product((slice(None, -1), slice(1, None)), repeat=e.ndim))
+        kids = list(itertools.product((slice(None, -1), slice(1, None)), repeat=d))
         for up, parents in zip(sides[-2::-1], sides[:0:-1]):
             for kid in kids:
                 child = up[kid]
@@ -101,21 +147,37 @@ def grid_maximal(e: np.ndarray, spec: MaximalSpec = MaximalSpec(),
     elif spec.variant == "centered":
         # odd-sided cubes centered at the cell, fully inside the domain
         for t in range(1, n + 1, 2):
-            inner = vals[(slice(t // 2, n - t // 2),) * e.ndim]
-            np.maximum(inner, sides[t - 1], out=inner)
+            inner = vals[(slice(t // 2, n - t // 2),) * d]
+            np.maximum(inner, ratios(t, 1), out=inner)
     else:  # dyadic: the side-s cubes at multiples of s tile the grid
         for s in (1 << k for k in range(n.bit_length())):
-            tiles = vals.reshape((n // s, s) * e.ndim)
-            np.maximum(tiles, sides[s - 1][(slice(None, None, s), None) * e.ndim], out=tiles)
+            tiles = vals.reshape((n // s, s) * d)
+            np.maximum(tiles, ratios(s, s)[(slice(None), None) * d], out=tiles)
     return vals
 
 
 def superlevel(e: np.ndarray, alpha: float, spec: MaximalSpec = MaximalSpec(),
                weight: GridWeight | None = None) -> np.ndarray:
-    """Cells where the maximal function strictly exceeds alpha."""
+    """Cells where the maximal function strictly exceeds alpha, a fresh array.
+
+    With a weight, the `grid_maximal` values are remembered on it, read-only,
+    keyed by (spec, E's shape, E's bytes), so an alpha ladder on one set
+    computes them once; an in-place change to E is a new key.  The memo is
+    one N^d float array per weight.  A Lebesgue call (no weight) is not
+    memoized.
+    """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    return grid_maximal(e, spec, weight) > alpha
+    e = np.asarray(e, dtype=bool)
+    if weight is None:
+        return grid_maximal(e, spec) > alpha
+
+    def values():
+        vals = grid_maximal(e, spec, weight)
+        vals.flags.writeable = False
+        return vals
+
+    return _remembered(weight, (spec, e.shape, e.tobytes()), values) > alpha
 
 
 def set_mass(e: np.ndarray, weight: GridWeight | None = None) -> float:
@@ -300,7 +362,9 @@ def exact_halo_1d(e: IntervalSet, alpha, weight: PiecewiseWeight1D | None = None
     With a weight this is F^-1 of the Lebesgue halo of F(E), clipped to
     [0, w(domain)]: F carries intervals and w onto intervals and length, and
     clipping only raises an interval's E-fraction.  Every halo component
-    meets F(E), so no clipped piece is degenerate.
+    meets F(E), so no clipped piece is degenerate.  F(E) is remembered on the
+    weight, keyed by E (one `IntervalSet` per weight), so an alpha ladder on
+    one set pushes it once and pays for the Phi pass and the quantiles only.
     """
     alpha = _to_rat(alpha)
     if not 0 < alpha < 1:
@@ -310,8 +374,9 @@ def exact_halo_1d(e: IntervalSet, alpha, weight: PiecewiseWeight1D | None = None
     if weight is None:
         return _halo(e, alpha)
     top = weight._cumulative[-1]
+    pushed = _remembered(weight, e, lambda: _pushed(e, weight))
     return IntervalSet((weight.quantile(max(a, 0)), weight.quantile(min(b, top)))
-                       for a, b in _halo(_pushed(e, weight), alpha).intervals)
+                       for a, b in _halo(pushed, alpha).intervals)
 
 
 def _halo(e: IntervalSet, alpha: Fraction) -> IntervalSet:
@@ -365,6 +430,8 @@ class AtomicMeasure:
             if m <= 0:
                 raise ValueError("atom masses must be positive")
             norm.append((pt, m))
+        if not norm:
+            raise ValueError("need at least one atom")
         pts = [pt for pt, _ in norm]
         if len(set(pts)) != len(pts):
             raise ValueError("atom points must be distinct")
@@ -391,9 +458,15 @@ def _linf(p, q) -> Fraction:
     return max(abs(a - b) for a, b in zip(p, q))
 
 
+def _check_atom_indices(mu: AtomicMeasure, e_indices: Sequence[int]) -> None:
+    if any(not 0 <= i < len(mu.atoms) for i in e_indices):
+        raise ValueError("atom index out of range")
+
+
 def default_atomic_candidates(mu: AtomicMeasure, e_indices: Sequence[int]) -> list[Box]:
     """Minimal bounding cubes of (E-atom, atom) pairs at all corner placements,
     plus a tiny cube around each E-atom."""
+    _check_atom_indices(mu, e_indices)
     pts = [pt for pt, _ in mu.atoms]
     eset = set(e_indices)
     out: list[Box] = []
@@ -417,6 +490,25 @@ def default_atomic_candidates(mu: AtomicMeasure, e_indices: Sequence[int]) -> li
     return out
 
 
+def _atomic_stage(mu: AtomicMeasure, e_indices: list[int], boxes: tuple[Box, ...]):
+    """The alpha-free part of `atomic_maximal_lower` for one candidate set:
+    (boxes, inside[candidate, atom], atom masses times scale, scale, and each
+    candidate's mass and E-mass times scale), its arrays read-only."""
+    if any(box.dim != mu.dim for box in boxes):
+        raise UnsupportedGeometry("candidate box dimension mismatch")
+    _, lo, hi = _int_corners([(b.lo, b.hi) for b in boxes] + [(pt, pt) for pt, _ in mu.atoms])
+    pts = lo[len(boxes):]
+    inside = ((lo[:len(boxes), None] <= pts) & (pts <= hi[:len(boxes), None])).all(axis=2)
+    scale = math.lcm(*(m.denominator for _, m in mu.atoms))
+    masses = np.array([m.numerator * (scale // m.denominator) for _, m in mu.atoms], dtype=object)
+    in_e = np.zeros(len(masses), dtype=bool)
+    in_e[e_indices] = True
+    mass, mass_e = inside @ masses, inside @ np.where(in_e, masses, 0)
+    for a in (inside, masses, mass, mass_e):
+        a.flags.writeable = False
+    return boxes, inside, masses, scale, mass, mass_e
+
+
 def atomic_maximal_lower(mu: AtomicMeasure, e_indices: Sequence[int], alpha,
                          candidate_boxes: Sequence[Box] | None = None
                          ) -> AtomicHaloBound:
@@ -430,6 +522,11 @@ def atomic_maximal_lower(mu: AtomicMeasure, e_indices: Sequence[int], alpha,
     masses onto integers over their lcm, so membership is one comparison of
     Python ints per candidate, atom and axis, and for alpha = p/q a candidate
     is certified iff q * (its E-mass) > p * (its mass), an exact test.
+
+    With candidate_boxes None, the default candidates, their membership
+    matrix and their masses are remembered on mu, keyed by tuple(e_indices)
+    (one candidate set per measure), so an alpha ladder on one E builds them
+    once.  Explicit candidate_boxes neither read nor replace that entry.
     """
     alpha = _to_rat(alpha)
     if not 0 < alpha < 1:
@@ -437,21 +534,13 @@ def atomic_maximal_lower(mu: AtomicMeasure, e_indices: Sequence[int], alpha,
     e_indices = list(e_indices)
     if not e_indices:
         raise ValueError("E must contain at least one atom")
-    if any(not 0 <= i < len(mu.atoms) for i in e_indices):
-        raise ValueError("atom index out of range")
+    _check_atom_indices(mu, e_indices)
     if candidate_boxes is None:
-        candidate_boxes = default_atomic_candidates(mu, e_indices)
-    boxes = list(candidate_boxes)
-    if any(box.dim != mu.dim for box in boxes):
-        raise UnsupportedGeometry("candidate box dimension mismatch")
-    _, lo, hi = _int_corners([(b.lo, b.hi) for b in boxes] + [(pt, pt) for pt, _ in mu.atoms])
-    pts = lo[len(boxes):]
-    inside = ((lo[:len(boxes), None] <= pts) & (pts <= hi[:len(boxes), None])).all(axis=2)
-    scale = math.lcm(*(m.denominator for _, m in mu.atoms))
-    masses = np.array([m.numerator * (scale // m.denominator) for _, m in mu.atoms], dtype=object)
-    in_e = np.zeros(len(masses), dtype=bool)
-    in_e[e_indices] = True
-    mass, mass_e = inside @ masses, inside @ np.where(in_e, masses, 0)
+        stage = _remembered(mu, tuple(e_indices), lambda: _atomic_stage(
+            mu, e_indices, tuple(default_atomic_candidates(mu, e_indices))))
+    else:
+        stage = _atomic_stage(mu, e_indices, tuple(candidate_boxes))
+    boxes, inside, masses, scale, mass, mass_e = stage
     certified = mass_e * alpha.denominator > alpha.numerator * mass
     covered = inside[certified].any(axis=0)
     witnesses = tuple((boxes[c], Fraction(mass_e[c], mass[c])) for c in np.flatnonzero(certified))

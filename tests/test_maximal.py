@@ -632,3 +632,176 @@ def atomic_cases(draw):
 @given(atomic_cases())
 def test_atomic_matches_float_prefilter(case):
     assert atomic_maximal_lower(*case) == atomic_maximal_lower_float(*case)
+
+
+def test_atom_indices_out_of_range_raise_one_error():
+    mu = AtomicMeasure([((F(0),), F(1)), ((F(1),), F(2))])
+    for bad in ([-1], [2], [0, 5]):
+        with pytest.raises(ValueError, match="atom index out of range"):
+            default_atomic_candidates(mu, bad)
+        with pytest.raises(ValueError, match="atom index out of range"):
+            atomic_maximal_lower(mu, bad, F(1, 2))
+
+
+def test_atomic_measure_rejects_empty_list():
+    with pytest.raises(ValueError, match="at least one atom"):
+        AtomicMeasure([])
+
+
+# -- remembered alpha-free stages ---------------------------------------------
+# Each engine keeps its last alpha-free stage on the measure object; these
+# tests see that entry only as the one attribute the calls add.
+
+LADDER = st.lists(st.fractions(min_value=F(1, 64), max_value=F(63, 64), max_denominator=64),
+                  min_size=1, max_size=6)
+
+
+def memo_entries(obj, before):
+    return [v for k, v in vars(obj).items() if k not in before]
+
+
+def fresh_grid_weight(w):
+    return GridWeight(w.values.copy())
+
+
+def fresh_piecewise(w):
+    return PiecewiseWeight1D(w.breakpoints, w.densities)
+
+
+@given(grid_cases(), LADDER)
+def test_superlevel_ladder_equals_fresh_weights(case, alphas):
+    e, spec, w = case
+    for alpha in alphas:
+        got = superlevel(e, float(alpha), spec, w)
+        assert np.array_equal(got, superlevel(e, float(alpha), spec, fresh_grid_weight(w)))
+
+
+@given(grid_cases(), LADDER)
+def test_superlevel_interleaved_sets_and_specs(case, alphas):
+    e, spec, w = case
+    other = MaximalSpec(spec.variant, "lebesgue" if spec.measure == "grid-weight"
+                        else "grid-weight")
+    calls = [(e, spec), (e, other), (~e, other), (~e, spec)]
+    for alpha in alphas:
+        for s, sp in calls:
+            expect = grid_maximal(s, sp, fresh_grid_weight(w)) > float(alpha)
+            assert np.array_equal(superlevel(s, float(alpha), sp, w), expect)
+
+
+@given(grid_cases(), st.data())
+def test_superlevel_follows_a_mask_changed_in_place(case, data):
+    e, spec, w = case
+    e = e.copy()
+    for _ in range(3):
+        cell = tuple(data.draw(st.integers(0, n - 1)) for n in e.shape)
+        superlevel(e, 0.5, spec, w)
+        e[cell] = not e[cell]
+        expect = grid_maximal(e, spec, fresh_grid_weight(w)) > 0.5
+        assert np.array_equal(superlevel(e, 0.5, spec, w), expect)
+
+
+def test_superlevel_tells_equal_bytes_of_other_shape_apart():
+    w = GridWeight(np.ones(4))
+    e = np.array([True, False, False, False])
+    lebesgue = MaximalSpec()
+    assert superlevel(e, 0.3, lebesgue, w).shape == (4,)
+    assert np.array_equal(superlevel(e.reshape(2, 2), 0.3, lebesgue, w),
+                          superlevel(e.reshape(2, 2), 0.3))
+
+
+def test_superlevel_returns_fresh_arrays_and_keeps_one_read_only_entry():
+    w = generate_weight(WeightFamilySpec("log-smooth-random", 1, 32, seed=4))
+    w.table
+    before = set(vars(w))
+    spec = MaximalSpec("uncentered", "grid-weight")
+    e = np.random.default_rng(4).random(32) < 0.3
+    first = superlevel(e, 0.5, spec, w)
+    again = superlevel(e, 0.5, spec, w)
+    assert first.flags.writeable and first.flags.owndata
+    assert not np.shares_memory(first, again)
+    first[:] = ~first
+    assert np.array_equal(superlevel(e, 0.5, spec, w), again)
+    for k in range(1, 6):
+        superlevel(np.roll(e, k), 1 - 2.0**-k, MaximalSpec(VARIANTS[k % 3], "grid-weight"), w)
+        (entry,) = memo_entries(w, before)
+        assert not entry[1].flags.writeable
+
+
+def test_lebesgue_superlevel_keeps_nothing():
+    w = generate_weight(WeightFamilySpec("constant", 1, 8))
+    e = single_cell(8, 3)
+    before = set(vars(w))
+    superlevel(e, 0.5)
+    grid_maximal(e, MaximalSpec("uncentered", "grid-weight"), w)
+    assert memo_entries(w, before | {"table"}) == []
+
+
+@given(wide_halo_cases(), piecewise_weights(), LADDER)
+def test_halo_ladder_equals_fresh_weights(case, w, alphas):
+    e = case[0]
+    for alpha in alphas:
+        assert exact_halo_1d(e, alpha, w) == exact_halo_1d(e, alpha, fresh_piecewise(w))
+
+
+@given(wide_halo_cases(), wide_halo_cases(), piecewise_weights(), LADDER)
+def test_halo_interleaved_sets(case1, case2, w, alphas):
+    sets = [case1[0], case2[0]]
+    for alpha in alphas:
+        for e in sets:
+            assert exact_halo_1d(e, alpha, w) == exact_halo_1d(e, alpha, fresh_piecewise(w))
+
+
+def test_halo_keeps_one_entry():
+    w = fresh_piecewise(ANCHOR_WEIGHTS[2])
+    w.quantile(0)
+    before = set(vars(w))
+    for k in range(1, 6):
+        e = IntervalSet([(F(k, 10), F(k + 1, 10))])
+        for alpha in (F(1, 2), F(3, 4)):
+            exact_halo_1d(e, alpha, w)
+        (entry,) = memo_entries(w, before)
+        assert entry[0] == e
+
+
+@settings(max_examples=200)
+@given(atomic_cases(), LADDER)
+def test_atomic_ladder_equals_fresh_measures(case, alphas):
+    mu, e_idx, _, candidates = case
+    for alpha in alphas:
+        got = atomic_maximal_lower(mu, e_idx, alpha, candidates)
+        assert got == atomic_maximal_lower(AtomicMeasure(mu.atoms), e_idx, alpha, candidates)
+
+
+@given(atomic_cases(), LADDER)
+def test_atomic_interleaved_sets(case, alphas):
+    mu, e_idx, _, _ = case
+    sets = [e_idx, list(range(len(mu.atoms)))[::-1], e_idx[:1]]
+    for alpha in alphas:
+        for idx in sets:
+            assert (atomic_maximal_lower(mu, idx, alpha)
+                    == atomic_maximal_lower(AtomicMeasure(mu.atoms), idx, alpha))
+
+
+def test_atomic_follows_an_index_list_changed_in_place():
+    mu = harmonic_measure(8)
+    idx = [0]
+    atomic_maximal_lower(mu, idx, F(3, 4))
+    idx.append(3)
+    assert atomic_maximal_lower(mu, idx, F(3, 4)) == atomic_maximal_lower(
+        harmonic_measure(8), [0, 3], F(3, 4))
+
+
+def test_atomic_explicit_candidates_leave_the_entry_alone():
+    mu = harmonic_measure(8)
+    before = set(vars(mu))
+    explicit = [Box((F(0), F(0)), F(1, 2)), Box((F(1, 2), F(1, 2)), F(1))]
+    atomic_maximal_lower(mu, [0], F(1, 2), explicit)
+    assert memo_entries(mu, before) == []
+    atomic_maximal_lower(mu, [0], F(1, 2))
+    (entry,) = memo_entries(mu, before)
+    for k in range(1, 4):
+        atomic_maximal_lower(mu, [k], F(1, 2), explicit)
+        assert memo_entries(mu, before)[0] is entry
+    for k in range(1, 4):
+        atomic_maximal_lower(mu, [0, k], F(1, 2))
+        assert len(memo_entries(mu, before)) == 1

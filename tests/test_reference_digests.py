@@ -1,6 +1,8 @@
 """Every benchmark job at seed 0 reproduces the output digest checked in
 under perfbench/reference/, so a change of results shows up in the test
-suite and not only in a benchmark run.  The benchmark files are only read."""
+suite and not only in a benchmark run.  Each job list runs twice: the first
+pass builds every measure's remembered maximal stage, the second reads it, as
+the benchmark's later passes do.  The benchmark files are only read."""
 
 import json
 import sys
@@ -19,4 +21,5 @@ def test_seed0_digests_match_reference(name):
     reference = json.loads((PERFBENCH / "reference" / f"{name}.json").read_text())
     assert reference["seed"] == 0
     jobs = workloads.WORKLOADS[name].jobs(0)
-    assert {job.name: workloads.digest(job.run()) for job in jobs} == reference["jobs"]
+    for _ in range(2):
+        assert {job.name: workloads.digest(job.run()) for job in jobs} == reference["jobs"]
