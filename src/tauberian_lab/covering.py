@@ -27,7 +27,6 @@ from .geometry import (
     _family,
     _meets,
     _to_rat,
-    is_satellite,
 )
 from .weights import GridCube, GridWeight
 
@@ -156,24 +155,40 @@ def _cube_slices(q: GridCube):
     return tuple(slice(c, c + q.side) for c in q.corner)
 
 
+def _grid_slices(f: BoxFamily, n: int) -> list[tuple[slice, ...]]:
+    """Every box's cells on the n-cell grid, L*n/D to H*n/D for the family's corners
+    L, H at scale D; raises box_to_grid_cube's error for the first box it rejects."""
+    scale, lo, hi = f._ints
+    lo, hi = lo * n, hi * n
+    a, b = lo // scale, hi // scale
+    bad = np.array([(lo % scale != 0).any(axis=1), ((hi - lo) % scale != 0).any(axis=1),
+                    ((a < 0) | (b > n)).any(axis=1)])
+    if bad.any():
+        first = bad[:, bad.any(axis=0).argmax()]  # the checks of the first rejected box
+        raise UnsupportedGeometry(("box corner is not grid-aligned",
+                                   "box side is not a whole number of cells",
+                                   "box escapes the grid domain")[first.argmax()])
+    return [tuple(map(slice, *c)) for c in zip(a.tolist(), b.tolist())]
+
+
 def cf_select_weighted(f: BoxFamily, w: GridWeight, xi) -> SelectionResult:
     """Weighted variant: keep a cube iff the already-covered part carries at
     most a (1-xi) fraction of its w-mass.  Decided on float sums, so within
-    rounding it can disagree with the exact contract; float equality is flagged."""
+    rounding it can disagree with the exact contract; float equality is flagged.
+    The cubes' cells are read off the family's integer corners (_grid_slices)."""
     xi = _to_rat(xi)
     if not 0 < xi < 1:
         raise ValueError("xi must lie in (0, 1)")
     _require_decreasing(f)
-    boxes = list(f)
-    cubes = [box_to_grid_cube(b, w.resolution) for b in boxes]
+    if f and f.dim != w.dim:
+        raise ValueError("dimension mismatch")
     covered = np.zeros(w.values.shape, dtype=bool)
     xif = float(xi)
     selected: list[int] = []
     certs: dict[int, dict] = {}
     incs: dict[int, float] = {}
     equality: list[int] = []
-    for i, q in enumerate(cubes):
-        sl = _cube_slices(q)
+    for i, sl in enumerate(_grid_slices(f, w.resolution)):
         vals = w.values[sl]
         mask = covered[sl]
         mass_q = float(vals.sum())
@@ -191,7 +206,7 @@ def cf_select_weighted(f: BoxFamily, w: GridWeight, xi) -> SelectionResult:
                 "fraction": overlap / mass_q if mass_q else float("inf"),
             }
     return SelectionResult(
-        "cf-weighted", f, tuple(range(len(boxes))), tuple(selected), certs,
+        "cf-weighted", f, tuple(range(len(f))), tuple(selected), certs,
         {"xi": xi}, incs, tuple(equality))
 
 
@@ -206,19 +221,21 @@ def satellite_decompose(f: BoxFamily | Sequence[Box]) -> dict[int, list[int]]:
     several groups; each group is a satellite configuration."""
     fam = _family(f)
     vols, meets = _volumes_and_meets(fam)
+    _, lo, hi = fam._ints
     res = vitali_select(fam)
     groups: dict[int, list[int]] = {c: [c] for c in res.selected_indices}
     for i in range(len(fam)):
         for c in res.selected_indices:
             if c != i and vols[i] <= vols[c] and meets[i][c]:
                 groups[c].append(i)
-    assigned = set()
-    for c, members in groups.items():
-        assigned.update(members)
-        group = BoxFamily([fam[c]] + [fam[i] for i in members if i != c])
-        if not is_satellite(group, 0):
-            raise InvariantViolation("group is not a satellite configuration")
-    if assigned != set(range(len(fam))):
+    # every member of every group meets its centre, is no larger and lies in 3 * centre
+    pairs = np.array([(c, i) for c, members in groups.items() for i in members],
+                     dtype=int).reshape(-1, 2)
+    (cl, ch), (bl, bh) = ((lo[idx], hi[idx]) for idx in pairs.T)
+    if not ((bl <= ch) & (cl <= bh) & (bh - bl <= ch - cl)
+            & (bl >= 2 * cl - ch) & (bh <= 2 * ch - cl)).all():
+        raise InvariantViolation("group is not a satellite configuration")
+    if set(pairs[:, 1].tolist()) != set(range(len(fam))):
         raise InvariantViolation("satellite groups lost a box")
     return groups
 
@@ -319,8 +336,7 @@ def verify_selection_contract(result: SelectionResult,
             chosen, k = list(result.selected_indices), len(boxes)
             grid = _dilated_grid(scale, np.concatenate([lo, lo[chosen]]),
                                  np.concatenate([hi, hi[chosen]]), Fraction(3), k)
-            defect = grid.measure(grid.cover(range(k)) & ~grid.cover(
-                range(k + len(chosen), len(grid.slices))))
+            defect = grid.measure(grid.cover(range(k)) & ~grid.cover(range(k, len(grid.slices))))
             _clause(report, "triple-dilate-cover", defect == 0, defect)
     elif result.kind in ("cf-lebesgue", "cf-weighted"):
         lebesgue = result.kind == "cf-lebesgue"
@@ -331,6 +347,8 @@ def verify_selection_contract(result: SelectionResult,
             slices, unit = grid.slices, grid.scale ** grid.dim
         elif w is None:
             raise ValueError("weighted contract verification needs the weight")
+        elif boxes and boxes[0].dim != w.dim:
+            raise ValueError("dimension mismatch")
         else:
             slices = [_cube_slices(box_to_grid_cube(q, w.resolution)) for q in boxes]
             # the float masses exactly: int numerators over one power of two
@@ -399,7 +417,10 @@ def minimal_cover_dilation(f: BoxFamily | Sequence[Box], selected: Sequence[Box]
     """Smallest candidate factor t with union(f) inside union(t * selected).
 
     Factors default to the ladder k/8 for k = 8..40; raises if none covers.
-    The dilates are concentric, so coverage is monotone in t: candidates are bisected.
+    The dilates are concentric, so coverage is monotone in t: candidates are bisected,
+    first on whether the dilates reach every corner of every box (corners lie in
+    union(f), and a corner missed at t is missed below t), then by the grid test
+    from the first candidate that reaches them all.
     """
     fam, sel = _family(f), _family(selected)
     if not fam:
@@ -415,13 +436,24 @@ def minimal_cover_dilation(f: BoxFamily | Sequence[Box], selected: Sequence[Box]
     scale = math.lcm(fam._ints[0], sel._ints[0])
     lo, hi = (np.concatenate([c[s].reshape(-1, fam.dim) * (scale // c[0])
                               for c in (fam._ints, sel._ints)]) for s in (1, 2))
-    k, n = len(fam), len(fam) + len(sel)
+    k = len(fam)
+    # corner x lies in the t-dilate of selected box j iff q |2x - L_j - H_j|_inf <= p (H_j - L_j)
+    bits = np.indices((2,) * fam.dim).reshape(fam.dim, -1).T.astype(bool)
+    corners = np.where(bits, hi[:k, None], lo[:k, None]).reshape(-1, fam.dim)
+    gaps = abs(2 * corners[:, None] - (lo + hi)[None, k:]).max(axis=-1)
+    sides = (hi - lo)[k:, 0]
+
+    def reaches_corners(t) -> bool:
+        t = _to_rat(t)
+        return bool((t.denominator * gaps <= t.numerator * sides).any(axis=1).all())
 
     def covers(t) -> bool:
         grid = _dilated_grid(scale, lo, hi, _to_rat(t), k)
-        return not (grid.cover(range(k)) & ~grid.cover(range(n, len(grid.slices)))).any()
+        return not (grid.cover(range(k)) & ~grid.cover(range(k, len(grid.slices)))).any()
 
-    i = bisect_left(ts, True, key=covers)
+    i = bisect_left(ts, True, key=reaches_corners)
+    if i < len(ts) and not covers(ts[i]):
+        i = bisect_left(ts, True, lo=i + 1, key=covers)
     if i == len(ts):
         raise ValueError("no candidate dilation factor covers the family")
     return ts[i]

@@ -23,7 +23,7 @@ import numpy as np
 from tauberian_lab.covering import SelectionResult
 from tauberian_lab.errors import InvariantViolation, UnsupportedGeometry
 from tauberian_lab.geometry import (_BLOCK_CELLS, Box, BoxFamily, IdentityCheck, _Grid,
-                                    _int_corners, _to_rat, _volume, dilate, is_satellite)
+                                    _int_corners, _to_rat, _volume, dilate)
 from tauberian_lab.geometry import _cells as _grid_cells
 from tauberian_lab.maximal import (AtomicHaloBound, AtomicMeasure, IntervalSet, MaximalSpec,
                                    PiecewiseWeight1D, default_atomic_candidates)
@@ -690,6 +690,24 @@ def pairwise_vitali_select(f) -> SelectionResult:
         else:
             certs[i] = {"rule": "intersects-selected", "selected_index": hit}
     return SelectionResult("vitali", fam, tuple(order), tuple(selected), certs)
+
+
+def is_satellite(f, center_index: int = 0) -> bool:
+    """True iff every box meets the center box and is no larger than it."""
+    boxes = list(f)
+    if not 0 <= center_index < len(boxes):
+        raise ValueError("center index out of range")
+    center = boxes[center_index]
+    for i, b in enumerate(boxes):
+        if i == center_index:
+            continue
+        if b.side > center.side or not b.intersects(center):
+            return False
+    big = dilate(center, 3)
+    # geometric consequence of the definition, kept as a hard invariant
+    if not all(big.contains_box(b) for b in boxes):
+        raise InvariantViolation("satellite union escapes 3*center")
+    return True
 
 
 def pairwise_satellite_decompose(f) -> dict[int, list[int]]:

@@ -5,6 +5,7 @@ the satellite grouping against their pairwise `Box.intersects` loops (all in
 benchmark's tracer wraps."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -43,8 +44,8 @@ DENOMS = st.sampled_from([1, 2, 4, 8, 3, 5, 7])
 
 
 @st.composite
-def box_lists(draw, max_boxes=8):
-    dim = draw(st.integers(1, 3))
+def box_lists(draw, max_boxes=8, dim=None):
+    dim = dim or draw(st.integers(1, 3))
     boxes = []
     for _ in range(draw(st.integers(1, max_boxes))):
         den = draw(DENOMS)
@@ -69,9 +70,9 @@ def crowded_families(draw):
 
 
 @st.composite
-def lattice_box_lists(draw, max_boxes=8):
+def lattice_box_lists(draw, max_boxes=8, dim=None):
     """Boxes with integer corners in [0, 6]: faces and corners often touch."""
-    dim = draw(st.integers(1, 3))
+    dim = dim or draw(st.integers(1, 3))
     boxes = []
     for _ in range(draw(st.integers(1, max_boxes))):
         side = draw(st.integers(1, 3))
@@ -136,11 +137,26 @@ def test_cf_lebesgue_matches_fragment_engine(boxes, delta):
     assert cf_select_lebesgue(fam, delta) == frag_cf_select_lebesgue(fam, delta)
 
 
-@settings(max_examples=150)
-@given(box_lists(), st.lists(st.integers(1, 40), min_size=1, max_size=12, unique=True),
-       st.integers(1, 4))
-def test_cover_dilation_bisection_matches_linear_scan(boxes, nums, den):
-    selected = list(vitali_select(boxes).selected)[:max(1, len(boxes) // 2)]
+@settings(max_examples=300)
+@given(st.one_of(box_lists(), lattice_box_lists()), st.data(),
+       st.lists(st.integers(1, 40), min_size=1, max_size=12, unique=True), st.integers(1, 8))
+def test_cover_dilation_bisection_matches_linear_scan(boxes, data, nums, den):
+    # the selection: a Vitali prefix, any subset of the family plus boxes from
+    # outside it, or small boxes centred on the corners of a subset, which
+    # reach every corner long before they cover the family; lattice families
+    # put corners on the dilates' faces, and candidates go below 1
+    how = data.draw(st.sampled_from(["vitali", "subset", "corners"]))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(boxes), max_size=len(boxes)))
+    chosen = [b for b, k in zip(boxes, keep) if k]
+    if how == "vitali":
+        selected = list(vitali_select(boxes).selected)[:max(1, len(boxes) // 2)]
+    elif how == "subset":
+        dim = boxes[0].dim
+        selected = chosen + data.draw(st.one_of(box_lists(3, dim), lattice_box_lists(3, dim),
+                                                st.just([])))
+    else:
+        m = data.draw(st.integers(2, 4))
+        selected = [Box(c, b.side / m) for b in chosen for c in product(*zip(b.lo, b.hi))]
     candidates = [F(n, den) for n in nums]
     try:
         expected = frag_minimal_cover_dilation(boxes, selected, candidates)

@@ -1,8 +1,11 @@
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tauberian_lab import covering
 from tauberian_lab.covering import (
@@ -238,6 +241,69 @@ def test_cf_weighted_rejects_non_grid_boxes():
         cf_select_weighted(fam, w, F(1, 2))
 
 
+def test_cf_weighted_result_is_pinned():
+    # the float sums and their order decide the selection: exact floats
+    w = generate_weight(WeightFamilySpec("power", 2, 16, a=1.0))
+    fam = random_grid_cube_family(rng_for(41, "covering/cfw-pin"), 16, 2, 10)
+    res = cf_select_weighted(fam, w, F(3, 4))
+    assert res.selected_indices == (0, 2, 3, 4, 5, 7)
+    assert res.equality_acceptances == ()
+    assert res.increments == {
+        0: 0.06118805226550965, 2: 0.02378424876230262, 3: 0.014768110548520766,
+        4: 0.0022381457221344906, 5: 0.012853963628161191, 7: 0.003970570304514305}
+    assert res.certificates == {
+        1: {"rule": "weighted-overlap", "overlap_mass": 0.007642797150442412,
+            "fraction": 0.30100224078895554},
+        6: {"rule": "weighted-overlap", "overlap_mass": 0.002612418769413171, "fraction": 1.0},
+        8: {"rule": "weighted-overlap", "overlap_mass": 0.0020787825153718753, "fraction": 1.0},
+        9: {"rule": "weighted-overlap", "overlap_mass": 0.0024717354408345443, "fraction": 1.0}}
+
+
+@st.composite
+def grid_cube_families(draw):
+    """(n, boxes): mostly cubes of the n-cell grid over [0, 1)^d; the rest have
+    whole cells that may stick out of it, or corners and sides in thirds of a cell."""
+    n, dim = draw(st.sampled_from([4, 8, 16])), draw(st.integers(1, 2))
+    boxes = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["inside", "inside", "inside", "any", "thirds"]))
+        k = 3 if kind == "thirds" else 1
+        side = draw(st.integers(1, k * n))
+        lo = [draw(st.integers(0, n - side) if kind == "inside" else st.integers(-side, k * n))
+              for _ in range(dim)]
+        boxes.append(Box(tuple(F(2 * c + side, 2 * k * n) for c in lo), F(side, k * n)))
+    return n, sorted_decreasing(boxes)
+
+
+@settings(max_examples=300)
+@given(grid_cube_families())
+def test_weighted_slices_match_box_to_grid_cube(n_fam):
+    n, fam = n_fam
+    w = GridWeight(np.ones((n,) * fam.dim))
+    try:
+        expected = [covering._cube_slices(box_to_grid_cube(b, n)) for b in fam]
+    except UnsupportedGeometry as err:
+        for call in (lambda: covering._grid_slices(fam, n),
+                     lambda: cf_select_weighted(fam, w, F(1, 2))):
+            with pytest.raises(UnsupportedGeometry, match=f"^{re.escape(str(err))}$"):
+                call()
+    else:
+        assert covering._grid_slices(fam, n) == expected
+
+
+@pytest.mark.parametrize("family_dim, weight_dim", [(1, 2), (2, 1)])
+def test_cf_weighted_rejects_a_weight_of_another_dimension(family_dim, weight_dim):
+    # unchecked, a 1-D family on a 2-D weight sums whole rows, and 2-D on 1-D fails to index
+    fam = sorted_decreasing([Box((F(1, 8),) * family_dim, F(1, 4))])
+    w = GridWeight(np.ones((8,) * weight_dim))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        cf_select_weighted(fam, w, F(1, 2))
+    res = cf_select_weighted(fam, GridWeight(np.ones((8,) * family_dim)), F(1, 2))
+    assert res.increments == {0: 2.0 ** family_dim}
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        verify_selection_contract(res, w)
+
+
 def test_grid_cube_box_roundtrip():
     q = GridCube((3, 5), 2)
     b = grid_cube_to_box(q, 8)
@@ -283,9 +349,17 @@ def test_satellite_union_preserved_random():
 
 
 def test_satellite_group_invariant_raises(monkeypatch):
-    monkeypatch.setattr(covering, "is_satellite", lambda fam, center_index=0: False)
+    # groups are formed from the same integer corners the check reads, so only
+    # a false "every pair meets" can put a disjoint box in a group
+    real = covering._volumes_and_meets
+
+    def all_meet(fam):
+        vols, meets = real(fam)
+        return vols, [[True] * len(row) for row in meets]
+
+    monkeypatch.setattr(covering, "_volumes_and_meets", all_meet)
     with pytest.raises(InvariantViolation, match="satellite configuration"):
-        satellite_decompose(BoxFamily([interval(0, 4), interval(3, 5)]))
+        satellite_decompose(BoxFamily([interval(0, 4), interval(5, 6)]))
 
 
 # -- overlap-2 ---------------------------------------------------------------------

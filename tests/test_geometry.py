@@ -3,8 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from oracles import frag_enlargement_excess, frag_identity_defect
-from tauberian_lab import geometry
+import oracles
+from oracles import frag_enlargement_excess, frag_identity_defect, is_satellite
 from tauberian_lab.errors import InvariantViolation, OrderingViolation
 from tauberian_lab.geometry import (
     Box,
@@ -14,7 +14,6 @@ from tauberian_lab.geometry import (
     dilate,
     enlargement_excess,
     increments,
-    is_satellite,
     sorted_decreasing,
     union_measure,
 )
@@ -289,7 +288,7 @@ def test_satellite_larger_companion_is_false():
 
 def test_satellite_triple_dilate_invariant_raises(monkeypatch):
     # with the dilation made the identity, a companion sticks out of "3*center"
-    monkeypatch.setattr(geometry, "dilate", lambda box, factor: box)
+    monkeypatch.setattr(oracles, "dilate", lambda box, factor: box)
     with pytest.raises(InvariantViolation, match="escapes"):
         is_satellite([interval(0, 4), interval(3, 5)], 0)
 
