@@ -1,16 +1,18 @@
 """Greedy cube-selection procedures with verifiable certificates.
 
 Each selector returns a SelectionResult that records, for every rejected
-box, the rule that rejected it.  verify_selection_contract replays the run
-and re-checks every clause in exact integers on a cell grid, the family's
-(with triple dilates for Vitali) or the weight's, whose float masses it
-reads exactly; it shares only grid construction with the selectors.
+box, the rule that rejected it.  Both Cordoba-Fefferman selectors run one
+integer greedy on the int cell volumes of the family's grid or on the
+weight's exact masses (`GridWeight.exact`).  verify_selection_contract
+replays the run and re-checks every clause in exact integers on a cell grid,
+the family's (with triple dilates for Vitali) or the weight's; it reads the
+selectors' cell tables but slices and sums each box on its own.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -82,13 +84,45 @@ def vitali_select(f: BoxFamily | Sequence[Box]) -> SelectionResult:
 
 
 # ---------------------------------------------------------------------------
-# Cordoba-Fefferman, Lebesgue overlap
+# Cordoba-Fefferman: one integer greedy for both measures
 # ---------------------------------------------------------------------------
 
 
 def _require_decreasing(f: BoxFamily) -> None:
     if f.ordering_tag != ORDER_DECREASING:
         raise OrderingViolation("selection requires a decreasing-sidelength family")
+
+
+# kind: (its level's name, rejection rule, overlap key, the value of an exact ratio)
+_CF_KINDS = {
+    "cf-lebesgue": ("delta", "overlap-fraction", "overlap", Fraction),
+    "cf-weighted": ("xi", "weighted-overlap", "overlap_mass", operator.truediv),
+}
+
+
+def _cf_select(kind: str, f: BoxFamily, level: Fraction, cells: np.ndarray, unit: int,
+               slices: Sequence[tuple[slice, ...]], vols: Sequence[int]) -> SelectionResult:
+    """Keep box i iff the int cells[slices[i]] already covered sum to at most
+    (1 - level) of its mass vols[i]; unit is the cells' scale."""
+    name, rule, key, value = _CF_KINDS[kind]
+    p, q = level.numerator, level.denominator
+    covered = np.zeros(cells.shape, dtype=bool)
+    selected: list[int] = []
+    certs: dict[int, dict] = {}
+    incs: dict[int, Fraction | float] = {}
+    equality: list[int] = []
+    for i, (sl, vol) in enumerate(zip(slices, vols)):
+        overlap = int(cells[sl][covered[sl]].sum())
+        if q * overlap <= (q - p) * vol:
+            if q * overlap == (q - p) * vol and selected:
+                equality.append(i)
+            selected.append(i)
+            incs[i] = value(vol - overlap, unit)
+            covered[sl] = True
+        else:  # so vol >= overlap > 0
+            certs[i] = {"rule": rule, key: value(overlap, unit), "fraction": value(overlap, vol)}
+    return SelectionResult(kind, f, tuple(range(len(f))), tuple(selected), certs,
+                           {name: level}, incs, tuple(equality))
 
 
 def cf_select_lebesgue(f: BoxFamily, delta) -> SelectionResult:
@@ -103,36 +137,8 @@ def cf_select_lebesgue(f: BoxFamily, delta) -> SelectionResult:
     _require_decreasing(f)
     _, lo, hi = f._ints
     grid = f._grid
-    unit = grid.scale ** grid.dim
-    p, q = delta.numerator, delta.denominator
-    selected: list[int] = []
-    certs: dict[int, dict] = {}
-    incs: dict[int, Fraction] = {}
-    covered = np.zeros(grid.shape, dtype=bool)
-    equality: list[int] = []
-    # at scale D: overlap <= (1 - delta) vol iff q * overlap <= (q - p) * vol
-    for i, (vol, sl) in enumerate(zip(np.prod(hi - lo, axis=1).tolist(), grid.slices)):
-        overlap = grid.volume(covered[sl], sl)
-        if q * overlap <= (q - p) * vol:
-            if q * overlap == (q - p) * vol and selected:
-                equality.append(i)
-            selected.append(i)
-            incs[i] = Fraction(vol - overlap, unit)
-            covered[sl] = True
-        else:
-            certs[i] = {
-                "rule": "overlap-fraction",
-                "overlap": Fraction(overlap, unit),
-                "fraction": Fraction(overlap, vol),
-            }
-    return SelectionResult(
-        "cf-lebesgue", f, tuple(range(len(f))), tuple(selected), certs,
-        {"delta": delta}, incs, tuple(equality))
-
-
-# ---------------------------------------------------------------------------
-# Cordoba-Fefferman, weighted overlap (grid cubes only)
-# ---------------------------------------------------------------------------
+    return _cf_select("cf-lebesgue", f, delta, grid.cells(), grid.scale ** grid.dim,
+                      grid.slices, np.prod(hi - lo, axis=1).tolist())
 
 
 def box_to_grid_cube(b: Box, n: int) -> GridCube:
@@ -155,9 +161,10 @@ def _cube_slices(q: GridCube):
     return tuple(slice(c, c + q.side) for c in q.corner)
 
 
-def _grid_slices(f: BoxFamily, n: int) -> list[tuple[slice, ...]]:
-    """Every box's cells on the n-cell grid, L*n/D to H*n/D for the family's corners
-    L, H at scale D; raises box_to_grid_cube's error for the first box it rejects."""
+def _grid_cells(f: BoxFamily, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every box's cells on the n-cell grid, the (k, d) int arrays L*n/D and
+    H*n/D for the family's corners L, H at scale D; raises box_to_grid_cube's
+    error for the first box it rejects."""
     scale, lo, hi = f._ints
     lo, hi = lo * n, hi * n
     a, b = lo // scale, hi // scale
@@ -168,46 +175,24 @@ def _grid_slices(f: BoxFamily, n: int) -> list[tuple[slice, ...]]:
         raise UnsupportedGeometry(("box corner is not grid-aligned",
                                    "box side is not a whole number of cells",
                                    "box escapes the grid domain")[first.argmax()])
-    return [tuple(map(slice, *c)) for c in zip(a.tolist(), b.tolist())]
+    return a.astype(np.int64), b.astype(np.int64)
 
 
 def cf_select_weighted(f: BoxFamily, w: GridWeight, xi) -> SelectionResult:
     """Weighted variant: keep a cube iff the already-covered part carries at
-    most a (1-xi) fraction of its w-mass.  Decided on float sums, so within
-    rounding it can disagree with the exact contract; float equality is flagged.
-    The cubes' cells are read off the family's integer corners (_grid_slices)."""
+    most a (1-xi) fraction of its w-mass, decided on the exact masses that the
+    verifier reads, each cube's from their summed-area table.  The result's
+    floats are the exact ratios correctly rounded, float(Fraction(n, d))."""
     xi = _to_rat(xi)
     if not 0 < xi < 1:
         raise ValueError("xi must lie in (0, 1)")
     _require_decreasing(f)
     if f and f.dim != w.dim:
         raise ValueError("dimension mismatch")
-    covered = np.zeros(w.values.shape, dtype=bool)
-    xif = float(xi)
-    selected: list[int] = []
-    certs: dict[int, dict] = {}
-    incs: dict[int, float] = {}
-    equality: list[int] = []
-    for i, sl in enumerate(_grid_slices(f, w.resolution)):
-        vals = w.values[sl]
-        mask = covered[sl]
-        mass_q = float(vals.sum())
-        overlap = float(vals[mask].sum())
-        if overlap <= (1 - xif) * mass_q:
-            if overlap == (1 - xif) * mass_q and selected:
-                equality.append(i)
-            selected.append(i)
-            incs[i] = mass_q - overlap
-            covered[sl] = True
-        else:
-            certs[i] = {
-                "rule": "weighted-overlap",
-                "overlap_mass": overlap,
-                "fraction": overlap / mass_q if mass_q else float("inf"),
-            }
-    return SelectionResult(
-        "cf-weighted", f, tuple(range(len(f))), tuple(selected), certs,
-        {"xi": xi}, incs, tuple(equality))
+    (lo, hi), exact = _grid_cells(f, w.resolution), w.exact
+    return _cf_select("cf-weighted", f, xi, exact.cells, exact.unit,
+                      [tuple(map(slice, *c)) for c in zip(lo.tolist(), hi.tolist())],
+                      exact.box_sums(lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +293,8 @@ def verify_selection_contract(result: SelectionResult,
 
     Returns {clause: {"pass": bool, "defect": quantity}}; replays greedy
     decisions from scratch instead of trusting stored certificates, and in
-    the Lebesgue CF replay compares the stored increments and certificates exactly.
+    the CF replays compares the stored increments and certificates with the
+    values of the exact ratios.
     """
     boxes = list(result.input)
     report: dict[str, dict] = {}
@@ -318,11 +304,12 @@ def verify_selection_contract(result: SelectionResult,
             and not (sel & rej))
 
     if result.kind == "vitali":
-        bad = Fraction(0)
-        for a_pos, i in enumerate(result.selected_indices):
-            for j in result.selected_indices[a_pos + 1 :]:
-                inter = _pair_overlap_volume(boxes[i], boxes[j])
-                bad += inter
+        # per cell of the family's grid, a selected pair overlaps there
+        # C(depth, 2) times; that sum is over t >= 2 of (t - 1) |{depth >= t}|
+        grid = result.input._grid
+        depth = grid.depth(result.selected_indices)
+        bad = sum(((t - 1) * grid.measure(depth >= t)
+                   for t in range(2, int(depth.max(initial=0)) + 1)), Fraction(0))
         _clause(report, "selected-disjoint", bad == 0, bad)
         cert_ok = all(
             rec["selected_index"] in sel
@@ -338,28 +325,23 @@ def verify_selection_contract(result: SelectionResult,
                                  np.concatenate([hi, hi[chosen]]), Fraction(3), k)
             defect = grid.measure(grid.cover(range(k)) & ~grid.cover(range(k, len(grid.slices))))
             _clause(report, "triple-dilate-cover", defect == 0, defect)
-    elif result.kind in ("cf-lebesgue", "cf-weighted"):
-        lebesgue = result.kind == "cf-lebesgue"
-        level = result.params["delta" if lebesgue else "xi"]
-        if lebesgue:
+    elif result.kind in _CF_KINDS:
+        name, rule, key, value = _CF_KINDS[result.kind]
+        if result.kind == "cf-lebesgue":
             grid = result.input._grid
-            cells = functools.reduce(np.multiply.outer, grid.widths, np.ones((), np.int64))
-            slices, unit = grid.slices, grid.scale ** grid.dim
+            cells, unit, slices = grid.cells(), grid.scale ** grid.dim, grid.slices
         elif w is None:
             raise ValueError("weighted contract verification needs the weight")
         elif boxes and boxes[0].dim != w.dim:
             raise ValueError("dimension mismatch")
         else:
             slices = [_cube_slices(box_to_grid_cube(q, w.resolution)) for q in boxes]
-            # the float masses exactly: int numerators over one power of two
-            ratios = [x.as_integer_ratio() for x in w.values.ravel().tolist()]
-            unit = max(d for _, d in ratios)
-            cells = np.array([n * (unit // d) for n, d in ratios],
-                             dtype=object).reshape(w.values.shape)
+            cells, unit = w.exact.cells, w.exact.unit
         # each cell labelled with the first selected box that covers it
         first = np.full(cells.shape, len(boxes))
         for j in reversed(result.selected_indices):
             first[slices[j]] = j
+        level = result.params[name]
         p, q = level.numerator, level.denominator
         ok_inc, ok_rej = True, True
         worst_inc, worst_rej = None, None
@@ -367,20 +349,18 @@ def verify_selection_contract(result: SelectionResult,
             part = cells[sl]
             vol, overlap = int(part.sum()), int(part[first[sl] < i].sum())
             # overlap <= (1 - level) vol iff q * overlap <= (q - p) * vol
+            keep = q * overlap <= (q - p) * vol
             if i in sel:
-                if i != result.selected_indices[0] and q * overlap > (q - p) * vol:
+                if i != result.selected_indices[0] and not keep:
                     ok_inc = False
                     worst_inc = Fraction(vol - overlap, vol)
-                if lebesgue:
-                    ok_inc &= result.increments.get(i) == Fraction(vol - overlap, unit)
+                ok_inc &= result.increments.get(i) == value(vol - overlap, unit)
+            elif keep:
+                ok_rej = False
+                worst_rej = Fraction(overlap, vol) if vol else Fraction(0)
             else:
-                if q * overlap <= (q - p) * vol:
-                    ok_rej = False
-                    worst_rej = Fraction(overlap, vol) if vol else Fraction(0)
-                if lebesgue:
-                    cert = result.certificates.get(i, {})
-                    ok_rej &= ((cert.get("overlap"), cert.get("fraction"))
-                               == (Fraction(overlap, unit), Fraction(overlap, vol)))
+                ok_rej &= result.certificates.get(i) == {
+                    "rule": rule, key: value(overlap, unit), "fraction": value(overlap, vol)}
         _clause(report, "selected-increments", ok_inc, worst_inc)
         _clause(report, "rejected-replay", ok_rej, worst_rej)
     elif result.kind == "overlap2":
@@ -388,9 +368,7 @@ def verify_selection_contract(result: SelectionResult,
         gap, worst = Fraction(0), 0
         if boxes:
             grid = result.input._grid
-            depth = np.zeros(grid.shape, dtype=np.int64)
-            for j in result.selected_indices:
-                depth[grid.slices[j]] += 1
+            depth = grid.depth(result.selected_indices)
             gap = grid.measure(grid.cover(range(len(boxes))) & (depth == 0))
             worst = int(depth.max())
         _clause(report, "union-preserved", gap == 0, gap)
@@ -400,16 +378,6 @@ def verify_selection_contract(result: SelectionResult,
     report["all"] = {"pass": all(v["pass"] for v in report.values()),
                      "defect": None}
     return report
-
-
-def _pair_overlap_volume(a: Box, b: Box) -> Fraction:
-    v = Fraction(1)
-    for al, ah, bl, bh in zip(a.lo, a.hi, b.lo, b.hi):
-        seg = min(ah, bh) - max(al, bl)
-        if seg <= 0:
-            return Fraction(0)
-        v *= seg
-    return v
 
 
 def minimal_cover_dilation(f: BoxFamily | Sequence[Box], selected: Sequence[Box],

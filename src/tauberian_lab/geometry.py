@@ -237,9 +237,17 @@ class _Grid:
             mask[self.slices[i]] = True
         return mask
 
-    def volume(self, mask: np.ndarray, cells: tuple[slice, ...]) -> int:
-        """Integer volume at scale^dim of the marked cells of mask, which spans `cells`."""
-        return _volume(mask, [w[c] for w, c in zip(self.widths, cells)])
+    def depth(self, idx: Iterable[int]) -> np.ndarray:
+        """Per cell, how many of the boxes idx cover it."""
+        depth = np.zeros(self.shape, dtype=np.int64)
+        for i in idx:
+            depth[self.slices[i]] += 1
+        return depth
+
+    def cells(self) -> np.ndarray:
+        """Every cell's integer volume at scale^dim, the outer product of the
+        widths: a dense table the size of the grid, built anew on each call."""
+        return functools.reduce(np.multiply.outer, self.widths, np.ones((), np.int64))
 
     def measure(self, mask: np.ndarray) -> Fraction:
         """Exact measure of the marked cells of a mask over the whole grid."""

@@ -102,9 +102,8 @@ def grid_maximal(e: np.ndarray, spec: MaximalSpec = MaximalSpec(),
     and the value of cell c is up(c, 1).  That is O(2^d N^(d+1)) work, in
     place in the table.  Memory: the set's table and one of cube masses (the
     weight's, or the Lebesgue volumes), O(N^(d+1)) floats each, 64 MB at
-    1-D N=4096.  The dyadic variant divides only the cubes it reads (side
-    2^k at multiples of 2^k), and the Lebesgue centered variant only the odd
-    sides, by one volume each; neither builds a table of Lebesgue volumes.
+    1-D N=4096.  The centered and dyadic variants read the same divided
+    table: the odd sides, and side 2^k at the multiples of 2^k.
     """
     e = np.asarray(e, dtype=bool)
     n, d = resolution(e), e.ndim
@@ -117,25 +116,9 @@ def grid_maximal(e: np.ndarray, spec: MaximalSpec = MaximalSpec(),
         if weight.values.shape != e.shape:
             raise ValueError("weight grid and set grid differ in shape")
     flat, sides = side_table(np.where(e, weight.values, 0.0) if weighted else e)
-    # dyadic reads log2 N sides; Lebesgue centered divides its odd sides by one
-    # volume each, with no volume table; else one call over the whole table
-    # beats one call per side
-    per_side = spec.variant == "dyadic" or (spec.variant == "centered" and not weighted)
-    if not per_side:
-        den = (weight.table.flat if weighted else
-               np.repeat([float(s**d) for s in range(1, n + 1)], [a.size for a in sides]))
-        np.divide(flat, den, out=flat, where=den > 0)
-
-    def ratios(s, step):
-        """Side s's ratios at the corners that are multiples of step."""
-        if not per_side:  # centered, step 1: divided above
-            return sides[s - 1]
-        at = (slice(None, None, step),) * d
-        cubes = sides[s - 1][at]
-        den = weight.table.sides[s - 1][at] if weighted else float(s**d)
-        np.divide(cubes, den, out=cubes, where=den > 0)
-        return cubes
-
+    den = (weight.table.flat if weighted else
+           np.repeat([float(s**d) for s in range(1, n + 1)], [a.size for a in sides]))
+    np.divide(flat, den, out=flat, where=den > 0)
     vals = np.zeros(e.shape)
     if spec.variant == "uncentered":
         kids = list(itertools.product((slice(None, -1), slice(1, None)), repeat=d))
@@ -148,11 +131,11 @@ def grid_maximal(e: np.ndarray, spec: MaximalSpec = MaximalSpec(),
         # odd-sided cubes centered at the cell, fully inside the domain
         for t in range(1, n + 1, 2):
             inner = vals[(slice(t // 2, n - t // 2),) * d]
-            np.maximum(inner, ratios(t, 1), out=inner)
+            np.maximum(inner, sides[t - 1], out=inner)
     else:  # dyadic: the side-s cubes at multiples of s tile the grid
         for s in (1 << k for k in range(n.bit_length())):
             tiles = vals.reshape((n // s, s) * d)
-            np.maximum(tiles, ratios(s, s)[(slice(None), None) * d], out=tiles)
+            np.maximum(tiles, sides[s - 1][(slice(None, None, s), None) * d], out=tiles)
     return vals
 
 

@@ -7,6 +7,10 @@ never loses mass.  Cube masses are sums of cells by additions only
 a cube with no positive cell has mass exactly 0.  A weight caches that table;
 the A_p, Hruscev and reverse-Holder gauges add at most two tables to it.
 
+Exact decisions read `GridWeight.exact`, also cached: over the largest
+denominator of the masses, a power of two (2^1074 for subnormals), each cell
+is an int numerator, and a cube's exact mass is 2^d summed-area lookups.
+
 All cube suprema run over grid-aligned cubes inside the domain; every
 constant here is therefore a lower approximation of its continuous
 counterpart, nondecreasing under the refinement N -> 2N (gamma only at
@@ -62,6 +66,26 @@ def _require_finite(masses: np.ndarray) -> None:
         raise ValueError(f"cell masses must be finite, got {bad}")
 
 
+class ExactMasses(NamedTuple):
+    """Cell c's float mass is exactly cells[c] / unit; prefix[i] is the sum of
+    cells[:i[0], ..., :i[d-1]].  Read-only object arrays of Python ints."""
+
+    unit: int
+    cells: np.ndarray
+    prefix: np.ndarray
+
+    def box_sums(self, lo: np.ndarray, hi: np.ndarray) -> list[int]:
+        """Per row i of the (k, d) int arrays lo, hi, the sum of cells[lo[i, 0]:hi[i, 0],
+        ...], by inclusion-exclusion over prefix."""
+        d = self.cells.ndim
+        lo, hi = lo.reshape(-1, d), hi.reshape(-1, d)  # (0, 0) for no boxes
+        total = np.zeros(len(lo), dtype=object)
+        for corner in itertools.product((0, 1), repeat=d):
+            at = self.prefix[tuple((hi if c else lo)[:, a] for a, c in enumerate(corner))]
+            total += at if sum(corner) % 2 == d % 2 else -at
+        return total.tolist()
+
+
 class GridWeight:
     """Nonnegative cell masses on an N^n grid over [0,1)^n and the masses of
     all its grid cubes."""
@@ -105,6 +129,21 @@ class GridWeight:
         for a in (table.flat, *table.sides):
             a.flags.writeable = False
         return table
+
+    @functools.cached_property
+    def exact(self) -> ExactMasses:
+        """The masses as int numerators over one power of two (`ExactMasses`)."""
+        ratios = [x.as_integer_ratio() for x in self.values.ravel().tolist()]
+        unit = max(d for _, d in ratios)
+        cells = np.array([n * (unit // d) for n, d in ratios],
+                         dtype=object).reshape(self.values.shape)
+        # object zeros are Python ints; int64 zeros would overflow the sums
+        prefix = np.zeros([n + 1 for n in cells.shape], dtype=object)
+        prefix[(slice(1, None),) * self.dim] = cells
+        for a in range(self.dim):
+            prefix = prefix.cumsum(axis=a)
+        cells.flags.writeable = prefix.flags.writeable = False
+        return ExactMasses(unit, cells, prefix)
 
     def cube_mass(self, q: GridCube) -> float:
         self._check_cube(q)

@@ -731,3 +731,39 @@ def pairwise_satellite_decompose(f) -> dict[int, list[int]]:
     if assigned != set(range(len(boxes))):
         raise InvariantViolation("satellite groups lost a box")
     return groups
+
+
+def pairwise_overlap_volume(boxes: Sequence[Box], idx: Sequence[int]) -> Fraction:
+    """The sum over pairs of the boxes idx of the volume they share, one
+    `Fraction` product of side overlaps per pair."""
+    total = Fraction(0)
+    for a_pos, i in enumerate(idx):
+        for j in idx[a_pos + 1:]:
+            v = Fraction(1)
+            for al, ah, bl, bh in zip(boxes[i].lo, boxes[i].hi, boxes[j].lo, boxes[j].hi):
+                v *= max(min(ah, bh) - max(al, bl), 0)
+            total += v
+    return total
+
+
+def fraction_cf_select_weighted(f: BoxFamily, w: GridWeight, xi: Fraction) -> SelectionResult:
+    """Weighted Córdoba-Fefferman selection of grid cubes with every mass a
+    `Fraction` sum of the cube's cells, each float read as `Fraction(x)`."""
+    n = w.resolution
+    covered = np.zeros(w.values.shape, dtype=bool)
+    selected, certs, incs, equality = [], {}, {}, []
+    for i, b in enumerate(f):
+        sl = tuple(slice(int(lo * n), int(lo * n + b.side * n)) for lo in b.lo)
+        mass = sum(map(Fraction, w.values[sl].ravel().tolist()), Fraction(0))
+        overlap = sum(map(Fraction, w.values[sl][covered[sl]].tolist()), Fraction(0))
+        if overlap <= (1 - xi) * mass:
+            if overlap == (1 - xi) * mass and selected:
+                equality.append(i)
+            selected.append(i)
+            incs[i] = float(mass - overlap)
+            covered[sl] = True
+        else:
+            certs[i] = {"rule": "weighted-overlap", "overlap_mass": float(overlap),
+                        "fraction": float(overlap / mass)}
+    return SelectionResult("cf-weighted", f, tuple(range(len(f))), tuple(selected), certs,
+                           {"xi": xi}, incs, tuple(equality))

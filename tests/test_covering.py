@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import fraction_cf_select_weighted, pairwise_overlap_volume
 from tauberian_lab import covering
 from tauberian_lab.covering import (
     SelectionResult,
@@ -86,6 +87,38 @@ def test_vitali_tampered_disjointness_fails():
     rep = verify_selection_contract(bad)
     assert not rep["selected-disjoint"]["pass"]
     assert rep["selected-disjoint"]["defect"] > 0
+
+
+@st.composite
+def overlapping_selections(draw):
+    """(family, selection): boxes with corners and sides in halves of [0, 5], so
+    selected boxes often overlap two and three deep, and any subset as selection."""
+    dim = draw(st.integers(1, 3))
+    boxes = []
+    for _ in range(draw(st.integers(1, 7))):
+        side = F(draw(st.integers(1, 6)), 2)
+        lo = [F(draw(st.integers(0, 4)), 2) for _ in range(dim)]
+        boxes.append(Box(tuple(c + side / 2 for c in lo), side))
+    idx = draw(st.lists(st.integers(0, len(boxes) - 1), unique=True))
+    return BoxFamily(boxes), tuple(idx)
+
+
+@settings(max_examples=150)
+@given(overlapping_selections())
+@example((BoxFamily([interval(0, 2), interval(1, 3), interval(F(1, 2), 2)]), (0, 1, 2)))
+def test_vitali_disjointness_defect_is_the_pairwise_overlap_sum(case):
+    fam, idx = case
+    res = SelectionResult("vitali", fam, tuple(range(len(fam))), idx)
+    rep = verify_selection_contract(res)
+    assert rep["selected-disjoint"]["defect"] == pairwise_overlap_volume(list(fam), idx)
+
+
+def test_vitali_disjointness_defect_counts_a_triple_overlap_thrice():
+    # [1, 2] lies in all three selected intervals, [1/2, 1] in two of them
+    fam = BoxFamily([interval(0, 2), interval(1, 3), interval(F(1, 2), 2)])
+    res = SelectionResult("vitali", fam, (0, 1, 2), (0, 1, 2))
+    assert verify_selection_contract(res)["selected-disjoint"] == {"pass": False,
+                                                                  "defect": F(7, 2)}
 
 
 def test_vitali_far_box_blamed_on_box_0_fails_cover():
@@ -222,16 +255,17 @@ def test_cf_weighted_zero_mass_cube_flipped_to_rejected_fails():
     assert rep["rejected-replay"] == {"pass": False, "defect": 0}
 
 
-def test_cf_weighted_float_equality_fails_the_exact_contract():
-    # the second cube's mass 1 + (1 - 2^-53) rounds to 2.0, so the float test
+def test_cf_weighted_decides_a_float_tie_exactly():
+    # the second cube's mass 1 + (1 - 2^-53) rounds to 2.0, where a float test
     # keeps it at equality; exactly, its overlap 1 exceeds half its mass
     w = GridWeight(np.array([1.0, 1.0, 1 - 2**-53, 1.0]))
     fam = sorted_decreasing([interval(0, F(1, 2)), interval(F(1, 4), F(3, 4))])
     res = cf_select_weighted(fam, w, F(1, 2))
-    assert res.selected_indices == (0, 1) and res.equality_acceptances == (1,)
-    rep = verify_selection_contract(res, w)
-    assert not rep["selected-increments"]["pass"]
-    assert rep["selected-increments"]["defect"] == 1 - F(1, 2 - F(1, 2**53))
+    assert res.selected_indices == (0,) and res.equality_acceptances == ()
+    mass = 2 - F(1, 2**53)
+    assert res.certificates == {1: {"rule": "weighted-overlap", "overlap_mass": 1.0,
+                                    "fraction": float(1 / mass)}}
+    assert verify_selection_contract(res, w)["all"]["pass"]
 
 
 def test_cf_weighted_rejects_non_grid_boxes():
@@ -242,21 +276,30 @@ def test_cf_weighted_rejects_non_grid_boxes():
 
 
 def test_cf_weighted_result_is_pinned():
-    # the float sums and their order decide the selection: exact floats
+    # exact decisions, and each float the correctly rounded value of an exact ratio
     w = generate_weight(WeightFamilySpec("power", 2, 16, a=1.0))
     fam = random_grid_cube_family(rng_for(41, "covering/cfw-pin"), 16, 2, 10)
     res = cf_select_weighted(fam, w, F(3, 4))
     assert res.selected_indices == (0, 2, 3, 4, 5, 7)
     assert res.equality_acceptances == ()
+    # increments 3 and 4 were ...520766 and 0.0022381457221344906 under float sums
     assert res.increments == {
-        0: 0.06118805226550965, 2: 0.02378424876230262, 3: 0.014768110548520766,
-        4: 0.0022381457221344906, 5: 0.012853963628161191, 7: 0.003970570304514305}
+        0: 0.06118805226550965, 2: 0.02378424876230262, 3: 0.014768110548520768,
+        4: 0.002238145722134491, 5: 0.012853963628161191, 7: 0.003970570304514305}
     assert res.certificates == {
         1: {"rule": "weighted-overlap", "overlap_mass": 0.007642797150442412,
             "fraction": 0.30100224078895554},
         6: {"rule": "weighted-overlap", "overlap_mass": 0.002612418769413171, "fraction": 1.0},
         8: {"rule": "weighted-overlap", "overlap_mass": 0.0020787825153718753, "fraction": 1.0},
         9: {"rule": "weighted-overlap", "overlap_mass": 0.0024717354408345443, "fraction": 1.0}}
+    # the increments from Fraction sums over each cube's own cells
+    cells = [covering._cube_slices(box_to_grid_cube(b, 16)) for b in fam]
+    covered = np.zeros((16, 16), dtype=bool)
+    for i in res.selected_indices:
+        new = w.values[cells[i]][~covered[cells[i]]]
+        assert res.increments[i] == float(sum(map(F, new.tolist()), F(0)))
+        covered[cells[i]] = True
+    assert verify_selection_contract(res, w)["all"]["pass"]
 
 
 @st.composite
@@ -283,12 +326,41 @@ def test_weighted_slices_match_box_to_grid_cube(n_fam):
     try:
         expected = [covering._cube_slices(box_to_grid_cube(b, n)) for b in fam]
     except UnsupportedGeometry as err:
-        for call in (lambda: covering._grid_slices(fam, n),
+        for call in (lambda: covering._grid_cells(fam, n),
                      lambda: cf_select_weighted(fam, w, F(1, 2))):
             with pytest.raises(UnsupportedGeometry, match=f"^{re.escape(str(err))}$"):
                 call()
     else:
-        assert covering._grid_slices(fam, n) == expected
+        lo, hi = covering._grid_cells(fam, n)
+        assert [tuple(map(slice, *c)) for c in zip(lo.tolist(), hi.tolist())] == expected
+
+
+TIE_PRONE_MASSES = [1.0, 1 - 2**-53, 2**-53, 0.1, 3.0, 0.0]
+
+
+@st.composite
+def tie_prone_weighted_families(draw):
+    """(w, family, xi): masses from TIE_PRONE_MASSES, cubes inside the grid."""
+    n, dim = draw(st.sampled_from([2, 4, 8])), draw(st.integers(1, 2))
+    values = np.array(draw(st.lists(st.sampled_from(TIE_PRONE_MASSES),
+                                    min_size=n**dim, max_size=n**dim))).reshape((n,) * dim)
+    assume(values.sum() > 0)
+    boxes = []
+    for _ in range(draw(st.integers(1, 6))):
+        side = draw(st.integers(1, n))
+        lo = [draw(st.integers(0, n - side)) for _ in range(dim)]
+        boxes.append(Box(tuple(F(2 * c + side, 2 * n) for c in lo), F(side, n)))
+    xi = draw(st.sampled_from([F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4)]))
+    return GridWeight(values), sorted_decreasing(boxes), xi
+
+
+@settings(max_examples=200)
+@given(tie_prone_weighted_families())
+def test_cf_weighted_equals_fraction_sums(case):
+    w, fam, xi = case
+    res = cf_select_weighted(fam, w, xi)
+    assert res == fraction_cf_select_weighted(fam, w, xi)
+    assert verify_selection_contract(res, w)["all"]["pass"]
 
 
 @pytest.mark.parametrize("family_dim, weight_dim", [(1, 2), (2, 1)])

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -726,3 +728,33 @@ def test_positive_gauges_monotone_under_refinement(w):
     assert no_lower(ap_constant(fine, 2.0), ap_constant(w, 2.0))
     assert no_lower(hruscev_constant(fine), hruscev_constant(w))
     assert reverse_holder_exponent(fine) <= reverse_holder_exponent(w)
+
+
+@pytest.mark.parametrize("values", [
+    [1.0, 0.5, 3.0, 0.1],                     # mixed exponents
+    [2.0**-60, 1.0, 5e-324, 0.0],             # 2^-60, the least subnormal and 0
+    [[0.1, 2.0**-60], [3.0, 5e-324]],
+    [[1.0, 1 - 2**-53, 0.0], [2**-53, 7.0, 0.1], [1e300, 5e-324, 3.0]],
+])
+def test_exact_masses_read_each_float_exactly(values):
+    w = GridWeight(np.array(values))
+    ex = w.exact
+    assert w.exact is ex  # built once per weight
+    assert ex.unit & (ex.unit - 1) == 0
+    cells = ex.cells.ravel().tolist()
+    assert all(type(c) is int and Fraction(c, ex.unit) == Fraction(x)
+               for c, x in zip(cells, w.values.ravel().tolist()))
+    if 5e-324 in w.values:
+        assert ex.unit == 2**1074
+    for table in (ex.cells, ex.prefix):
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * w.dim] = 1
+    # every box of cells, each sum of cells against its prefix difference
+    n, d = w.resolution, w.dim
+    boxes = [(lo, hi) for lo in itertools.product(range(n), repeat=d)
+             for hi in itertools.product(range(1, n + 1), repeat=d)
+             if all(a < b for a, b in zip(lo, hi))]
+    lo, hi = (np.array([b[k] for b in boxes]) for k in (0, 1))
+    assert ex.box_sums(lo, hi) == [sum(ex.cells[tuple(map(slice, a, b))].ravel().tolist())
+                                   for a, b in boxes]
+    assert ex.box_sums(np.zeros((0, d), int), np.zeros((0, d), int)) == []
