@@ -6,11 +6,13 @@ Three engines:
   grid over [0,1)^n, for Lebesgue or grid-weight measures.  Cubes run over
   grid-aligned cubes inside the domain, so grid superlevel sets are lower
   approximations of their continuous counterparts.
-* exact 1-D: interval sets and piecewise-constant weights over Fraction
-  arithmetic; maximal values and full superlevel sets ("halos") are exact.
+* exact 1-D: interval sets and piecewise-constant weights with `Fraction`
+  endpoints; maximal values and full superlevel sets ("halos") are exact.
   The Lebesgue halo is one pass over the excess |E ∩ [l, x]| - alpha*(x - l).
   A weight's distribution F(x) = w([l, x]) maps intervals to intervals and w
   to length, so weighted results are Lebesgue results on F(E), moved by F^-1.
+  F, F^-1 and the halo pass run on Python ints over one scale per call, and
+  build a `Fraction` only for each endpoint and mass they return.
 * atomic: finite atomic measures; halo mass is certified from below by
   candidate cubes.
 
@@ -24,14 +26,15 @@ its thresholds:
 * `superlevel` keeps the last `grid_maximal` values (one read-only N^d float
   array) on the `GridWeight`, keyed by (spec, E's shape, E's bytes).  A
   Lebesgue call has no measure object and is not memoized.
-* `exact_halo_1d` keeps F(E) (one `IntervalSet`) on the `PiecewiseWeight1D`,
-  keyed by E.
+* `exact_halo_1d` and `point_eval_1d` keep F(E) (one `IntervalSet`) on the
+  `PiecewiseWeight1D`, keyed by E, and share that entry.
 * `atomic_maximal_lower` without explicit candidates keeps one candidate set
   (its boxes, atom incidence and integer masses) on the `AtomicMeasure`,
   keyed by the tuple of E's indices.
 
-A new key replaces the entry, so each measure holds at most one.
-`grid_maximal`, `default_atomic_candidates` and `_pushed` are not memoized.
+A new key replaces the entry, so each measure holds at most one.  Direct
+calls of `grid_maximal` and `default_atomic_candidates`, and the Lebesgue
+exact engine, which has no measure object, are not memoized.
 """
 
 from __future__ import annotations
@@ -240,7 +243,13 @@ class PiecewiseWeight1D:
     """Positive piecewise-constant density on [l, r] = [breakpoints[0], breakpoints[-1]].
 
     Its distribution F(x) = w([l, x]) maps intervals onto intervals and w onto
-    length; F and its inverse `quantile` read one exact table of w([l, b_k]).
+    length.  F, its inverse `quantile` and `mass` read one cached table of
+    Python ints (`_table`): the breakpoints b_k = B_k / d_b over the lcm d_b
+    of their denominators, the densities R_k / D over the lcm D of theirs, and
+    the cumulative masses w([l, b_k]) = C_k / (d_b * D).  A point's piece is an
+    integer bisect, the domain checks are integer cross-products, and each
+    result is built as one `Fraction` from its integer numerator and
+    denominator.
     """
 
     breakpoints: tuple[Fraction, ...]
@@ -263,35 +272,59 @@ class PiecewiseWeight1D:
         return self.breakpoints[0], self.breakpoints[-1]
 
     @functools.cached_property
-    def _cumulative(self) -> tuple[Fraction, ...]:
-        """w([l, b_k]) for every breakpoint b_k."""
-        steps = (d * (b - a) for a, b, d in zip(self.breakpoints, self.breakpoints[1:],
-                                                self.densities))
-        return tuple(itertools.accumulate(steps, initial=Fraction(0)))
+    def _table(self) -> _WeightTable:
+        d_b = math.lcm(*(b.denominator for b in self.breakpoints))
+        d = math.lcm(*(r.denominator for r in self.densities))
+        bps = [b.numerator * (d_b // b.denominator) for b in self.breakpoints]
+        dens = [r.numerator * (d // r.denominator) for r in self.densities]
+        steps = (r * (b1 - b0) for r, b0, b1 in zip(dens, bps, bps[1:]))
+        return _WeightTable(bps, d_b, list(itertools.accumulate(steps, initial=0)),
+                            d_b * d, dens)
+
+    def _inside(self, a: int, b: int) -> bool:
+        """a / b lies in the domain, b > 0."""
+        t = self._table
+        return t.bps[0] * b <= a * t.d_b <= t.bps[-1] * b
+
+    def _distribution(self, a: int, b: int) -> int:
+        """F(a / b) times d_c * b, for b > 0 and a / b in the domain."""
+        t = self._table
+        ad = a * t.d_b
+        k = min(bisect_right(t.bps, ad // b), len(t.dens)) - 1
+        return t.cum[k] * b + t.dens[k] * (ad - t.bps[k] * b)
+
+    def _quantile(self, u: int, v: int) -> Fraction:
+        """F^-1(u / v), v > 0."""
+        t = self._table
+        ud = u * t.d_c
+        if not 0 <= ud <= t.cum[-1] * v:
+            raise ValueError("y escapes [0, w(domain)]")
+        k = min(bisect_right(t.cum, ud // v), len(t.dens)) - 1
+        r = t.dens[k]
+        return Fraction(t.bps[k] * r * v + ud - t.cum[k] * v, t.d_b * r * v)
 
     def distribution(self, x) -> Fraction:
         """F(x) = w([l, x]), x in the domain."""
         x = _to_rat(x)
-        if not self.domain[0] <= x <= self.domain[1]:
+        a, b = x.numerator, x.denominator
+        if not self._inside(a, b):
             raise ValueError("x escapes the weight domain")
-        k = min(bisect_right(self.breakpoints, x), len(self.densities)) - 1
-        return self._cumulative[k] + self.densities[k] * (x - self.breakpoints[k])
+        return Fraction(self._distribution(a, b), self._table.d_c * b)
 
     def quantile(self, y) -> Fraction:
         """F^-1(y), y in [0, w(domain)]."""
         y = _to_rat(y)
-        if not 0 <= y <= self._cumulative[-1]:
-            raise ValueError("y escapes [0, w(domain)]")
-        k = min(bisect_right(self._cumulative, y), len(self.densities)) - 1
-        return self.breakpoints[k] + (y - self._cumulative[k]) / self.densities[k]
+        return self._quantile(y.numerator, y.denominator)
 
     def mass(self, a, b) -> Fraction:
         a, b = _to_rat(a), _to_rat(b)
-        if a > b:
+        na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
+        if na * db > nb * da:
             raise ValueError("empty interval")
-        if a < self.domain[0] or b > self.domain[1]:
+        if not (self._inside(na, da) and self._inside(nb, db)):
             raise ValueError("interval escapes the weight domain")
-        return self.distribution(b) - self.distribution(a)
+        return Fraction(self._distribution(nb, db) * da - self._distribution(na, da) * db,
+                        self._table.d_c * da * db)
 
     @staticmethod
     def from_grid(w: GridWeight) -> "PiecewiseWeight1D":
@@ -303,6 +336,17 @@ class PiecewiseWeight1D:
         bps = [Fraction(i, n) for i in range(n + 1)]
         dens = [Fraction(float(v)) * n for v in w.values]
         return PiecewiseWeight1D(bps, dens)
+
+
+class _WeightTable(NamedTuple):
+    """A `PiecewiseWeight1D` on integers: b_k = bps[k] / d_b, the density of
+    piece k is dens[k] / (d_c / d_b), and w([l, b_k]) = cum[k] / d_c."""
+
+    bps: list[int]
+    d_b: int
+    cum: list[int]
+    d_c: int
+    dens: list[int]
 
 
 def _pushed(e: IntervalSet, weight: PiecewiseWeight1D) -> IntervalSet:
@@ -319,11 +363,15 @@ def point_eval_1d(e: IntervalSet, x, weight: PiecewiseWeight1D | None = None) ->
     Candidate interval endpoints snap to breakpoints of e, or to x itself.
     With a weight this is the Lebesgue value of F(E) at F(x): F carries
     intervals and w onto intervals and length, and cutting an interval down
-    to [0, w(domain)] only raises its E-fraction.
+    to [0, w(domain)] only raises its E-fraction.  F(E) is the one
+    `exact_halo_1d` remembers on the weight, keyed by E.
     """
     if e.is_empty:
         raise ValueError("empty set")
-    e, x = (e, _to_rat(x)) if weight is None else (_pushed(e, weight), weight.distribution(x))
+    if weight is None:
+        x = _to_rat(x)
+    else:
+        e, x = _remembered(weight, e, lambda: _pushed(e, weight)), weight.distribution(x)
     if e.contains_point(x):
         return Fraction(1)
     bps = e.breakpoints()
@@ -348,6 +396,8 @@ def exact_halo_1d(e: IntervalSet, alpha, weight: PiecewiseWeight1D | None = None
     meets F(E), so no clipped piece is degenerate.  F(E) is remembered on the
     weight, keyed by E (one `IntervalSet` per weight), so an alpha ladder on
     one set pushes it once and pays for the Phi pass and the quantiles only.
+    The Phi pass hands its integer endpoints to F^-1 without a `Fraction`
+    between them.
     """
     alpha = _to_rat(alpha)
     if not 0 < alpha < 1:
@@ -355,15 +405,18 @@ def exact_halo_1d(e: IntervalSet, alpha, weight: PiecewiseWeight1D | None = None
     if e.is_empty:
         raise ValueError("empty set")
     if weight is None:
-        return _halo(e, alpha)
-    top = weight._cumulative[-1]
-    pushed = _remembered(weight, e, lambda: _pushed(e, weight))
-    return IntervalSet((weight.quantile(max(a, 0)), weight.quantile(min(b, top)))
-                       for a, b in _halo(pushed, alpha).intervals)
+        parts, scale = _halo(e, alpha)
+        return IntervalSet((Fraction(a, scale), Fraction(b, scale)) for a, b in parts)
+    parts, scale = _halo(_remembered(weight, e, lambda: _pushed(e, weight)), alpha)
+    t = weight._table  # w(domain) = t.cum[-1] / t.d_c
+    return IntervalSet((weight._quantile(max(a, 0), scale),
+                        weight._quantile(min(b * t.d_c, t.cum[-1] * scale), t.d_c * scale))
+                       for a, b in parts)
 
 
-def _halo(e: IntervalSet, alpha: Fraction) -> IntervalSet:
-    """The Lebesgue halo, from one pass over Phi(x) = |E ∩ [l, x]| - alpha*(x - l).
+def _halo(e: IntervalSet, alpha: Fraction) -> tuple[list[list[int]], int]:
+    """The Lebesgue halo, from one pass over Phi(x) = |E ∩ [l, x]| - alpha*(x - l),
+    as its sorted, disjoint components (a, b) on one scale: (a / scale, b / scale).
 
     [p, q] has E-fraction > alpha iff Phi(q) > Phi(p), so x is in the halo iff
     min over p <= x of Phi(p) < max over q >= x of Phi(q).  Between E's
@@ -371,27 +424,47 @@ def _halo(e: IntervalSet, alpha: Fraction) -> IntervalSet:
     width |E|/alpha, from l on the left, hold every boundary solution.  A
     piece is in the halo wholesale, or Phi falls across it and two linear
     solves against the running min and max give its halo.  O(B).
+
+    All of it runs on Python ints.  With E's endpoints over L, the lcm of
+    their denominators, and alpha = p/q, x = X / S at S = L*p puts the
+    endpoints and the spare width |E|/alpha = |E|*L*q / S on integers, and
+    Phi * S * q has the integer slopes -p off E and q - p on it.  Only the
+    pieces off E fall, all with slope -p, so a solve moves X by
+    (Phi * S * q difference) / p: every boundary solution lies on the one
+    scale S*p.  The pieces come in order and each one's halo lies inside it,
+    left solve before right, so the components come out sorted and one
+    linear pass coalesces them.
     """
+    p, q = alpha.numerator, alpha.denominator
     bps = e.breakpoints()
-    margin = e.measure() / alpha
-    grid = [bps[0] - margin] + bps + [bps[-1] + margin]
-    slopes = [-alpha, 1 - alpha] * len(e.intervals) + [-alpha]
+    lcm = math.lcm(*(x.denominator for x in bps))
+    ends = [x.numerator * (lcm // x.denominator) for x in bps]
+    margin = q * (sum(ends[1::2]) - sum(ends[::2]))
+    grid = [p * ends[0] - margin] + [p * x for x in ends] + [p * ends[-1] + margin]
+    slopes = [-p, q - p] * len(e.intervals) + [-p]
     steps = (s * (b - a) for s, a, b in zip(slopes, grid, grid[1:]))
-    phi = list(itertools.accumulate(steps, initial=Fraction(0)))
+    phi = list(itertools.accumulate(steps, initial=0))
     low = list(itertools.accumulate(phi, min))
     high = list(itertools.accumulate(reversed(phi), max))[::-1]
-    parts: list[tuple[Fraction, Fraction]] = []
-    for k, s in enumerate(slopes):
-        a, b = grid[k], grid[k + 1]
+    parts: list[tuple[int, int]] = []
+    for k in range(len(slopes)):
+        a, b = p * grid[k], p * grid[k + 1]
         if low[k] < high[k + 1]:
             parts.append((a, b))
             continue
-        # Phi(a) >= low[k] >= high[k + 1] >= Phi(b) and s != 0, so s < 0
+        # Phi(a) >= low[k] >= high[k + 1] >= Phi(b): Phi falls, so the piece
+        # lies off E and has slope -p
         if phi[k] > low[k]:
-            parts.append((a, a + (low[k] - phi[k]) / s))
+            parts.append((a, a + phi[k] - low[k]))
         if phi[k + 1] < high[k + 1]:
-            parts.append((b + (high[k + 1] - phi[k + 1]) / s, b))
-    return IntervalSet.merge(parts)
+            parts.append((b - high[k + 1] + phi[k + 1], b))
+    out: list[list[int]] = []
+    for a, b in parts:
+        if out and a <= out[-1][1]:
+            out[-1][1] = max(out[-1][1], b)
+        else:
+            out.append([a, b])
+    return out, lcm * p * p
 
 
 # ---------------------------------------------------------------------------

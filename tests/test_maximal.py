@@ -1,9 +1,11 @@
 import hashlib
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (atomic_maximal_lower_float, exact_halo_1d_sweep, grid_maximal_naive,
@@ -512,6 +514,85 @@ def test_point_eval_matches_direct_density_scan(case):
         assert point_eval_1d(e, x, weight) == point_eval_1d_direct(e, x, weight)
 
 
+# odd cells for `from_grid`: 2^-60, 1e300 and the subnormal 5e-324, whose
+# exact masses sit over 2^1074
+ODD_CELLS = (2.0**-60, 1e300, 5e-324, 1.0, 0.1, 3.0)
+
+
+@st.composite
+def odd_weights(draw):
+    """None (Lebesgue), `from_grid` of ODD_CELLS, or 1-6 pieces on a domain
+    that may be negative and is rarely [0, 1], with breakpoint and density
+    denominators up to 1000."""
+    kind = draw(st.sampled_from(("lebesgue", "grid", "pieces")))
+    if kind == "lebesgue":
+        return None
+    if kind == "grid":
+        cells = draw(st.lists(st.sampled_from(ODD_CELLS), min_size=1, max_size=6))
+        return PiecewiseWeight1D.from_grid(GridWeight(np.array(cells)))
+    lo = draw(st.fractions(min_value=-5, max_value=5, max_denominator=1000))
+    widths = draw(st.lists(st.fractions(min_value=F(1, 100), max_value=3, max_denominator=1000),
+                           min_size=1, max_size=6))
+    dens = draw(st.lists(st.fractions(min_value=F(1, 1000), max_value=1000,
+                                      max_denominator=1000),
+                         min_size=len(widths), max_size=len(widths)))
+    return PiecewiseWeight1D(list(itertools.accumulate(widths, initial=lo)), dens)
+
+
+@st.composite
+def off_grid_cases(draw):
+    """(E, alpha, weight, t): E's 1-3 intervals have endpoints of denominators
+    up to 1000 inside the weight's domain (or [-5, 5]), alpha is p/q with
+    q <= 64 or 1 - 1/q with q up to 10^6, and t in [0, 1] picks a quantile."""
+    weight = draw(odd_weights())
+    lo, hi = weight.domain if weight is not None else (F(-5), F(5))
+    # every denominator from 2 / (hi - lo) on has two multiples inside
+    dens = st.integers(min_value=max(2, math.ceil(2 / (hi - lo))), max_value=1000)
+    pts = set()
+    for d, u in draw(st.lists(st.tuples(dens, st.integers(min_value=0, max_value=10**6)),
+                              min_size=2, max_size=6)):
+        first, last = math.ceil(lo * d), math.floor(hi * d)
+        pts.add(F(first + u % (last - first + 1), d))
+    assume(len(pts) >= 2)
+    pts = sorted(pts)[:len(pts) // 2 * 2]
+    e = IntervalSet(zip(pts[::2], pts[1::2]))
+    alpha = draw(st.one_of(
+        st.integers(min_value=2, max_value=10**6).map(lambda q: 1 - F(1, q)),
+        st.fractions(min_value=F(1, 64), max_value=F(63, 64), max_denominator=64)))
+    return e, alpha, weight, draw(st.fractions(min_value=0, max_value=1, max_denominator=1000))
+
+
+@settings(max_examples=120)
+@given(off_grid_cases())
+@example((IntervalSet([(F(4, 9), F(11, 18))]), 1 - F(1, 10**6),
+          PiecewiseWeight1D.from_grid(GridWeight(np.array([2.0**-60, 1e300, 5e-324]))), F(1, 2)))
+def test_exact_1d_engine_matches_oracles_off_the_grid(case):
+    e, alpha, weight, t = case
+    halo = exact_halo_1d(e, alpha, weight)
+    assert halo == exact_halo_1d_sweep(e, alpha, weight)
+    if weight is None:
+        return
+    lo, hi = weight.domain
+    top = piecewise_mass_loop(weight, lo, hi)
+    for x in {lo, hi, *weight.breakpoints, *e.breakpoints(), *halo.breakpoints()}:
+        y = weight.distribution(x)
+        assert y == piecewise_mass_loop(weight, lo, x)
+        assert weight.quantile(y) == x
+    assert weight.quantile(0) == lo and weight.quantile(top) == hi
+    assert piecewise_mass_loop(weight, lo, weight.quantile(t * top)) == t * top
+    for a, b in e.intervals + halo.intervals:
+        assert weight.mass(a, b) == piecewise_mass_loop(weight, a, b)
+    gap = (hi - lo) / 10**9
+    for x in (lo - gap, hi + gap):
+        with pytest.raises(ValueError, match="x escapes the weight domain"):
+            weight.distribution(x)
+        with pytest.raises(ValueError, match="interval escapes the weight domain"):
+            weight.mass(min(x, lo), max(x, hi))
+    for y in (-top / 10**9, top + top / 10**9):
+        with pytest.raises(ValueError, match=r"y escapes \[0, w\(domain\)\]"):
+            weight.quantile(y)
+
+
 # halos computed before the exact 1-D engine became one pass over the excess
 # Phi, by the breakpoint-anchored pair scan and the per-anchor sweeps
 HALO_PINS = [  # (n, E as runs of 1/n cells, alpha, densities per 1/n cell or
@@ -761,6 +842,25 @@ def test_halo_keeps_one_entry():
             exact_halo_1d(e, alpha, w)
         (entry,) = memo_entries(w, before)
         assert entry[0] == e
+
+
+def test_point_eval_shares_the_halo_entry():
+    w = fresh_piecewise(ANCHOR_WEIGHTS[2])
+    w.quantile(0)
+    before = set(vars(w))
+    sets = [IntervalSet([(F(4, 9), F(11, 18))]),
+            IntervalSet([(F(1, 10), F(1, 5)), (F(7, 10), F(3, 4))])]
+    for e in sets + sets[::-1]:
+        assert point_eval_1d(e, F(1, 3), w) == point_eval_1d(e, F(1, 3), fresh_piecewise(w))
+        (entry,) = memo_entries(w, before)
+        assert entry[0] == e
+        for alpha in (F(1, 2), F(3, 4)):
+            halo = exact_halo_1d(e, alpha, w)
+            assert halo == exact_halo_1d(e, alpha, fresh_piecewise(w))
+            for x in halo.breakpoints():
+                assert point_eval_1d(e, x, w) == point_eval_1d(e, x, fresh_piecewise(w))
+        (again,) = memo_entries(w, before)
+        assert again is entry
 
 
 @settings(max_examples=200)
