@@ -2,10 +2,13 @@
 
 `side_table` is the one place where the sums over grid cubes are computed;
 the weight gauges and the grid maximal operator take every cube mass from it.
+It lays them out side after side in one flat buffer, and each side's view is
+a slice of that buffer at a fixed offset (`side_offsets`), reshaped by corner.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -20,6 +23,12 @@ def resolution(values: np.ndarray) -> int:
     return values.shape[0]
 
 
+def side_offsets(n: int, d: int) -> list[int]:
+    """Where each side starts in `side_table`'s flat buffer: side s fills
+    [offsets[s - 1], offsets[s]), (N-s+1)^d sums, and offsets[N] is the size."""
+    return list(itertools.accumulate(((n - i) ** d for i in range(n)), initial=0))
+
+
 class SideTable(NamedTuple):
     flat: np.ndarray
     sides: tuple[np.ndarray, ...]
@@ -29,7 +38,8 @@ def side_table(values) -> SideTable:
     """The sums of all cubes of a 1-D or square 2-D grid, in a fresh table
     that the caller owns: `flat` holds side 1's sums, then side 2's, ...,
     then side N's, each in row-major order of the cube's first cell, and
-    `sides[s - 1]` is side s's part of `flat` shaped by corner, (N-s+1,)*d.
+    `sides[s - 1]` is side s's part of `flat`, the slice at
+    `side_offsets(N, d)[s - 1]` shaped by corner, (N-s+1,)*d.
 
     Side s is side s - 1 plus new cells, by additions only.  In 1-D,
     W_s = W_{s-1}[:-1] + v[s-1:].  In 2-D, W_s adds to W_{s-1} the cube's
@@ -43,10 +53,10 @@ def side_table(values) -> SideTable:
     """
     v = np.asarray(values, dtype=float)
     n, d = resolution(v), v.ndim
-    sizes = [(n - i) ** d for i in range(n)]
-    flat = np.empty(sum(sizes))
-    sides = tuple(a.reshape((n - i,) * d)
-                  for i, a in enumerate(np.split(flat, np.cumsum(sizes)[:-1])))
+    offsets = side_offsets(n, d)
+    flat = np.empty(offsets[-1])
+    sides = tuple(flat[lo:hi].reshape((n - i,) * d)
+                  for i, (lo, hi) in enumerate(zip(offsets, offsets[1:])))
     sides[0][...] = rows = v
     for s in range(2, n + 1):
         prev, cur = sides[s - 2], sides[s - 1]

@@ -3,13 +3,13 @@
 No oracle here calls `gridops`, the cube-sum kernel that the fast paths
 share, so a wrong slice or term there shows up as a difference between a
 fast path and its oracle.  Cube masses here are `math.fsum`s of the cube's
-cells, which are correctly rounded.  The one exception is
-`sidelength_growth_exponent_pairs`, which takes its cube masses from
-`GridWeight.window_sums` as the code it replaced did, so that `==` compares
-the pair families and not two roundings.  The per-side paths below keep the
-float operations of the code that `gridops.side_table` replaced, over their
-own copy of its per-side kernel, so the fast paths must equal them bit for
-bit.
+cells, which are correctly rounded.  The exceptions are
+`sidelength_growth_exponent_pairs` and `fujii_wilson_sides`, which take
+their cube masses from `GridWeight.window_sums` as the code they replaced
+did, so that `==` compares the loops and not two roundings.  The per-side
+paths below keep the float operations of the code that `gridops.side_table`
+replaced, over their own copy of its per-side kernel, so the fast paths must
+equal them bit for bit.
 """
 
 import itertools
@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from tauberian_lab.covering import SelectionResult
 from tauberian_lab.errors import InvariantViolation, UnsupportedGeometry
@@ -199,6 +200,54 @@ def grid_maximal_sides(e: np.ndarray, spec: MaximalSpec, weight: GridWeight | No
             np.maximum(vals, m, out=vals)
     vals[vals == -np.inf] = 0.0
     return vals
+
+
+# ---------------------------------------------------------------------------
+# Fujii-Wilson and the growth profile one side at a time: the loops that the
+# whole-table passes replaced, kept as `==` oracles for `weights`.
+# ---------------------------------------------------------------------------
+
+
+def fujii_wilson_sides(w: GridWeight) -> float:
+    """Fujii-Wilson sweep with each side's quotient and max taken as the side
+    comes, over the masses of `GridWeight.window_sums`."""
+    n, d = w.resolution, w.dim
+    local = np.empty((n + 1,) * d + (0,) * d)
+    best = 0.0
+    for s in range(1, n + 1):
+        k = n - s + 1
+        sums = w.window_sums(s)
+        grown = np.empty((k,) * d + (s,) * d)
+        grown[...] = (sums * (n / s) ** d).reshape(sums.shape + (1,) * d)
+        for e in np.ndindex(*(2,) * d):
+            part = grown[(Ellipsis,) + tuple(slice(o, o + s - 1) for o in e)]
+            np.maximum(part, local[tuple(slice(o, o + k) for o in e)], out=part)
+        local = grown
+        heavy = sums > 0
+        if heavy.any():
+            integrals = grown.reshape(sums.shape + (-1,)).sum(axis=-1)
+            best = max(best, float((integrals[heavy] / n**d / sums[heavy]).max()))
+    return best
+
+
+def growth_profile_sides(w: GridWeight, t_values: Sequence[float]) -> dict[float, float]:
+    """Growth profile with a window view per side and a ratio per (side, t)."""
+    ts = list(t_values)
+    out = {t: 0.0 for t in ts}
+    for s in range(1, w.resolution + 1):
+        cells = s**w.dim
+        windows = sliding_window_view(w.values, (s,) * w.dim).reshape(-1, cells)
+        csum = np.sort(windows, axis=-1)[:, ::-1].cumsum(axis=-1)
+        mass = csum[:, -1]
+        ok = mass > 0
+        if not ok.any():
+            continue
+        for t in ts:
+            k = int(math.floor(t * cells))
+            if k < 1:
+                continue
+            out[t] = max(out[t], float((csum[ok, k - 1] / mass[ok]).max()))
+    return out
 
 
 # ---------------------------------------------------------------------------

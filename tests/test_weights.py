@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (ap_constant_sides, doubling_exact, fsum_mass, fujii_wilson_naive,
-                     hruscev_constant_sides, reverse_holder_holds_sides,
-                     sidelength_growth_exponent_pairs, side_sum_rel)
+                     fujii_wilson_sides, growth_profile_sides, hruscev_constant_sides,
+                     reverse_holder_holds_sides, sidelength_growth_exponent_pairs,
+                     side_sum_rel)
 from tauberian_lab.weights import (
     DEFAULT_PROFILE_T,
     GridCube,
@@ -103,6 +104,14 @@ def test_grid_weight_rejects_non_finite(bad, name):
     for vals in ([1.0, bad, 1.0], [[1.0, 1.0], [bad, 1.0]]):
         with pytest.raises(ValueError, match=name):
             GridWeight(np.array(vals))
+
+
+@pytest.mark.parametrize("shape", [(8,), (4, 4)])
+def test_grid_weight_rejects_overflowing_total_mass(shape):
+    # every cell is finite, but their sum overflows; the gauges then read inf
+    # or nan off the table, so the weight is refused before any is built
+    with pytest.raises(ValueError, match="total mass must be finite"):
+        GridWeight(np.full(shape, 1e308))
 
 
 def test_cube_out_of_range():
@@ -347,6 +356,16 @@ def test_fw_matches_naive_property_2d(w):
     assert fujii_wilson(w) == pytest.approx(fujii_wilson_naive(w), rel=1e-12)
 
 
+@given(grid_weights(dim=1, max_n=24))
+def test_fw_equals_per_side_loop_1d(w):
+    assert fujii_wilson(w) == fujii_wilson_sides(w)
+
+
+@given(grid_weights(dim=2, max_n=8))
+def test_fw_equals_per_side_loop_2d(w):
+    assert fujii_wilson(w) == fujii_wilson_sides(w)
+
+
 # -- Hruscev ------------------------------------------------------------------
 
 
@@ -364,6 +383,17 @@ def test_hruscev_two_valued_full_cube():
     avg = dens.mean()
     geo = math.exp(np.mean(np.log(1 / dens)))
     assert avg * geo == pytest.approx(full, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(8,), (4, 4)])
+def test_hruscev_rejects_overflowing_exp(shape):
+    # the average of log(1/w) is about 743 on every cube, past exp's overflow
+    # at 709.78; A_p refuses the same weight, whose dual masses overflow
+    w = GridWeight(np.full(shape, 5e-324))
+    with pytest.raises(ValueError, match="cell masses must be finite, got inf"):
+        ap_constant(w, 2.0)
+    with pytest.raises(ValueError, match="Hruscev cube values must be finite, got inf"):
+        hruscev_constant(w)
 
 
 def test_hruscev_at_least_one():
@@ -440,6 +470,18 @@ def test_growth_profile_monotone():
     prof = growth_profile(w, ts)
     vals = [prof[t] for t in ts]
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+# t small enough that floor(t * s^d) = 0 on the small sides, t = 1, and any t
+PROFILE_T = st.one_of(st.sampled_from([2.0**-10, 1 / 300, 1 / 7, 0.5, 1.0]),
+                      st.floats(min_value=2.0**-12, max_value=1.0))
+
+
+@given(st.one_of(grid_weights(dim=1, max_n=24), grid_weights(dim=2, max_n=8)),
+       st.lists(PROFILE_T, min_size=1, max_size=6))
+def test_growth_profile_equals_per_side_loop(w, ts):
+    ts = sorted(ts + ts[:1])  # the first t twice
+    assert growth_profile(w, ts) == growth_profile_sides(w, ts)
 
 
 def test_growth_profile_rejects_bad_t():
@@ -639,8 +681,17 @@ POSITIVE = st.floats(min_value=math.exp(-8), max_value=math.exp(6))
 @st.composite
 def gamma_grids(draw):
     dim = draw(st.sampled_from([1, 2]))
-    n = draw(st.integers(8, 40) if dim == 1 else st.integers(8, 14))
-    vals = draw(st.lists(POSITIVE, min_size=n**dim, max_size=n**dim))
+    n = draw(st.integers(8, 40) if dim == 1 else st.integers(8, 16))
+    size = n**dim
+    kind = draw(st.sampled_from(["positive", "zeros", "sparse"]))
+    if kind == "sparse":
+        # a few positive cells, so that some (s2, s1) groups have no Q1 with mass
+        vals = [0.0] * size
+        for i in draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=3)):
+            vals[i] = draw(POSITIVE)
+    else:
+        cells = POSITIVE if kind == "positive" else st.one_of(st.just(0.0), POSITIVE)
+        vals = draw(st.lists(cells, min_size=size, max_size=size).filter(any))
     return GridWeight(np.reshape(vals, (n,) * dim))
 
 
