@@ -28,9 +28,9 @@ its thresholds:
   Lebesgue call has no measure object and is not memoized.
 * `exact_halo_1d` and `point_eval_1d` keep F(E) (one `IntervalSet`) on the
   `PiecewiseWeight1D`, keyed by E, and share that entry.
-* `atomic_maximal_lower` without explicit candidates keeps one candidate set
-  (its boxes, atom incidence and integer masses) on the `AtomicMeasure`,
-  keyed by the tuple of E's indices.
+* `atomic_maximal_lower` keeps one candidate set (its boxes, atom
+  incidence and integer masses) on the `AtomicMeasure`, keyed by the tuple
+  of E's indices.
 
 A new key replaces the entry, so each measure holds at most one.  Direct
 calls of `grid_maximal` and `default_atomic_candidates`, and the Lebesgue
@@ -49,7 +49,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import UnsupportedGeometry
 from .geometry import Box, _int_corners, _to_rat
 from .gridops import resolution, side_table
 from .weights import GridWeight
@@ -546,12 +545,12 @@ def default_atomic_candidates(mu: AtomicMeasure, e_indices: Sequence[int]) -> li
     return out
 
 
-def _atomic_stage(mu: AtomicMeasure, e_indices: list[int], boxes: tuple[Box, ...]):
-    """The alpha-free part of `atomic_maximal_lower` for one candidate set:
-    (boxes, inside[candidate, atom], atom masses times scale, scale, and each
-    candidate's mass and E-mass times scale), its arrays read-only."""
-    if any(box.dim != mu.dim for box in boxes):
-        raise UnsupportedGeometry("candidate box dimension mismatch")
+def _atomic_stage(mu: AtomicMeasure, e_indices: list[int]):
+    """The alpha-free part of `atomic_maximal_lower`, over the default
+    candidates: (boxes, inside[candidate, atom], atom masses times scale,
+    scale, and each candidate's mass and E-mass times scale), its arrays
+    read-only."""
+    boxes = tuple(default_atomic_candidates(mu, e_indices))
     _, lo, hi = _int_corners([(b.lo, b.hi) for b in boxes] + [(pt, pt) for pt, _ in mu.atoms])
     pts = lo[len(boxes):]
     inside = ((lo[:len(boxes), None] <= pts) & (pts <= hi[:len(boxes), None])).all(axis=2)
@@ -565,24 +564,23 @@ def _atomic_stage(mu: AtomicMeasure, e_indices: list[int], boxes: tuple[Box, ...
     return boxes, inside, masses, scale, mass, mass_e
 
 
-def atomic_maximal_lower(mu: AtomicMeasure, e_indices: Sequence[int], alpha,
-                         candidate_boxes: Sequence[Box] | None = None
+def atomic_maximal_lower(mu: AtomicMeasure, e_indices: Sequence[int], alpha
                          ) -> AtomicHaloBound:
     """Certified lower bound on the halo mass of an atom subset.
 
-    Every candidate cube whose E-mass fraction strictly exceeds alpha puts
-    all its points, in particular all its atoms, inside the halo.  The bound
-    is the exact mass of the union of certified atoms.
+    The candidates are `default_atomic_candidates(mu, e_indices)`.  Every
+    candidate cube whose E-mass fraction strictly exceeds alpha puts all its
+    points, in particular all its atoms, inside the halo.  The bound is the
+    exact mass of the union of certified atoms.
 
     Candidates and atoms go onto one integer grid (`_int_corners`) and the
     masses onto integers over their lcm, so membership is one comparison of
     Python ints per candidate, atom and axis, and for alpha = p/q a candidate
     is certified iff q * (its E-mass) > p * (its mass), an exact test.
 
-    With candidate_boxes None, the default candidates, their membership
-    matrix and their masses are remembered on mu, keyed by tuple(e_indices)
-    (one candidate set per measure), so an alpha ladder on one E builds them
-    once.  Explicit candidate_boxes neither read nor replace that entry.
+    The candidates, their membership matrix and their masses are remembered
+    on mu, keyed by tuple(e_indices) (one candidate set per measure), so an
+    alpha ladder on one E builds them once.
     """
     alpha = _to_rat(alpha)
     if not 0 < alpha < 1:
@@ -591,12 +589,8 @@ def atomic_maximal_lower(mu: AtomicMeasure, e_indices: Sequence[int], alpha,
     if not e_indices:
         raise ValueError("E must contain at least one atom")
     _check_atom_indices(mu, e_indices)
-    if candidate_boxes is None:
-        stage = _remembered(mu, tuple(e_indices), lambda: _atomic_stage(
-            mu, e_indices, tuple(default_atomic_candidates(mu, e_indices))))
-    else:
-        stage = _atomic_stage(mu, e_indices, tuple(candidate_boxes))
-    boxes, inside, masses, scale, mass, mass_e = stage
+    boxes, inside, masses, scale, mass, mass_e = _remembered(
+        mu, tuple(e_indices), lambda: _atomic_stage(mu, e_indices))
     certified = mass_e * alpha.denominator > alpha.numerator * mass
     covered = inside[certified].any(axis=0)
     witnesses = tuple((boxes[c], Fraction(mass_e[c], mass[c])) for c in np.flatnonzero(certified))

@@ -20,30 +20,27 @@ def rng_for(seed: int, label: str) -> np.random.Generator:
     return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, zlib.crc32(label.encode())])
 
 
-def random_box(rng: np.random.Generator, dim: int, denom: int = 16,
-               span: int = 4, max_side: int = 2) -> Box:
-    """Box with dyadic coordinates: centers in [0, span], sides in (0, max_side]."""
-    center = tuple(Fraction(int(rng.integers(0, span * denom + 1)), denom)
-                   for _ in range(dim))
-    side = Fraction(int(rng.integers(1, max_side * denom + 1)), denom)
-    return Box(center, side)
+def _random_box(rng: np.random.Generator, dim: int) -> Box:
+    """Box with coordinates in sixteenths: centers in [0, 4], sides in (0, 2]."""
+    center = tuple(Fraction(int(rng.integers(0, 4 * 16 + 1)), 16) for _ in range(dim))
+    return Box(center, Fraction(int(rng.integers(1, 2 * 16 + 1)), 16))
 
 
 def random_family(rng: np.random.Generator, dim: int, count: int,
-                  decreasing: bool = True, **kw) -> BoxFamily:
-    boxes = [random_box(rng, dim, **kw) for _ in range(count)]
+                  decreasing: bool = True) -> BoxFamily:
+    boxes = [_random_box(rng, dim) for _ in range(count)]
     if decreasing:
         return sorted_decreasing(boxes)
     return BoxFamily(boxes)
 
 
 def random_grid_cube_family(rng: np.random.Generator, n: int, dim: int,
-                            count: int, max_side: int | None = None) -> BoxFamily:
-    """Grid-aligned cubes on the N^n grid over [0,1)^n, sorted decreasing."""
-    max_side = max_side or max(1, n // 2)
+                            count: int) -> BoxFamily:
+    """Grid-aligned cubes on the N^n grid over [0,1)^n, sorted decreasing;
+    sides of 1..max(1, N // 2) cells."""
     boxes = []
     for _ in range(count):
-        side = int(rng.integers(1, max_side + 1))
+        side = int(rng.integers(1, max(1, n // 2) + 1))
         corner = tuple(int(rng.integers(0, n - side + 1)) for _ in range(dim))
         center = tuple(Fraction(2 * c + side, 2 * n) for c in corner)
         boxes.append(Box(center, Fraction(side, n)))

@@ -105,6 +105,11 @@ class GridWeight:
             raise ValueError("total mass must be finite, got inf")
         self.values = values
         self.dim = values.ndim
+        # the largest entry of `density`, which the gauges raise to powers and take logs of
+        with np.errstate(over="ignore"):
+            peak = values.max() / self.cell_volume
+        if not math.isfinite(peak):
+            raise ValueError("largest density must be finite, got inf")
         self.meta = dict(meta or {})
 
     # -- basic queries -------------------------------------------------------
@@ -191,7 +196,6 @@ class WeightFamilySpec:
     x0: tuple[float, ...] | float = 0.0
     levels: tuple[float, ...] = (1.0, float(np.e) ** 2)
     seed: int = 0
-    smoothness: float = 4.0
 
     def label(self) -> str:
         if self.family == "power":
@@ -227,6 +231,8 @@ def generate_weight(spec: WeightFamilySpec) -> GridWeight:
         if spec.a <= -d:
             raise ValueError("integrability violation: power exponent must exceed -dim")
         x0 = spec.x0 if isinstance(spec.x0, tuple) else (float(spec.x0),) * d
+        if len(x0) != d:
+            raise ValueError(f"x0 needs {d} coordinates, got {len(x0)}")
         if d == 1:
             values = _power_masses_1d(n, spec.a, x0[0])
         else:
@@ -238,6 +244,8 @@ def generate_weight(spec: WeightFamilySpec) -> GridWeight:
             values = r2 ** (spec.a / 2.0) * cellvol
     elif spec.family == "checkerboard":
         levels = np.asarray(spec.levels, dtype=float)
+        if not levels.size:
+            raise ValueError("checkerboard needs at least one level")
         if np.any(levels <= 0):
             raise ValueError("checkerboard levels must be positive")
         idx = np.arange(n)
@@ -249,7 +257,7 @@ def generate_weight(spec: WeightFamilySpec) -> GridWeight:
     elif spec.family == "log-smooth-random":
         rng = np.random.default_rng(spec.seed)
         field_vals = rng.standard_normal((n,) * d)
-        width = max(1, int(round(spec.smoothness)))
+        width = 4  # cells per standard deviation of the Gaussian kernel
         kernel = np.exp(-0.5 * (np.arange(-3 * width, 3 * width + 1) / width) ** 2)
         kernel /= kernel.sum()
 
@@ -330,17 +338,21 @@ def fujii_wilson(w: GridWeight) -> float:
     integrals = np.empty(flat.size)
     # side-0 cubes have no cells, so side 1 starts from the averages alone
     local = np.empty((n + 1,) * d + (0,) * d)
-    for s, lo, sums in zip(range(1, n + 1), gridops.side_offsets(n, d), sides):
-        k = n - s + 1
-        grown = np.empty((k,) * d + (s,) * d)
-        grown[...] = (sums * (n / s) ** d).reshape(sums.shape + (1,) * d)
-        for e in np.ndindex(*(2,) * d):
-            part = grown[(Ellipsis,) + tuple(slice(o, o + s - 1) for o in e)]
-            np.maximum(part, local[tuple(slice(o, o + k) for o in e)], out=part)
-        local = grown
-        grown.reshape(sums.size, -1).sum(axis=-1, out=integrals[lo:lo + sums.size])
-    heavy = flat > 0
-    return float((integrals[heavy] / n**d / flat[heavy]).max())
+    # finite densities can still sum past the largest float within one cube
+    with np.errstate(over="ignore"):
+        for s, lo, sums in zip(range(1, n + 1), gridops.side_offsets(n, d), sides):
+            k = n - s + 1
+            grown = np.empty((k,) * d + (s,) * d)
+            grown[...] = (sums * (n / s) ** d).reshape(sums.shape + (1,) * d)
+            for e in np.ndindex(*(2,) * d):
+                part = grown[(Ellipsis,) + tuple(slice(o, o + s - 1) for o in e)]
+                np.maximum(part, local[tuple(slice(o, o + k) for o in e)], out=part)
+            local = grown
+            grown.reshape(sums.size, -1).sum(axis=-1, out=integrals[lo:lo + sums.size])
+        heavy = flat > 0
+        quotients = integrals[heavy] / n**d / flat[heavy]
+    _require_finite(quotients, "Fujii-Wilson cube values")
+    return float(quotients.max())
 
 
 def hruscev_constant(w: GridWeight) -> float:
@@ -367,21 +379,16 @@ def doubling_constant(w: GridWeight) -> float:
     n = w.resolution
     if n < 4:
         raise ValueError("domain too small: doubling needs N >= 4")
-    best = 0.0
-    found = False
+    sides = w.table.sides
+    best = -math.inf
     for s in range(2, n // 2 + 1, 2):
-        # corners h..n-s-h of Q, and corners 0..n-2s of its double 2Q
+        # corners h..n-s-h of Q, and every corner 0..n-2s of its double 2Q
         h = s // 2
-        if n - s - h < h:
-            continue
-        num = w.window_sums(2 * s)[(slice(0, n - 2 * s + 1),) * w.dim]
-        den = w.window_sums(s)[(slice(h, n - s - h + 1),) * w.dim]
-        mask = den > 0
-        if not mask.any():
-            continue
-        found = True
-        best = max(best, float((num[mask] / den[mask]).max()))
-    if not found:
+        den = sides[s - 1][(slice(h, n - s - h + 1),) * w.dim]
+        ratio = np.full(den.shape, -np.inf)
+        np.divide(sides[2 * s - 1], den, out=ratio, where=den > 0)
+        best = max(best, float(ratio.max()))
+    if best == -math.inf:
         raise ValueError("no admissible cube with positive mass")
     return best
 
@@ -442,9 +449,12 @@ def fit_growth_exponent(profile: dict[float, float]) -> GrowthFit:
 
 def reverse_holder_holds(w: GridWeight, eps: float, constant: float = 2.0) -> bool:
     """(avg_Q w^(1+eps))^(1/(1+eps)) <= constant * avg_Q w on every grid cube;
-    powers taken on cell densities; eps must be positive."""
+    powers taken on cell densities; eps must be positive and constant
+    positive and finite."""
     if not eps > 0:
         raise ValueError(f"reverse Holder exponent eps must be positive, got {eps}")
+    if not 0 < constant < math.inf:
+        raise ValueError(f"reverse Holder constant must be positive and finite, got {constant}")
     _require_positive_cells(w, "reverse Holder powers")
     with np.errstate(over="ignore"):
         powers = w.density ** (1 + eps) * w.cell_volume
@@ -455,7 +465,8 @@ def reverse_holder_holds(w: GridWeight, eps: float, constant: float = 2.0) -> bo
 
 
 def reverse_holder_exponent(w: GridWeight, constant: float = 2.0) -> float:
-    """Largest eps in {2^-k, k=0..20} passing reverse_holder_holds."""
+    """Largest eps in {2^-k, k=0..20} passing reverse_holder_holds, which
+    checks constant."""
     for k in range(0, 21):
         eps = 2.0**-k
         if reverse_holder_holds(w, eps, constant):

@@ -4,9 +4,10 @@ No oracle here calls `gridops`, the cube-sum kernel that the fast paths
 share, so a wrong slice or term there shows up as a difference between a
 fast path and its oracle.  Cube masses here are `math.fsum`s of the cube's
 cells, which are correctly rounded.  The exceptions are
-`sidelength_growth_exponent_pairs` and `fujii_wilson_sides`, which take
-their cube masses from `GridWeight.window_sums` as the code they replaced
-did, so that `==` compares the loops and not two roundings.  The per-side
+`sidelength_growth_exponent_pairs`, `fujii_wilson_sides` and
+`doubling_window_loop`, which take their cube masses from
+`GridWeight.window_sums` as the code they replaced did, so that `==`
+compares the loops and not two roundings.  The per-side
 paths below keep the float operations of the code that `gridops.side_table`
 replaced, over their own copy of its per-side kernel, so the fast paths must
 equal them bit for bit.
@@ -22,9 +23,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from tauberian_lab.covering import SelectionResult
-from tauberian_lab.errors import InvariantViolation, UnsupportedGeometry
+from tauberian_lab.errors import InvariantViolation
 from tauberian_lab.geometry import (_BLOCK_CELLS, Box, BoxFamily, IdentityCheck, _Grid,
-                                    _int_corners, _to_rat, _volume, dilate)
+                                    _int_corners, _to_rat, _volume, dilate,
+                                    sorted_decreasing)
 from tauberian_lab.geometry import _cells as _grid_cells
 from tauberian_lab.maximal import (AtomicHaloBound, AtomicMeasure, IntervalSet, MaximalSpec,
                                    PiecewiseWeight1D, default_atomic_candidates)
@@ -94,6 +96,65 @@ def doubling_exact(w: GridWeight) -> float:
             if inner > 0:
                 best = max(best, mass(GridCube(tuple(c - h for c in corner), 2 * s)) / inner)
     return float(best)
+
+
+def doubling_window_loop(w: GridWeight) -> float:
+    """doubling_constant as it was before it read `w.table.sides` whole: per
+    even side, the mask of the Q with positive mass, their ratios, and a
+    found flag."""
+    n = w.resolution
+    if n < 4:
+        raise ValueError("domain too small: doubling needs N >= 4")
+    best = 0.0
+    found = False
+    for s in range(2, n // 2 + 1, 2):
+        h = s // 2
+        if n - s - h < h:
+            continue
+        num = w.window_sums(2 * s)[(slice(0, n - 2 * s + 1),) * w.dim]
+        den = w.window_sums(s)[(slice(h, n - s - h + 1),) * w.dim]
+        mask = den > 0
+        if not mask.any():
+            continue
+        found = True
+        best = max(best, float((num[mask] / den[mask]).max()))
+    if not found:
+        raise ValueError("no admissible cube with positive mass")
+    return best
+
+
+# ---------------------------------------------------------------------------
+# Sampling recipes with every setting the library has since fixed: the
+# library's draws must equal these at the old defaults.
+# ---------------------------------------------------------------------------
+
+
+def random_box_settable(rng: np.random.Generator, dim: int, denom: int = 16,
+                        span: int = 4, max_side: int = 2) -> Box:
+    center = tuple(Fraction(int(rng.integers(0, span * denom + 1)), denom)
+                   for _ in range(dim))
+    side = Fraction(int(rng.integers(1, max_side * denom + 1)), denom)
+    return Box(center, side)
+
+
+def random_family_settable(rng: np.random.Generator, dim: int, count: int,
+                           decreasing: bool = True, **kw) -> BoxFamily:
+    boxes = [random_box_settable(rng, dim, **kw) for _ in range(count)]
+    if decreasing:
+        return sorted_decreasing(boxes)
+    return BoxFamily(boxes)
+
+
+def random_grid_cube_family_settable(rng: np.random.Generator, n: int, dim: int,
+                                     count: int, max_side: int | None = None) -> BoxFamily:
+    max_side = max_side or max(1, n // 2)
+    boxes = []
+    for _ in range(count):
+        side = int(rng.integers(1, max_side + 1))
+        corner = tuple(int(rng.integers(0, n - side + 1)) for _ in range(dim))
+        center = tuple(Fraction(2 * c + side, 2 * n) for c in corner)
+        boxes.append(Box(center, Fraction(side, n)))
+    return sorted_decreasing(boxes)
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +370,14 @@ def sidelength_growth_exponent_pairs(w: GridWeight) -> float:
     return best
 
 
-def atomic_maximal_lower_float(mu: AtomicMeasure, e_indices: Sequence[int], alpha,
-                               candidate_boxes: Sequence[Box] | None = None
+def atomic_maximal_lower_float(mu: AtomicMeasure, e_indices: Sequence[int], alpha
                                ) -> AtomicHaloBound:
     """Certified lower bound on the halo mass of an atom subset.
 
-    Every candidate cube whose E-mass fraction strictly exceeds alpha puts
-    all its points, in particular all its atoms, inside the halo.  The bound
-    is the exact mass of the union of certified atoms.
+    The candidates are `default_atomic_candidates`.  Every candidate cube
+    whose E-mass fraction strictly exceeds alpha puts all its points, in
+    particular all its atoms, inside the halo.  The bound is the exact mass
+    of the union of certified atoms.
 
     Membership is prefiltered in floating point with a slack wide enough to
     never drop a true member, then confirmed in exact rational arithmetic.
@@ -330,15 +391,11 @@ def atomic_maximal_lower_float(mu: AtomicMeasure, e_indices: Sequence[int], alph
     eset = set(e_indices)
     if any(not 0 <= i < len(mu.atoms) for i in eset):
         raise ValueError("atom index out of range")
-    if candidate_boxes is None:
-        candidate_boxes = default_atomic_candidates(mu, e_indices)
     pts_f = np.array([[float(c) for c in pt] for pt, _ in mu.atoms])
     slack = 1e-9 * max(1.0, float(np.abs(pts_f).max()))
     covered: set[int] = set()
     witnesses = []
-    for box in candidate_boxes:
-        if box.dim != mu.dim:
-            raise UnsupportedGeometry("candidate box dimension mismatch")
+    for box in default_atomic_candidates(mu, e_indices):
         lo_f = np.array([float(x) for x in box.lo])
         hi_f = np.array([float(x) for x in box.hi])
         rough = np.flatnonzero(

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from oracles import (atomic_maximal_lower_float, exact_halo_1d_sweep, grid_maximal_naive,
                      grid_maximal_sides,
                      piecewise_mass_loop, point_eval_1d_direct)
-from tauberian_lab.errors import UnsupportedGeometry
-from tauberian_lab.geometry import Box
 from tauberian_lab.maximal import (
     VARIANTS,
     AtomicMeasure,
@@ -677,12 +675,6 @@ def test_atomic_candidates_include_pair_cubes():
     assert all(b.dim == 2 for b in cands)
 
 
-def test_atomic_rejects_candidate_of_other_dimension():
-    mu = AtomicMeasure([((F(0),), F(1)), ((F(1),), F(2))])
-    with pytest.raises(UnsupportedGeometry, match="dimension mismatch"):
-        atomic_maximal_lower(mu, [0], F(1, 2), [Box((F(0),), 1), Box((F(0), F(0)), 1)])
-
-
 # 3^41 and 2^70 + 1 put the scaled corners past 2^63
 DENOMINATORS = (1, 3, 5, 7, 64, 3**41, 2**70 + 1)
 
@@ -703,10 +695,7 @@ def atomic_cases(draw):
     e_idx = draw(st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=len(pts)))
     q = draw(st.integers(2, 12))
     alpha = F(draw(st.integers(1, q - 1)), q)
-    boxes = st.builds(Box, st.tuples(*[rationals(-2, 2)] * d),
-                      rationals(0, 4).filter(lambda side: side > 0))
-    candidates = draw(st.one_of(st.none(), st.just([]), st.lists(boxes, max_size=12)))
-    return AtomicMeasure(list(zip(pts, masses))), e_idx, alpha, candidates
+    return AtomicMeasure(list(zip(pts, masses))), e_idx, alpha
 
 
 @settings(max_examples=300)
@@ -866,20 +855,23 @@ def test_point_eval_shares_the_halo_entry():
 @settings(max_examples=200)
 @given(atomic_cases(), LADDER)
 def test_atomic_ladder_equals_fresh_measures(case, alphas):
-    mu, e_idx, _, candidates = case
+    mu, e_idx, _ = case
     for alpha in alphas:
-        got = atomic_maximal_lower(mu, e_idx, alpha, candidates)
-        assert got == atomic_maximal_lower(AtomicMeasure(mu.atoms), e_idx, alpha, candidates)
+        got = atomic_maximal_lower(mu, e_idx, alpha)
+        assert got == atomic_maximal_lower(AtomicMeasure(mu.atoms), e_idx, alpha)
 
 
 @given(atomic_cases(), LADDER)
 def test_atomic_interleaved_sets(case, alphas):
-    mu, e_idx, _, _ = case
+    mu, e_idx, _ = case
+    before = set(vars(mu))
     sets = [e_idx, list(range(len(mu.atoms)))[::-1], e_idx[:1]]
     for alpha in alphas:
         for idx in sets:
             assert (atomic_maximal_lower(mu, idx, alpha)
                     == atomic_maximal_lower(AtomicMeasure(mu.atoms), idx, alpha))
+            (entry,) = memo_entries(mu, before)
+            assert entry[0] == tuple(idx)
 
 
 def test_atomic_follows_an_index_list_changed_in_place():
@@ -890,18 +882,3 @@ def test_atomic_follows_an_index_list_changed_in_place():
     assert atomic_maximal_lower(mu, idx, F(3, 4)) == atomic_maximal_lower(
         harmonic_measure(8), [0, 3], F(3, 4))
 
-
-def test_atomic_explicit_candidates_leave_the_entry_alone():
-    mu = harmonic_measure(8)
-    before = set(vars(mu))
-    explicit = [Box((F(0), F(0)), F(1, 2)), Box((F(1, 2), F(1, 2)), F(1))]
-    atomic_maximal_lower(mu, [0], F(1, 2), explicit)
-    assert memo_entries(mu, before) == []
-    atomic_maximal_lower(mu, [0], F(1, 2))
-    (entry,) = memo_entries(mu, before)
-    for k in range(1, 4):
-        atomic_maximal_lower(mu, [k], F(1, 2), explicit)
-        assert memo_entries(mu, before)[0] is entry
-    for k in range(1, 4):
-        atomic_maximal_lower(mu, [0, k], F(1, 2))
-        assert len(memo_entries(mu, before)) == 1

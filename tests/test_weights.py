@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (ap_constant_sides, doubling_exact, fsum_mass, fujii_wilson_naive,
+from oracles import (ap_constant_sides, doubling_exact, doubling_window_loop, fsum_mass,
+                     fujii_wilson_naive,
                      fujii_wilson_sides, growth_profile_sides, hruscev_constant_sides,
                      reverse_holder_holds_sides, sidelength_growth_exponent_pairs,
                      side_sum_rel)
@@ -73,6 +76,20 @@ def test_power_integrability_guard():
         generate_weight(WeightFamilySpec("power", 1, 8, a=-1.0))
 
 
+@pytest.mark.parametrize("dim,x0", [(2, (0.5,)), (1, (0.5, 0.2)), (2, (0.1, 0.2, 0.3))])
+def test_power_rejects_x0_of_another_dimension(dim, x0):
+    # a 2-D spec given one coordinate once raised IndexError, and a 1-D spec
+    # given two silently used the first
+    with pytest.raises(ValueError, match=f"x0 needs {dim} coordinates, got {len(x0)}"):
+        generate_weight(WeightFamilySpec("power", dim, 4, a=1.0, x0=x0))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_checkerboard_rejects_empty_levels(dim):
+    with pytest.raises(ValueError, match="checkerboard needs at least one level"):
+        generate_weight(WeightFamilySpec("checkerboard", dim, 4, levels=()))
+
+
 # -- cube mass / average ------------------------------------------------------
 
 
@@ -112,6 +129,16 @@ def test_grid_weight_rejects_overflowing_total_mass(shape):
     # or nan off the table, so the weight is refused before any is built
     with pytest.raises(ValueError, match="total mass must be finite"):
         GridWeight(np.full(shape, 1e308))
+
+
+@pytest.mark.parametrize("values", [[1e308] + [1.0] * 7, [[1e308, 1.0], [1.0, 1.0]]])
+def test_grid_weight_rejects_overflowing_density(values):
+    # the total is finite, but the largest density, 8e308 or 4e308, is not;
+    # the gauges once overflowed dividing by the cell volume
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="largest density must be finite, got inf"):
+            GridWeight(np.array(values))
 
 
 def test_cube_out_of_range():
@@ -236,6 +263,19 @@ def test_fw_nondecreasing_under_cell_split_2d():
         fine = GridWeight(np.kron(w.values, np.full((2, 2), 0.25)))
         assert fine.resolution == 64
         assert fujii_wilson(fine) >= fujii_wilson(w) - 1e-12
+
+
+@pytest.mark.parametrize("shape", [(8,), (4, 4)])
+def test_fw_rejects_overflowing_integrals(shape):
+    # the largest density, 8e307 or 1.6e308, is finite, but a cube's integral
+    # of M(w 1_Q) sums several of them past the largest float
+    values = np.ones(shape)
+    values.flat[0] = 1e307
+    w = GridWeight(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="Fujii-Wilson cube values must be finite, got inf"):
+            fujii_wilson(w)
 
 
 def test_fw_resolution_cap():
@@ -435,6 +475,47 @@ def test_doubling_at_least_one():
 def test_doubling_needs_room():
     with pytest.raises(ValueError):
         doubling_constant(const_w(2))
+
+
+@pytest.mark.parametrize("values", [
+    [1.0, 0.0, 0.0, 1.0],
+    [1.0, 0.0, 0.0, 0.0, 1.0],
+    [[1.0, 0.0, 0.0, 1.0], [0.0] * 4, [0.0] * 4, [1.0, 0.0, 0.0, 1.0]],
+])
+def test_doubling_without_an_admissible_cube_of_positive_mass(values):
+    # every admissible Q lies in the zero cells, so no ratio is defined
+    w = GridWeight(np.array(values))
+    for gauge in (doubling_constant, doubling_window_loop):
+        with pytest.raises(ValueError, match="no admissible cube with positive mass"):
+            gauge(w)
+
+
+@st.composite
+def doubling_grids(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(4, 40) if dim == 1 else st.integers(4, 12))
+    size = n**dim
+    if draw(st.booleans()):
+        # a few positive cells, so that some sides have no Q with mass
+        vals = [0.0] * size
+        for i in draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=3)):
+            vals[i] = draw(POSITIVE)
+    else:
+        vals = draw(st.lists(st.one_of(st.just(0.0), POSITIVE), min_size=size, max_size=size)
+                    .filter(any))
+    return GridWeight(np.reshape(vals, (n,) * dim))
+
+
+@settings(max_examples=200)
+@given(doubling_grids())
+def test_doubling_equals_window_loop(w):
+    try:
+        expect = doubling_window_loop(w)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+            doubling_constant(w)
+    else:
+        assert doubling_constant(w) == expect
 
 
 # -- growth profile -----------------------------------------------------------
@@ -660,6 +741,17 @@ def test_gamma_defined_with_zero_cells():
 def test_rh_rejects_nonpositive_eps(eps):
     with pytest.raises(ValueError, match="eps must be positive"):
         reverse_holder_holds(power_w(16, 1.0), eps)
+
+
+@pytest.mark.parametrize("constant", [float("nan"), 0.0, -1.0, float("inf")])
+def test_rh_rejects_constant_outside_open_range(constant):
+    # NaN once passed every cube, and -1 failed every eps with a warning
+    w = power_w(16, 1.0)
+    match = "reverse Holder constant must be positive and finite"
+    with pytest.raises(ValueError, match=match):
+        reverse_holder_holds(w, 0.5, constant)
+    with pytest.raises(ValueError, match=match):
+        reverse_holder_exponent(w, constant)
 
 
 @pytest.mark.parametrize("p", [float("inf"), float("nan"), 1.0, 0.5])
