@@ -27,7 +27,9 @@ from .geometry import (
     BoxFamily,
     _dilated_grid,
     _family,
+    _level,
     _meets,
+    _positive,
     _to_rat,
 )
 from .weights import GridCube, GridWeight
@@ -131,9 +133,7 @@ def cf_select_lebesgue(f: BoxFamily, delta) -> SelectionResult:
     Every kept cube after the first contributes new measure >= delta * |Q|;
     every rejected cube was covered above the (1-delta) level when visited.
     """
-    delta = _to_rat(delta)
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+    delta = _level(delta, "delta")
     _require_decreasing(f)
     _, lo, hi = f._ints
     grid = f._grid
@@ -163,18 +163,15 @@ def _cube_slices(q: GridCube):
 
 def _grid_cells(f: BoxFamily, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Every box's cells on the n-cell grid, the (k, d) int arrays L*n/D and
-    H*n/D for the family's corners L, H at scale D; raises box_to_grid_cube's
-    error for the first box it rejects."""
+    H*n/D for the family's corners L, H at scale D; for the first box it
+    rejects, raises what box_to_grid_cube raises."""
     scale, lo, hi = f._ints
     lo, hi = lo * n, hi * n
     a, b = lo // scale, hi // scale
-    bad = np.array([(lo % scale != 0).any(axis=1), ((hi - lo) % scale != 0).any(axis=1),
-                    ((a < 0) | (b > n)).any(axis=1)])
+    bad = ((lo % scale != 0) | (hi % scale != 0) | (a < 0) | (b > n)).any(axis=1)
     if bad.any():
-        first = bad[:, bad.any(axis=0).argmax()]  # the checks of the first rejected box
-        raise UnsupportedGeometry(("box corner is not grid-aligned",
-                                   "box side is not a whole number of cells",
-                                   "box escapes the grid domain")[first.argmax()])
+        box_to_grid_cube(f[int(bad.argmax())], n)
+        raise InvariantViolation("box_to_grid_cube accepts a box off the grid")
     return a.astype(np.int64), b.astype(np.int64)
 
 
@@ -183,9 +180,7 @@ def cf_select_weighted(f: BoxFamily, w: GridWeight, xi) -> SelectionResult:
     most a (1-xi) fraction of its w-mass, decided on the exact masses that the
     verifier reads, each cube's from their summed-area table.  The result's
     floats are the exact ratios correctly rounded, float(Fraction(n, d))."""
-    xi = _to_rat(xi)
-    if not 0 < xi < 1:
-        raise ValueError("xi must lie in (0, 1)")
+    xi = _level(xi, "xi")
     _require_decreasing(f)
     if f and f.dim != w.dim:
         raise ValueError("dimension mismatch")
@@ -395,9 +390,7 @@ def minimal_cover_dilation(f: BoxFamily | Sequence[Box], selected: Sequence[Box]
         return Fraction(1)
     if candidates is None:
         candidates = [Fraction(k, 8) for k in range(8, 41)]
-    ts = sorted(candidates)
-    if any(_to_rat(t) <= 0 for t in ts):
-        raise ValueError("dilation factor must be positive")
+    ts = sorted(_positive(t, "dilation factor") for t in candidates)
     if sel and sel.dim != fam.dim:
         raise ValueError("dimension mismatch")
     # the family, then the selected boxes, on the lcm of their scales
@@ -412,11 +405,10 @@ def minimal_cover_dilation(f: BoxFamily | Sequence[Box], selected: Sequence[Box]
     sides = (hi - lo)[k:, 0]
 
     def reaches_corners(t) -> bool:
-        t = _to_rat(t)
         return bool((t.denominator * gaps <= t.numerator * sides).any(axis=1).all())
 
     def covers(t) -> bool:
-        grid = _dilated_grid(scale, lo, hi, _to_rat(t), k)
+        grid = _dilated_grid(scale, lo, hi, t, k)
         return not (grid.cover(range(k)) & ~grid.cover(range(k, len(grid.slices)))).any()
 
     i = bisect_left(ts, True, key=reaches_corners)

@@ -3,9 +3,12 @@
 Everything in this module is exact; there are no tolerances.  A Box is a
 closed axis-parallel cube (one sidelength for all axes).
 
+Every exact engine of the package puts its numbers on one integer scale,
+`_on_scale`: D is the lcm of their denominators, and x becomes the int x * D.
+
 Box families are measured by coordinate compression on one integer grid, as
 in Klee's measure problem.  A family is converted once, on first use, to
-integer corner arrays L, H at one scale D, the lcm of the corner denominators,
+integer corner arrays L, H at one scale D, the `_on_scale` of its corners,
 and to the compressed grid of its boxes; BoxFamily caches both, and every
 family operation here and in `covering` reads them (a plain sequence of boxes
 is wrapped into a BoxFamily once per call).  Decisions that compare volumes or
@@ -26,6 +29,7 @@ Supported dimensions: 1, 2, 3.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -47,6 +51,28 @@ def _to_rat(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _level(x, name: str) -> Fraction:
+    x = _to_rat(x)
+    if not 0 < x < 1:
+        raise ValueError(f"{name} must lie in (0, 1)")
+    return x
+
+
+def _positive(x, name: str) -> Fraction:
+    x = _to_rat(x)
+    if x <= 0:
+        raise ValueError(f"{name} must be positive")
+    return x
+
+
+def _on_scale(xs: Iterable) -> tuple[int, list[int]]:
+    """D, the lcm of the `as_integer_ratio()` denominators of Fractions, ints
+    or floats (for floats, powers of two, the largest), and each x * D as an int."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    scale = math.lcm(*(d for _, d in ratios))
+    return scale, [n * (scale // d) for n, d in ratios]
+
+
 @dataclass(frozen=True)
 class Box:
     """Closed axis-parallel cube: center per axis, one sidelength."""
@@ -58,9 +84,7 @@ class Box:
 
     def __init__(self, center: Sequence, side) -> None:
         center = tuple(_to_rat(c) for c in center)
-        side = _to_rat(side)
-        if side <= 0:
-            raise ValueError("box sidelength must be positive")
+        side = _positive(side, "box sidelength")
         if not 1 <= len(center) <= 3:
             raise ValueError("supported dimensions are 1..3")
         object.__setattr__(self, "center", center)
@@ -98,10 +122,7 @@ class Box:
 
 def dilate(b: Box, factor) -> Box:
     """Concentric dilation: same center, sidelength multiplied by factor."""
-    factor = _to_rat(factor)
-    if factor <= 0:
-        raise ValueError("dilation factor must be positive")
-    return Box(b.center, b.side * factor)
+    return Box(b.center, b.side * _positive(factor, "dilation factor"))
 
 
 @dataclass(frozen=True)
@@ -190,11 +211,9 @@ def _int_corners(corner_boxes: Sequence[tuple[Sequence[Fraction], Sequence[Fract
     dims = {len(c) for pair in corner_boxes for c in pair}
     if len(dims) > 1:
         raise ValueError("dimension mismatch")
-    scale = math.lcm(*(c.denominator for lo, hi in corner_boxes for c in (*lo, *hi)))
-    shape = (len(corner_boxes), max(dims, default=0))
-    return scale, *(np.array([[c.numerator * (scale // c.denominator) for c in pair[s]]
-                              for pair in corner_boxes], dtype=object).reshape(shape)
-                    for s in (0, 1))
+    scale, ints = _on_scale(c for lo, hi in corner_boxes for c in (*lo, *hi))
+    corners = np.array(ints, dtype=object).reshape(len(corner_boxes), 2, max(dims, default=0))
+    return scale, corners[:, 0], corners[:, 1]
 
 
 def _axes(coords: Iterable[Iterable[int]]) -> list[np.ndarray]:
@@ -351,16 +370,14 @@ class BoxRegion:
     def dilate_about(self, center: Sequence, factor) -> "BoxRegion":
         """Image under x -> center + factor*(x - center); exact affine map.  It
         is increasing on every axis, so it moves the grid lines and keeps the mask."""
-        factor = _to_rat(factor)
-        if factor <= 0:
-            raise ValueError("dilation factor must be positive")
+        factor = _positive(factor, "dilation factor")
         center = tuple(_to_rat(c) for c in center)
         if len(center) != self.dim:
             raise ValueError("dimension mismatch")
-        mapped = [[c + factor * (Fraction(int(x), self.scale) - c) for x in ax]
-                  for c, ax in zip(center, self.axes)]
-        scale = math.lcm(*(x.denominator for ax in mapped for x in ax))
-        axes = _axes([[x.numerator * (scale // x.denominator) for x in ax] for ax in mapped])
+        scale, ints = _on_scale(c + factor * (Fraction(int(x), self.scale) - c)
+                                for c, ax in zip(center, self.axes) for x in ax)
+        it = iter(ints)
+        axes = _axes([list(itertools.islice(it, len(ax))) for ax in self.axes])
         return BoxRegion(self.dim, scale, axes, self.mask)
 
 
@@ -416,9 +433,7 @@ def check_dilation_identity(f: BoxFamily | Sequence[Box], delta) -> IdentityChec
     axis 0 in slabs of at most _BLOCK_CELLS = 2^17 cells (one row of axis 0 if
     a row is larger), and each D_j(E_j) is built inside its own slice.
     """
-    delta = _to_rat(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    delta = _positive(delta, "delta")
     fam = _family(f)
     if not fam:
         return IdentityCheck(True, Fraction(0))
@@ -456,9 +471,7 @@ def enlargement_excess(f: BoxFamily | Sequence[Box], delta) -> Fraction:
     """Exact measure of (union of (1+delta)-dilates) minus (union of the boxes):
     each box lies in its dilate, so |union of tQ|, on the grid of the k
     dilates alone ((2k)^d cells at most), minus the cached |union of Q|."""
-    delta = _to_rat(delta)
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+    delta = _level(delta, "delta")
     fam = _family(f)
     if not fam:
         return Fraction(0)

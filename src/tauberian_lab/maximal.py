@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,7 +48,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import Box, _int_corners, _to_rat
+from .geometry import Box, _int_corners, _level, _on_scale, _to_rat
 from .gridops import resolution, side_table
 from .weights import GridWeight
 
@@ -117,6 +116,8 @@ def grid_maximal(e: np.ndarray, spec: MaximalSpec = MaximalSpec(),
             raise ValueError("grid-weight measure needs a weight")
         if weight.values.shape != e.shape:
             raise ValueError("weight grid and set grid differ in shape")
+    elif weight is not None:
+        raise ValueError("lebesgue measure takes no weight; use the grid-weight measure")
     flat, sides = side_table(np.where(e, weight.values, 0.0) if weighted else e)
     den = (weight.table.flat if weighted else
            np.repeat([float(s**d) for s in range(1, n + 1)], [a.size for a in sides]))
@@ -179,6 +180,17 @@ def set_mass(e: np.ndarray, weight: GridWeight | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _coalesce(intervals: Iterable[tuple]) -> list[list]:
+    """Intervals (a, b), a <= b, sorted by a, with touching or overlapping runs joined."""
+    out: list[list] = []
+    for a, b in intervals:
+        if out and a <= out[-1][1]:
+            out[-1][1] = max(out[-1][1], b)
+        else:
+            out.append([a, b])
+    return out
+
+
 @dataclass(frozen=True)
 class IntervalSet:
     """Disjoint, sorted, nondegenerate closed intervals with Fraction endpoints.
@@ -203,13 +215,7 @@ class IntervalSet:
     def merge(intervals: Iterable[tuple]) -> "IntervalSet":
         """Union of arbitrary closed intervals; touching intervals coalesce."""
         ivs = [(_to_rat(a), _to_rat(b)) for a, b in intervals]
-        out: list[list[Fraction]] = []
-        for a, b in sorted(iv for iv in ivs if iv[0] < iv[1]):
-            if out and a <= out[-1][1]:
-                out[-1][1] = max(out[-1][1], b)
-            else:
-                out.append([a, b])
-        return IntervalSet(tuple((a, b) for a, b in out))
+        return IntervalSet(_coalesce(sorted(iv for iv in ivs if iv[0] < iv[1])))
 
     def measure(self) -> Fraction:
         return sum((b - a for a, b in self.intervals), Fraction(0))
@@ -243,8 +249,8 @@ class PiecewiseWeight1D:
 
     Its distribution F(x) = w([l, x]) maps intervals onto intervals and w onto
     length.  F, its inverse `quantile` and `mass` read one cached table of
-    Python ints (`_table`): the breakpoints b_k = B_k / d_b over the lcm d_b
-    of their denominators, the densities R_k / D over the lcm D of theirs, and
+    Python ints (`_table`): the breakpoints b_k = B_k / d_b on their scale d_b
+    (`geometry._on_scale`), the densities R_k / D on theirs, D, and
     the cumulative masses w([l, b_k]) = C_k / (d_b * D).  A point's piece is an
     integer bisect, the domain checks are integer cross-products, and each
     result is built as one `Fraction` from its integer numerator and
@@ -272,10 +278,8 @@ class PiecewiseWeight1D:
 
     @functools.cached_property
     def _table(self) -> _WeightTable:
-        d_b = math.lcm(*(b.denominator for b in self.breakpoints))
-        d = math.lcm(*(r.denominator for r in self.densities))
-        bps = [b.numerator * (d_b // b.denominator) for b in self.breakpoints]
-        dens = [r.numerator * (d // r.denominator) for r in self.densities]
+        d_b, bps = _on_scale(self.breakpoints)
+        d, dens = _on_scale(self.densities)
         steps = (r * (b1 - b0) for r, b0, b1 in zip(dens, bps, bps[1:]))
         return _WeightTable(bps, d_b, list(itertools.accumulate(steps, initial=0)),
                             d_b * d, dens)
@@ -349,11 +353,12 @@ class _WeightTable(NamedTuple):
 
 
 def _pushed(e: IntervalSet, weight: PiecewiseWeight1D) -> IntervalSet:
-    """F(E) for a nonempty E; E must lie in the weight's domain."""
+    """F(E) for a nonempty E in the weight's domain, remembered on the weight, keyed by E."""
     lo, hi = weight.domain
     if e.intervals[0][0] < lo or e.intervals[-1][1] > hi:
         raise ValueError("set escapes the weight domain")
-    return IntervalSet((weight.distribution(a), weight.distribution(b)) for a, b in e.intervals)
+    return _remembered(weight, e, lambda: IntervalSet(
+        (weight.distribution(a), weight.distribution(b)) for a, b in e.intervals))
 
 
 def point_eval_1d(e: IntervalSet, x, weight: PiecewiseWeight1D | None = None) -> Fraction:
@@ -370,7 +375,7 @@ def point_eval_1d(e: IntervalSet, x, weight: PiecewiseWeight1D | None = None) ->
     if weight is None:
         x = _to_rat(x)
     else:
-        e, x = _remembered(weight, e, lambda: _pushed(e, weight)), weight.distribution(x)
+        e, x = _pushed(e, weight), weight.distribution(x)
     if e.contains_point(x):
         return Fraction(1)
     bps = e.breakpoints()
@@ -398,15 +403,13 @@ def exact_halo_1d(e: IntervalSet, alpha, weight: PiecewiseWeight1D | None = None
     The Phi pass hands its integer endpoints to F^-1 without a `Fraction`
     between them.
     """
-    alpha = _to_rat(alpha)
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
+    alpha = _level(alpha, "alpha")
     if e.is_empty:
         raise ValueError("empty set")
     if weight is None:
         parts, scale = _halo(e, alpha)
         return IntervalSet((Fraction(a, scale), Fraction(b, scale)) for a, b in parts)
-    parts, scale = _halo(_remembered(weight, e, lambda: _pushed(e, weight)), alpha)
+    parts, scale = _halo(_pushed(e, weight), alpha)
     t = weight._table  # w(domain) = t.cum[-1] / t.d_c
     return IntervalSet((weight._quantile(max(a, 0), scale),
                         weight._quantile(min(b * t.d_c, t.cum[-1] * scale), t.d_c * scale))
@@ -424,8 +427,8 @@ def _halo(e: IntervalSet, alpha: Fraction) -> tuple[list[list[int]], int]:
     piece is in the halo wholesale, or Phi falls across it and two linear
     solves against the running min and max give its halo.  O(B).
 
-    All of it runs on Python ints.  With E's endpoints over L, the lcm of
-    their denominators, and alpha = p/q, x = X / S at S = L*p puts the
+    All of it runs on Python ints.  With E's endpoints over L, their scale
+    (`geometry._on_scale`), and alpha = p/q, x = X / S at S = L*p puts the
     endpoints and the spare width |E|/alpha = |E|*L*q / S on integers, and
     Phi * S * q has the integer slopes -p off E and q - p on it.  Only the
     pieces off E fall, all with slope -p, so a solve moves X by
@@ -435,9 +438,7 @@ def _halo(e: IntervalSet, alpha: Fraction) -> tuple[list[list[int]], int]:
     linear pass coalesces them.
     """
     p, q = alpha.numerator, alpha.denominator
-    bps = e.breakpoints()
-    lcm = math.lcm(*(x.denominator for x in bps))
-    ends = [x.numerator * (lcm // x.denominator) for x in bps]
+    lcm, ends = _on_scale(e.breakpoints())
     margin = q * (sum(ends[1::2]) - sum(ends[::2]))
     grid = [p * ends[0] - margin] + [p * x for x in ends] + [p * ends[-1] + margin]
     slopes = [-p, q - p] * len(e.intervals) + [-p]
@@ -457,13 +458,7 @@ def _halo(e: IntervalSet, alpha: Fraction) -> tuple[list[list[int]], int]:
             parts.append((a, a + phi[k] - low[k]))
         if phi[k + 1] < high[k + 1]:
             parts.append((b - high[k + 1] + phi[k + 1], b))
-    out: list[list[int]] = []
-    for a, b in parts:
-        if out and a <= out[-1][1]:
-            out[-1][1] = max(out[-1][1], b)
-        else:
-            out.append([a, b])
-    return out, lcm * p * p
+    return _coalesce(parts), lcm * p * p
 
 
 # ---------------------------------------------------------------------------
@@ -513,15 +508,11 @@ def _linf(p, q) -> Fraction:
     return max(abs(a - b) for a, b in zip(p, q))
 
 
-def _check_atom_indices(mu: AtomicMeasure, e_indices: Sequence[int]) -> None:
-    if any(not 0 <= i < len(mu.atoms) for i in e_indices):
-        raise ValueError("atom index out of range")
-
-
 def default_atomic_candidates(mu: AtomicMeasure, e_indices: Sequence[int]) -> list[Box]:
     """Minimal bounding cubes of (E-atom, atom) pairs at all corner placements,
     plus a tiny cube around each E-atom."""
-    _check_atom_indices(mu, e_indices)
+    if any(not 0 <= i < len(mu.atoms) for i in e_indices):
+        raise ValueError("atom index out of range")
     pts = [pt for pt, _ in mu.atoms]
     eset = set(e_indices)
     out: list[Box] = []
@@ -554,8 +545,8 @@ def _atomic_stage(mu: AtomicMeasure, e_indices: list[int]):
     _, lo, hi = _int_corners([(b.lo, b.hi) for b in boxes] + [(pt, pt) for pt, _ in mu.atoms])
     pts = lo[len(boxes):]
     inside = ((lo[:len(boxes), None] <= pts) & (pts <= hi[:len(boxes), None])).all(axis=2)
-    scale = math.lcm(*(m.denominator for _, m in mu.atoms))
-    masses = np.array([m.numerator * (scale // m.denominator) for _, m in mu.atoms], dtype=object)
+    scale, masses = _on_scale(m for _, m in mu.atoms)
+    masses = np.array(masses, dtype=object)
     in_e = np.zeros(len(masses), dtype=bool)
     in_e[e_indices] = True
     mass, mass_e = inside @ masses, inside @ np.where(in_e, masses, 0)
@@ -574,21 +565,19 @@ def atomic_maximal_lower(mu: AtomicMeasure, e_indices: Sequence[int], alpha
     exact mass of the union of certified atoms.
 
     Candidates and atoms go onto one integer grid (`_int_corners`) and the
-    masses onto integers over their lcm, so membership is one comparison of
-    Python ints per candidate, atom and axis, and for alpha = p/q a candidate
-    is certified iff q * (its E-mass) > p * (its mass), an exact test.
+    masses onto one integer scale (`_on_scale`), so membership is one
+    comparison of Python ints per candidate, atom and axis, and for
+    alpha = p/q a candidate is certified iff q * (its E-mass) > p * (its
+    mass), an exact test.
 
     The candidates, their membership matrix and their masses are remembered
     on mu, keyed by tuple(e_indices) (one candidate set per measure), so an
     alpha ladder on one E builds them once.
     """
-    alpha = _to_rat(alpha)
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
+    alpha = _level(alpha, "alpha")
     e_indices = list(e_indices)
     if not e_indices:
         raise ValueError("E must contain at least one atom")
-    _check_atom_indices(mu, e_indices)
     boxes, inside, masses, scale, mass, mass_e = _remembered(
         mu, tuple(e_indices), lambda: _atomic_stage(mu, e_indices))
     certified = mass_e * alpha.denominator > alpha.numerator * mass

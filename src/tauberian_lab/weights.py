@@ -8,9 +8,10 @@ a cube with no positive cell has mass exactly 0.  A weight caches that table;
 the A_p, Hruscev and reverse-Holder gauges add at most two tables to it, and
 Fujii-Wilson adds one, of its cube integrals, the size of `w.table.flat`.
 
-Exact decisions read `GridWeight.exact`, also cached: over the largest
-denominator of the masses, a power of two (2^1074 for subnormals), each cell
-is an int numerator, and a cube's exact mass is 2^d summed-area lookups.
+Exact decisions read `GridWeight.exact`, also cached: on the masses' one
+integer scale (`geometry._on_scale`), their largest denominator, a power of
+two (2^1074 for subnormals), each cell is an int numerator, and a cube's
+exact mass is 2^d summed-area lookups.
 
 All cube suprema run over grid-aligned cubes inside the domain; every
 constant here is therefore a lower approximation of its continuous
@@ -34,6 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import gridops
 from .errors import BudgetExceeded, DegenerateFit
+from .geometry import _on_scale
 
 FW_CAP = {1: 1024, 2: 64}
 
@@ -142,11 +144,10 @@ class GridWeight:
 
     @functools.cached_property
     def exact(self) -> ExactMasses:
-        """The masses as int numerators over one power of two (`ExactMasses`)."""
-        ratios = [x.as_integer_ratio() for x in self.values.ravel().tolist()]
-        unit = max(d for _, d in ratios)
-        cells = np.array([n * (unit // d) for n, d in ratios],
-                         dtype=object).reshape(self.values.shape)
+        """The masses on their one integer scale (`geometry._on_scale`, `ExactMasses`):
+        the unit is the lcm of their denominators, powers of two, so the largest."""
+        unit, cells = _on_scale(self.values.ravel().tolist())
+        cells = np.array(cells, dtype=object).reshape(self.values.shape)
         # object zeros are Python ints; int64 zeros would overflow the sums
         prefix = np.zeros([n + 1 for n in cells.shape], dtype=object)
         prefix[(slice(1, None),) * self.dim] = cells
@@ -241,6 +242,9 @@ def generate_weight(spec: WeightFamilySpec) -> GridWeight:
             dx = mids[:, None] - x0[0]
             dy = mids[None, :] - x0[1]
             r2 = dx * dx + dy * dy
+            if spec.a < 0 and not r2.all():
+                raise ValueError("power weight with a < 0 is infinite at x0, "
+                                 "which sits on a cell midpoint")
             values = r2 ** (spec.a / 2.0) * cellvol
     elif spec.family == "checkerboard":
         levels = np.asarray(spec.levels, dtype=float)
@@ -466,7 +470,10 @@ def reverse_holder_holds(w: GridWeight, eps: float, constant: float = 2.0) -> bo
 
 def reverse_holder_exponent(w: GridWeight, constant: float = 2.0) -> float:
     """Largest eps in {2^-k, k=0..20} passing reverse_holder_holds, which
-    checks constant."""
+    checks that constant is positive and finite; a constant below 1 never
+    passes, since the power mean is at least avg w, and raises."""
+    if 0 < constant < 1:
+        raise ValueError(f"reverse Holder constant below 1 never holds, got {constant}")
     for k in range(0, 21):
         eps = 2.0**-k
         if reverse_holder_holds(w, eps, constant):

@@ -382,6 +382,26 @@ def test_grid_cube_box_roundtrip():
     assert box_to_grid_cube(b, 8) == q
 
 
+@pytest.mark.parametrize("boxes, message", [
+    # a grid cube, the first bad box, then boxes that fail the other checks
+    ([interval(F(1, 8), F(1, 4)), interval(F(1, 32), F(5, 32)), interval(F(1, 8), F(5, 16)),
+      interval(-F(1, 8), 0)], "box corner is not grid-aligned"),
+    ([interval(0, 1), interval(F(1, 8), F(5, 16)), interval(F(1, 32), F(5, 32))],
+     "box side is not a whole number of cells"),
+    ([interval(0, F(1, 8)), interval(F(7, 8), F(9, 8)), interval(F(1, 32), F(5, 32)),
+      interval(F(1, 8), F(5, 16))], "box escapes the grid domain"),
+    # 2-D: only the second axis of the first bad box is off the grid
+    ([Box((F(1, 8), F(1, 8)), F(1, 4)), Box((F(3, 16), F(1, 8)), F(1, 8)),
+      Box((F(1), F(1, 8)), F(1, 4))], "box corner is not grid-aligned"),
+])
+def test_grid_cells_raise_the_first_rejected_boxs_error(boxes, message):
+    fam = BoxFamily(boxes)
+    with pytest.raises(UnsupportedGeometry, match=f"^{re.escape(message)}$"):
+        covering._grid_cells(fam, 8)
+    with pytest.raises(UnsupportedGeometry, match=f"^{re.escape(message)}$"):
+        box_to_grid_cube(boxes[1], 8)
+
+
 @pytest.mark.parametrize("center", [F(-1, 16), F(17, 16)])
 def test_box_outside_the_grid_domain_is_unsupported(center):
     with pytest.raises(UnsupportedGeometry, match="escapes the grid domain"):
@@ -508,6 +528,12 @@ def test_minimal_cover_dilation_without_selected_boxes_raises():
 def test_minimal_cover_dilation_rejects_nonpositive_candidates():
     with pytest.raises(ValueError, match="positive"):
         minimal_cover_dilation([interval(0, 1)], [interval(0, 1)], [F(0), F(1)])
+
+
+def test_minimal_cover_dilation_orders_string_candidates_by_value():
+    # the candidates were sorted as given, so "10/8" came before "9/8" and was returned
+    t = minimal_cover_dilation([interval(0, 1)], [interval(0, 1)], ["10/8", "9/8"])
+    assert t == F(9, 8) and type(t) is F
 
 
 # -- the verifier compares stored numbers -----------------------------------------

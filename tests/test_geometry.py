@@ -1,7 +1,11 @@
+import math
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from oracles import frag_enlargement_excess, frag_identity_defect, is_satellite
@@ -16,8 +20,10 @@ from tauberian_lab.geometry import (
     increments,
     sorted_decreasing,
     union_measure,
+    _on_scale,
 )
 from tauberian_lab.sampling import random_family, rng_for
+from tauberian_lab.weights import GridWeight
 
 F = Fraction
 
@@ -31,6 +37,34 @@ def square(lo, side):
     lo = [F(x) for x in lo]
     side = F(side)
     return Box(tuple(x + side / 2 for x in lo), side)
+
+
+# -- the one integer scale ---------------------------------------------------
+
+# finite floats, with 0.0, -0.0 and subnormals down to the least one, 2^-1074
+FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([0.0, -0.0, 5e-324, 2.0**-1060 * 3, 2.0**-1022]))
+
+
+@given(st.lists(st.one_of(st.fractions(), st.integers(-2**70, 2**70), FLOATS)))
+def test_on_scale_is_the_lcm_of_the_denominators(xs):
+    scale, ints = _on_scale(xs)
+    exact = [Fraction(x) for x in xs]
+    assert scale == math.lcm(*(x.denominator for x in exact))
+    assert all(type(k) is int for k in ints)
+    assert [Fraction(k, scale) for k in ints] == exact
+
+
+@given(st.lists(FLOATS, max_size=12))
+def test_on_scale_of_floats_is_their_largest_denominator(xs):
+    scale, _ = _on_scale(xs)
+    assert scale == max((x.as_integer_ratio()[1] for x in xs), default=1)
+
+
+@given(st.lists(st.one_of(st.floats(0, 1e300), st.sampled_from([0.0, 5e-324, 2.0**-1060])),
+                min_size=1, max_size=12).filter(lambda v: 0 < sum(v) < math.inf))
+def test_grid_weight_unit_is_the_largest_mass_denominator(values):
+    assert GridWeight(np.array(values)).exact.unit == max(x.as_integer_ratio()[1] for x in values)
 
 
 # -- dilation ---------------------------------------------------------------

@@ -161,7 +161,8 @@ def test_grid_maximal_pinned_digests(key):
     else:
         e = MASK_2D
         w = generate_weight(WeightFamilySpec("log-smooth-random", 2, 16, seed=9))
-    vals = grid_maximal(e, MaximalSpec(variant, measure), w)
+    spec = MaximalSpec(variant, measure)
+    vals = grid_maximal(e, spec, measured(spec, w))
     assert hashlib.sha256(vals.tobytes()).hexdigest() == MAXIMAL_DIGESTS[key]
 
 
@@ -197,18 +198,24 @@ def grid_cases(draw):
     return e, MaximalSpec(variant, measure), GridWeight(np.reshape(cells, shape))
 
 
+def measured(spec, w):
+    """w for a grid-weight spec; a Lebesgue spec takes no weight."""
+    return w if spec.measure == "grid-weight" else None
+
+
 @given(grid_cases())
 def test_grid_maximal_matches_naive(case):
     e, spec, w = case
-    assert grid_maximal(e, spec, w) == pytest.approx(grid_maximal_naive(e, spec, w),
-                                                     rel=1e-9, abs=1e-9)
+    assert grid_maximal(e, spec, measured(spec, w)) == pytest.approx(
+        grid_maximal_naive(e, spec, w), rel=1e-9, abs=1e-9)
 
 
 @settings(max_examples=300)
 @given(grid_cases())
 def test_grid_maximal_equals_per_side_sweep_bit_for_bit(case):
     e, spec, w = case
-    assert grid_maximal(e, spec, w).tobytes() == grid_maximal_sides(e, spec, w).tobytes()
+    assert (grid_maximal(e, spec, measured(spec, w)).tobytes()
+            == grid_maximal_sides(e, spec, w).tobytes())
 
 
 @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
@@ -217,7 +224,8 @@ def test_grid_maximal_result_holds_no_table(dim, n):
     e = np.random.default_rng(3).random((n,) * dim) < 0.4
     for variant in VARIANTS:
         for measure in ("lebesgue", "grid-weight"):
-            vals = grid_maximal(e, MaximalSpec(variant, measure), w)
+            spec = MaximalSpec(variant, measure)
+            vals = grid_maximal(e, spec, measured(spec, w))
             assert vals.shape == e.shape and vals.flags.writeable and vals.flags.owndata
             assert not np.shares_memory(vals, w.table.flat)
 
@@ -742,8 +750,9 @@ def fresh_piecewise(w):
 def test_superlevel_ladder_equals_fresh_weights(case, alphas):
     e, spec, w = case
     for alpha in alphas:
-        got = superlevel(e, float(alpha), spec, w)
-        assert np.array_equal(got, superlevel(e, float(alpha), spec, fresh_grid_weight(w)))
+        got = superlevel(e, float(alpha), spec, measured(spec, w))
+        fresh = measured(spec, fresh_grid_weight(w))
+        assert np.array_equal(got, superlevel(e, float(alpha), spec, fresh))
 
 
 @given(grid_cases(), LADDER)
@@ -754,8 +763,8 @@ def test_superlevel_interleaved_sets_and_specs(case, alphas):
     calls = [(e, spec), (e, other), (~e, other), (~e, spec)]
     for alpha in alphas:
         for s, sp in calls:
-            expect = grid_maximal(s, sp, fresh_grid_weight(w)) > float(alpha)
-            assert np.array_equal(superlevel(s, float(alpha), sp, w), expect)
+            expect = grid_maximal(s, sp, measured(sp, fresh_grid_weight(w))) > float(alpha)
+            assert np.array_equal(superlevel(s, float(alpha), sp, measured(sp, w)), expect)
 
 
 @given(grid_cases(), st.data())
@@ -764,19 +773,32 @@ def test_superlevel_follows_a_mask_changed_in_place(case, data):
     e = e.copy()
     for _ in range(3):
         cell = tuple(data.draw(st.integers(0, n - 1)) for n in e.shape)
-        superlevel(e, 0.5, spec, w)
+        superlevel(e, 0.5, spec, measured(spec, w))
         e[cell] = not e[cell]
-        expect = grid_maximal(e, spec, fresh_grid_weight(w)) > 0.5
-        assert np.array_equal(superlevel(e, 0.5, spec, w), expect)
+        expect = grid_maximal(e, spec, measured(spec, fresh_grid_weight(w))) > 0.5
+        assert np.array_equal(superlevel(e, 0.5, spec, measured(spec, w)), expect)
 
 
 def test_superlevel_tells_equal_bytes_of_other_shape_apart():
     w = GridWeight(np.ones(4))
     e = np.array([True, False, False, False])
-    lebesgue = MaximalSpec()
-    assert superlevel(e, 0.3, lebesgue, w).shape == (4,)
-    assert np.array_equal(superlevel(e.reshape(2, 2), 0.3, lebesgue, w),
-                          superlevel(e.reshape(2, 2), 0.3))
+    spec = MaximalSpec("uncentered", "grid-weight")
+    assert superlevel(e, 0.3, spec, w).shape == (4,)
+    with pytest.raises(ValueError, match="differ in shape"):
+        superlevel(e.reshape(2, 2), 0.3, spec, w)
+
+
+def test_a_weight_with_the_lebesgue_measure_is_rejected():
+    # the grid engine used to drop the weight: [1, 100, 1, ...] gave the Lebesgue
+    # values 1, 1/2, 1/3, ..., and superlevel kept them on the weight
+    w = GridWeight(np.array([1.0, 100.0] + [1.0] * 6))
+    e = single_cell(8, 0)
+    before = set(vars(w))
+    for call in (lambda: grid_maximal(e, MaximalSpec(), w),
+                 lambda: superlevel(e, 0.4, MaximalSpec("centered"), w)):
+        with pytest.raises(ValueError, match="lebesgue measure takes no weight"):
+            call()
+    assert set(vars(w)) == before
 
 
 def test_superlevel_returns_fresh_arrays_and_keeps_one_read_only_entry():

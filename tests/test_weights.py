@@ -84,6 +84,15 @@ def test_power_rejects_x0_of_another_dimension(dim, x0):
         generate_weight(WeightFamilySpec("power", dim, 4, a=1.0, x0=x0))
 
 
+@pytest.mark.parametrize("n, x0", [(3, (0.5, 0.5)), (4, (0.125, 0.625))])
+def test_power_rejects_a_negative_exponent_at_a_cell_midpoint(n, x0):
+    # r2 ** (a / 2) divided by zero there, and GridWeight then refused the inf;
+    # warnings are errors in this suite, so the divide warning would fail it too
+    with pytest.raises(ValueError, match="infinite at x0, which sits on a cell midpoint"):
+        generate_weight(WeightFamilySpec("power", 2, n, a=-1.0, x0=x0))
+    generate_weight(WeightFamilySpec("power", 2, n, a=1.0, x0=x0))
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_checkerboard_rejects_empty_levels(dim):
     with pytest.raises(ValueError, match="checkerboard needs at least one level"):
@@ -752,6 +761,15 @@ def test_rh_rejects_constant_outside_open_range(constant):
         reverse_holder_holds(w, 0.5, constant)
     with pytest.raises(ValueError, match=match):
         reverse_holder_exponent(w, constant)
+
+
+@pytest.mark.parametrize("w", [const_w(16), power_w(16, 1.0)], ids=["constant", "power"])
+def test_rh_exponent_rejects_a_constant_below_one(w):
+    # the power mean is at least avg w, so every eps failed, with a warning and 0.0
+    for constant in (0.999, 0.5, 1e-9):
+        with pytest.raises(ValueError, match="reverse Holder constant below 1 never holds"):
+            reverse_holder_exponent(w, constant)
+    assert reverse_holder_exponent(w, 2.0) > 0
 
 
 @pytest.mark.parametrize("p", [float("inf"), float("nan"), 1.0, 0.5])
