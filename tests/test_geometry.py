@@ -53,12 +53,8 @@ def test_on_scale_is_the_lcm_of_the_denominators(xs):
     assert scale == math.lcm(*(x.denominator for x in exact))
     assert all(type(k) is int for k in ints)
     assert [Fraction(k, scale) for k in ints] == exact
-
-
-@given(st.lists(FLOATS, max_size=12))
-def test_on_scale_of_floats_is_their_largest_denominator(xs):
-    scale, _ = _on_scale(xs)
-    assert scale == max((x.as_integer_ratio()[1] for x in xs), default=1)
+    if all(type(x) is float for x in xs):  # powers of two: the lcm is the largest
+        assert scale == max((x.as_integer_ratio()[1] for x in xs), default=1)
 
 
 @given(st.lists(st.one_of(st.floats(0, 1e300), st.sampled_from([0.0, 5e-324, 2.0**-1060])),

@@ -757,9 +757,10 @@ def test_superlevel_ladder_equals_fresh_weights(case, alphas):
 
 @given(grid_cases(), LADDER)
 def test_superlevel_interleaved_sets_and_specs(case, alphas):
+    # for a grid-weight spec, two specs share E and w, so the memo key must hold the spec
     e, spec, w = case
-    other = MaximalSpec(spec.variant, "lebesgue" if spec.measure == "grid-weight"
-                        else "grid-weight")
+    other = MaximalSpec("centered" if spec.variant == "uncentered" else "uncentered",
+                        "grid-weight")
     calls = [(e, spec), (e, other), (~e, other), (~e, spec)]
     for alpha in alphas:
         for s, sp in calls:
