@@ -3,7 +3,11 @@
 Each selector returns a SelectionResult that records, for every rejected
 box, the rule that rejected it.  Both Cordoba-Fefferman selectors run one
 integer greedy on the int cell volumes of the family's grid or on the
-weight's exact masses (`GridWeight.exact`).  verify_selection_contract
+weight's exact masses (`GridWeight.exact`): it keeps a running free table,
+the cell masses with every kept box's cells zeroed, so a box's overlap with
+the kept ones is its mass minus the sum of its free cells.  Vitali, the
+satellite grouping and the Lebesgue greedy read the boxes' volumes and meet
+matrix that the family caches.  verify_selection_contract
 replays the run and re-checks every clause in exact integers on a cell grid,
 the family's (with triple dilates for Vitali) or the weight's; it reads the
 selectors' cell tables but slices and sums each box on its own.
@@ -27,8 +31,8 @@ from .geometry import (
     BoxFamily,
     _dilated_grid,
     _family,
+    _fit,
     _level,
-    _meets,
     _positive,
     _to_rat,
 )
@@ -60,24 +64,17 @@ class SelectionResult:
 # ---------------------------------------------------------------------------
 
 
-def _volumes_and_meets(fam: BoxFamily) -> tuple[list[int], list[list[bool]]]:
-    """The boxes' integer volumes at the family's scale, which order them as
-    their sides do, and the k x k matrix of which closed boxes meet."""
-    _, lo, hi = fam._ints
-    return np.prod(hi - lo, axis=1).tolist(), _meets(lo, hi).tolist()
-
-
 def vitali_select(f: BoxFamily | Sequence[Box]) -> SelectionResult:
     """Greedy disjoint subfamily; every rejected box meets a selected box of
     at least its sidelength, so triple dilates of the selection cover the
     whole union."""
     fam = _family(f)
-    vols, meets = _volumes_and_meets(fam)
+    vols, meets = fam._volumes, fam._meets
     order = sorted(range(len(fam)), key=lambda i: -vols[i])
     selected: list[int] = []
     certs: dict[int, dict] = {}
     for i in order:
-        hit = next((j for j in selected if meets[j][i]), None)
+        hit = next((j for j in selected if meets[j, i]), None)
         if hit is None:
             selected.append(i)
         else:
@@ -102,25 +99,27 @@ _CF_KINDS = {
 }
 
 
-def _cf_select(kind: str, f: BoxFamily, level: Fraction, cells: np.ndarray, unit: int,
+def _cf_select(kind: str, f: BoxFamily, level: Fraction, free: np.ndarray, unit: int,
                slices: Sequence[tuple[slice, ...]], vols: Sequence[int]) -> SelectionResult:
-    """Keep box i iff the int cells[slices[i]] already covered sum to at most
-    (1 - level) of its mass vols[i]; unit is the cells' scale."""
+    """Keep box i iff the part of its cells slices[i] that earlier kept boxes
+    cover carries at most (1 - level) of its mass vols[i], the sum of those
+    cells; unit is the cells' scale.  free is the int cell table, which the
+    greedy owns: it zeroes each kept box's cells, so the overlap is vols[i]
+    minus the sum of free[slices[i]]."""
     name, rule, key, value = _CF_KINDS[kind]
     p, q = level.numerator, level.denominator
-    covered = np.zeros(cells.shape, dtype=bool)
     selected: list[int] = []
     certs: dict[int, dict] = {}
     incs: dict[int, Fraction | float] = {}
     equality: list[int] = []
     for i, (sl, vol) in enumerate(zip(slices, vols)):
-        overlap = int(cells[sl][covered[sl]].sum())
+        overlap = vol - int(free[sl].sum())
         if q * overlap <= (q - p) * vol:
             if q * overlap == (q - p) * vol and selected:
                 equality.append(i)
             selected.append(i)
             incs[i] = value(vol - overlap, unit)
-            covered[sl] = True
+            free[sl] = 0
         else:  # so vol >= overlap > 0
             certs[i] = {"rule": rule, key: value(overlap, unit), "fraction": value(overlap, vol)}
     return SelectionResult(kind, f, tuple(range(len(f))), tuple(selected), certs,
@@ -135,10 +134,9 @@ def cf_select_lebesgue(f: BoxFamily, delta) -> SelectionResult:
     """
     delta = _level(delta, "delta")
     _require_decreasing(f)
-    _, lo, hi = f._ints
     grid = f._grid
     return _cf_select("cf-lebesgue", f, delta, grid.cells(), grid.scale ** grid.dim,
-                      grid.slices, np.prod(hi - lo, axis=1).tolist())
+                      grid.slices, f._volumes)
 
 
 def box_to_grid_cube(b: Box, n: int) -> GridCube:
@@ -165,7 +163,8 @@ def _grid_cells(f: BoxFamily, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Every box's cells on the n-cell grid, the (k, d) int arrays L*n/D and
     H*n/D for the family's corners L, H at scale D; for the first box it
     rejects, raises what box_to_grid_cube raises."""
-    scale, lo, hi = f._ints
+    scale, lo, hi, top = f._ints
+    lo, hi = _fit(max(n * top, scale), lo, hi)
     lo, hi = lo * n, hi * n
     a, b = lo // scale, hi // scale
     bad = ((lo % scale != 0) | (hi % scale != 0) | (a < 0) | (b > n)).any(axis=1)
@@ -185,7 +184,7 @@ def cf_select_weighted(f: BoxFamily, w: GridWeight, xi) -> SelectionResult:
     if f and f.dim != w.dim:
         raise ValueError("dimension mismatch")
     (lo, hi), exact = _grid_cells(f, w.resolution), w.exact
-    return _cf_select("cf-weighted", f, xi, exact.cells, exact.unit,
+    return _cf_select("cf-weighted", f, xi, exact.cells.copy(), exact.unit,
                       [tuple(map(slice, *c)) for c in zip(lo.tolist(), hi.tolist())],
                       exact.box_sums(lo, hi))
 
@@ -200,13 +199,13 @@ def satellite_decompose(f: BoxFamily | Sequence[Box]) -> dict[int, list[int]]:
     it intersects whose sidelength is at least its own.  A box may appear in
     several groups; each group is a satellite configuration."""
     fam = _family(f)
-    vols, meets = _volumes_and_meets(fam)
-    _, lo, hi = fam._ints
+    _, lo, hi, _ = fam._ints
+    vols, meets = fam._volumes, fam._meets
     res = vitali_select(fam)
     groups: dict[int, list[int]] = {c: [c] for c in res.selected_indices}
     for i in range(len(fam)):
         for c in res.selected_indices:
-            if c != i and vols[i] <= vols[c] and meets[i][c]:
+            if c != i and vols[i] <= vols[c] and meets[i, c]:
                 groups[c].append(i)
     # every member of every group meets its centre, is no larger and lies in 3 * centre
     pairs = np.array([(c, i) for c, members in groups.items() for i in members],
@@ -314,10 +313,10 @@ def verify_selection_contract(result: SelectionResult,
         _clause(report, "rejection-certificates", cert_ok)
         if boxes:
             # the family, then the triple dilates of the selected boxes
-            scale, lo, hi = result.input._ints
+            scale, lo, hi, top = result.input._ints
             chosen, k = list(result.selected_indices), len(boxes)
             grid = _dilated_grid(scale, np.concatenate([lo, lo[chosen]]),
-                                 np.concatenate([hi, hi[chosen]]), Fraction(3), k)
+                                 np.concatenate([hi, hi[chosen]]), top, Fraction(3), k)
             defect = grid.measure(grid.cover(range(k)) & ~grid.cover(range(k, len(grid.slices))))
             _clause(report, "triple-dilate-cover", defect == 0, defect)
     elif result.kind in _CF_KINDS:
@@ -375,6 +374,11 @@ def verify_selection_contract(result: SelectionResult,
     return report
 
 
+# the default candidates of minimal_cover_dilation: positive and increasing, as
+# the given candidates are once checked and sorted
+_DILATION_LADDER = tuple(Fraction(k, 8) for k in range(8, 41))
+
+
 def minimal_cover_dilation(f: BoxFamily | Sequence[Box], selected: Sequence[Box],
                            candidates: Sequence[Fraction] | None = None) -> Fraction:
     """Smallest candidate factor t with union(f) inside union(t * selected).
@@ -388,15 +392,17 @@ def minimal_cover_dilation(f: BoxFamily | Sequence[Box], selected: Sequence[Box]
     fam, sel = _family(f), _family(selected)
     if not fam:
         return Fraction(1)
-    if candidates is None:
-        candidates = [Fraction(k, 8) for k in range(8, 41)]
-    ts = sorted(_positive(t, "dilation factor") for t in candidates)
+    ts = (_DILATION_LADDER if candidates is None
+          else sorted(_positive(t, "dilation factor") for t in candidates))
     if sel and sel.dim != fam.dim:
         raise ValueError("dimension mismatch")
-    # the family, then the selected boxes, on the lcm of their scales
+    # the family, then the selected boxes, on the lcm of their scales: |corner|
+    # <= top there, and the corner gaps below reach 4 top
     scale = math.lcm(fam._ints[0], sel._ints[0])
-    lo, hi = (np.concatenate([c[s].reshape(-1, fam.dim) * (scale // c[0])
-                              for c in (fam._ints, sel._ints)]) for s in (1, 2))
+    top = max(c[3] * (scale // c[0]) for c in (fam._ints, sel._ints))
+    lo, hi = (np.concatenate([_fit(max(4 * top, scale // c[0]), c[s])[0].reshape(-1, fam.dim)
+                              * (scale // c[0]) for c in (fam._ints, sel._ints)])
+              for s in (1, 2))
     k = len(fam)
     # corner x lies in the t-dilate of selected box j iff q |2x - L_j - H_j|_inf <= p (H_j - L_j)
     bits = np.indices((2,) * fam.dim).reshape(fam.dim, -1).T.astype(bool)
@@ -405,10 +411,11 @@ def minimal_cover_dilation(f: BoxFamily | Sequence[Box], selected: Sequence[Box]
     sides = (hi - lo)[k:, 0]
 
     def reaches_corners(t) -> bool:
-        return bool((t.denominator * gaps <= t.numerator * sides).any(axis=1).all())
+        g, s = _fit(4 * max(t.numerator, t.denominator) * top, gaps, sides)
+        return bool((t.denominator * g <= t.numerator * s).any(axis=1).all())
 
     def covers(t) -> bool:
-        grid = _dilated_grid(scale, lo, hi, t, k)
+        grid = _dilated_grid(scale, lo, hi, top, t, k)
         return not (grid.cover(range(k)) & ~grid.cover(range(k, len(grid.slices)))).any()
 
     i = bisect_left(ts, True, key=reaches_corners)

@@ -6,19 +6,26 @@ closed axis-parallel cube (one sidelength for all axes).
 Every exact engine of the package puts its numbers on one integer scale,
 `_on_scale`: D is the lcm of their denominators, and x becomes the int x * D.
 
+Integer arrays have one width rule, `_fit`: an array is int64 when a bound
+the caller proves on every value its arithmetic makes from it is below 2^62,
+and holds Python ints otherwise, so no product can overflow.  Each site that
+multiplies corners by an outside integer states its own bound from
+m = max |corner|.
+
 Box families are measured by coordinate compression on one integer grid, as
 in Klee's measure problem.  A family is converted once, on first use, to
 integer corner arrays L, H at one scale D, the `_on_scale` of its corners,
-and to the compressed grid of its boxes; BoxFamily caches both, and every
-family operation here and in `covering` reads them (a plain sequence of boxes
-is wrapped into a BoxFamily once per call).  Decisions that compare volumes or
+to the boxes' volumes, to the matrix of which closed boxes meet, and to the
+compressed grid of its boxes; BoxFamily caches all four, and every family
+operation here and in `covering` reads them (a plain sequence of boxes is
+wrapped into a BoxFamily once per call).  Decisions that compare volumes or
 test whether closed boxes meet are integer comparisons on L, H.  Per axis, the
 grid coordinates are the distinct corners, so a box is a slice tuple into the
 grid and a region is a boolean mask over its cells: union is `|`, difference
 `& ~`, and measure the integer sum of the marked cells' volumes divided once
-by D^d.  Those sums are int64 while the product of the axis spans is below
-2^62 and Python ints beyond.  Dilations stay integer too: for t = p/q, at
-scale 2qD a box is (2qL, 2qH) and its concentric t-dilate q(L+H) -/+ p(H-L).
+by D^d, bounded by the product of the axis spans.  Dilations stay integer
+too: for t = p/q, at scale 2qD a box is (2qL, 2qH) and its concentric
+t-dilate q(L+H) -/+ p(H-L).
 For t > 1 every box lies in its own t-dilate, so the enlargement excess is
 |union of tQ| - |union of Q|: the first on the grid of the k dilates alone,
 (2k)^d cells at most, the second cached on the family.
@@ -163,18 +170,35 @@ class BoxFamily:
         return self.boxes[0].dim
 
     @functools.cached_property
-    def _ints(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """The scale D and the read-only (k, d) integer corner arrays L, H;
-        (0, 0) arrays on scale 1 for the empty family."""
+    def _ints(self) -> tuple[int, np.ndarray, np.ndarray, int]:
+        """The scale D, the read-only (k, d) integer corner arrays L, H and
+        m = max |corner|; (0, 0) arrays on scale 1 for the empty family.  The
+        arrays are `_fit` to (2m)^3, which bounds every box volume in d <= 3."""
         scale, lo, hi = _int_corners([(b.lo, b.hi) for b in self.boxes])
+        top = max(map(abs, itertools.chain(lo.flat, hi.flat)), default=0)
+        lo, hi = _fit((2 * top) ** 3, lo, hi)
         lo.flags.writeable = hi.flags.writeable = False
-        return scale, lo, hi
+        return scale, lo, hi, top
+
+    @functools.cached_property
+    def _volumes(self) -> tuple[int, ...]:
+        """Each box's integer volume at scale D^d; they order the boxes as their sides do."""
+        _, lo, hi, _ = self._ints
+        return tuple(np.prod(hi - lo, axis=1).tolist())
+
+    @functools.cached_property
+    def _meets(self) -> np.ndarray:
+        """Read-only k x k matrix: closed boxes i and j meet (touching faces count)."""
+        _, lo, hi, _ = self._ints
+        meets = ((lo[:, None] <= hi[None]) & (lo[None] <= hi[:, None])).all(axis=-1)
+        meets.flags.writeable = False
+        return meets
 
     @functools.cached_property
     def _grid(self) -> "_Grid":
         """The compressed grid of the family's own boxes, box i is slices[i];
         its axes are read-only, since increments' regions share them."""
-        grid = _Grid(*self._ints)
+        grid = _Grid(*self._ints[:3])
         for ax in grid.axes:
             ax.flags.writeable = False
         return grid
@@ -187,11 +211,6 @@ class BoxFamily:
 
 def _family(f: BoxFamily | Sequence[Box]) -> BoxFamily:
     return f if isinstance(f, BoxFamily) else BoxFamily(f)
-
-
-def _meets(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """k x k matrix: closed boxes i and j meet (touching faces count)."""
-    return ((lo[:, None] <= hi[None]) & (lo[None] <= hi[:, None])).all(axis=-1)
 
 
 def sorted_decreasing(boxes: Iterable[Box]) -> BoxFamily:
@@ -216,13 +235,20 @@ def _int_corners(corner_boxes: Sequence[tuple[Sequence[Fraction], Sequence[Fract
     return scale, corners[:, 0], corners[:, 1]
 
 
+def _fit(bound: int, *arrays) -> list[np.ndarray]:
+    """The integer arrays as int64 when bound < 2^62, else as arrays of Python
+    ints; the caller's bound covers every |value| its arithmetic on them makes,
+    and every outside integer that meets them in numpy."""
+    dtype = np.int64 if bound < 2**62 else object
+    return [np.asarray(a, dtype=dtype) for a in arrays]
+
+
 def _axes(coords: Iterable[Iterable[int]]) -> list[np.ndarray]:
-    """Per axis, the sorted distinct integers of coords[a]: int64 while every
-    |coordinate| and the product of the axis spans are below 2^62, else Python ints."""
+    """Per axis, the sorted distinct integers of coords[a], `_fit` to every
+    |coordinate| and to the product of the axis spans, which bounds a volume."""
     axes = [sorted(set(c)) for c in coords]
-    small = (max((max(-ax[0], ax[-1]) for ax in axes), default=0) < 2**62
-             and math.prod(ax[-1] - ax[0] for ax in axes) < 2**62)
-    return [np.array(ax, dtype=np.int64 if small else object) for ax in axes]
+    return _fit(max(max((max(-ax[0], ax[-1]) for ax in axes), default=0),
+                    math.prod(ax[-1] - ax[0] for ax in axes)), *axes)
 
 
 def _volume(mask: np.ndarray, widths: Sequence[np.ndarray]) -> int:
@@ -265,7 +291,9 @@ class _Grid:
 
     def cells(self) -> np.ndarray:
         """Every cell's integer volume at scale^dim, the outer product of the
-        widths: a dense table the size of the grid, built anew on each call."""
+        widths: a dense table the size of the grid, built anew on each call.
+        Not cached on the family: a 3-D family's table is about 64 KB, and
+        holding one per family raised the benchmark's peak RSS by 1.1 MB."""
         return functools.reduce(np.multiply.outer, self.widths, np.ones((), np.int64))
 
     def measure(self, mask: np.ndarray) -> Fraction:
@@ -437,11 +465,12 @@ def check_dilation_identity(f: BoxFamily | Sequence[Box], delta) -> IdentityChec
     fam = _family(f)
     if not fam:
         return IdentityCheck(True, Fraction(0))
-    scale, lo, hi = fam._ints
+    scale, lo, hi, top = fam._ints
     p, q = (1 + delta).numerator, (1 + delta).denominator
+    lo, hi = _fit((2 * abs(q - p) + 2 * p) * top, lo, hi)
     # box n is D_jj[n](Q_ii[n]): grouped by j, each group ending with D_j(Q_j)
     jj, ii = np.tril_indices(len(fam))
-    meet = _meets(lo, hi)[jj, ii]
+    meet = fam._meets[jj, ii]
     jj, ii = jj[meet], ii[meet]
     ends = np.flatnonzero(ii == jj).tolist()
     base = (q - p) * (lo + hi)[jj]
@@ -479,10 +508,12 @@ def enlargement_excess(f: BoxFamily | Sequence[Box], delta) -> Fraction:
     return grid.measure(grid.cover(range(len(fam)))) - fam._measure
 
 
-def _dilated_grid(scale: int, lo: np.ndarray, hi: np.ndarray, t: Fraction, k: int) -> _Grid:
+def _dilated_grid(scale: int, lo: np.ndarray, hi: np.ndarray, top: int, t: Fraction,
+                  k: int) -> _Grid:
     """The grid of the first k boxes [lo, hi], then the concentric t-dilates
-    of the others, at scale 2q * scale for t = p/q."""
+    of the others, at scale 2q * scale for t = p/q; top bounds |lo|, |hi|."""
     p, q = t.numerator, t.denominator
+    lo, hi = _fit(2 * (p + q) * top, lo, hi)
     mid, half = q * (lo[k:] + hi[k:]), p * (hi[k:] - lo[k:])
     return _Grid(2 * q * scale, np.concatenate([2 * q * lo[:k], mid - half]),
                  np.concatenate([2 * q * hi[:k], mid + half]))

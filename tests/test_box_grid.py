@@ -1,12 +1,16 @@
 """The compressed-grid box geometry against the pairwise fragment engine it
 replaced, the dilation identity against its all-pairs grid, and Vitali and
 the satellite grouping against their pairwise `Box.intersects` loops (all in
-`tests/oracles.py`); its dimension guards, and the contract that the
-benchmark's tracer wraps."""
+`tests/oracles.py`), also on families whose integers pass int64; its
+dimension guards, and the contract that the benchmark's tracer wraps."""
 
+import re
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,13 +26,19 @@ from oracles import (
     pairwise_vitali_select,
 )
 from tauberian_lab.covering import (
+    _cube_slices,
+    _grid_cells,
+    box_to_grid_cube,
     cf_select_lebesgue,
     minimal_cover_dilation,
     satellite_decompose,
+    verify_selection_contract,
     vitali_select,
 )
+from tauberian_lab.errors import UnsupportedGeometry
 from tauberian_lab.geometry import (
     Box,
+    BoxFamily,
     BoxRegion,
     check_dilation_identity,
     enlargement_excess,
@@ -36,6 +46,10 @@ from tauberian_lab.geometry import (
     sorted_decreasing,
     union_measure,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
 
 F = Fraction
 
@@ -85,6 +99,38 @@ def lattice_box_lists(draw, max_boxes=8, dim=None):
 def fractions_in_01(draw):
     q = draw(st.integers(2, 9))
     return F(draw(st.integers(1, q - 1)), q)
+
+
+# denominators on both sides of the int64 rule `geometry._fit`: unit corners
+# at 2^19 + 1 put (2m)^3 near 2^62, and 2^61 and 3^40 put the scale near or past it
+HUGE_DENOMS = st.sampled_from([1, 3, 2**19 + 1, 2**40, 2**61, 3**40])
+
+
+@st.composite
+def huge_box_lists(draw, max_boxes=4):
+    """Boxes placed as box_lists places them, on HUGE_DENOMS, and moved by
+    x -> base + unit x with |base| up to 2^40 and unit up to 2^38, so that
+    corners reach 2^41 and boxes still meet and nest.  A family draws from
+    at most 3 of the denominators, and base and unit are often small, so that
+    the int64 side is drawn too."""
+    dim = draw(st.integers(1, 3))
+    denoms = st.sampled_from(draw(st.lists(HUGE_DENOMS, min_size=1, max_size=3)))
+    base = [F(draw(st.integers(-8, 8) | st.integers(-2**40, 2**40)), draw(denoms))
+            for _ in range(dim)]
+    unit = F(draw(st.integers(1, 8) | st.integers(1, 2**38)), draw(denoms))
+    boxes = []
+    for _ in range(draw(st.integers(1, max_boxes))):
+        den, side_den = draw(denoms), draw(denoms)
+        center = tuple(b + unit * F(draw(st.integers(-3 * den, 3 * den)), den) for b in base)
+        boxes.append(Box(center, unit * F(draw(st.integers(1, 3 * side_den)), side_den)))
+    return boxes
+
+
+@st.composite
+def huge_fractions(draw, below_one=False):
+    """p/q with p and q up to 2^60; below 1 when asked."""
+    q = draw(st.integers(2 if below_one else 1, 2**60))
+    return F(draw(st.integers(1, q - 1 if below_one else 2**60)), q)
 
 
 # -- differential properties --------------------------------------------------
@@ -172,6 +218,47 @@ def test_cover_dilation_bisection_matches_linear_scan(boxes, data, nums, den):
 def test_vitali_and_satellites_match_pairwise_loops(boxes):
     assert vitali_select(boxes) == pairwise_vitali_select(boxes)
     assert satellite_decompose(boxes) == pairwise_satellite_decompose(boxes)
+
+
+@settings(max_examples=150)
+@given(huge_box_lists(), huge_fractions(below_one=True), huge_fractions(),
+       st.lists(huge_fractions(), min_size=1, max_size=4), st.sampled_from([1, 3, 2**20, 2**61]))
+def test_huge_families_match_the_oracles(boxes, delta, t, candidates, n):
+    fam = sorted_decreasing(boxes)
+    assert enlargement_excess(boxes, delta) == frag_enlargement_excess(boxes, delta)
+    assert check_dilation_identity(boxes, t).defect == frag_identity_defect(boxes, t)
+    cf = cf_select_lebesgue(fam, delta)
+    assert cf == frag_cf_select_lebesgue(fam, delta)
+    vit = vitali_select(boxes)
+    assert vit == pairwise_vitali_select(boxes)
+    assert satellite_decompose(boxes) == pairwise_satellite_decompose(boxes)
+    for res in (cf, vit):
+        assert verify_selection_contract(res)["all"]["pass"]
+    # triple dilates of a Vitali selection cover, so 3 always answers
+    candidates = candidates + [F(3)]
+    assert (minimal_cover_dilation(boxes, vit.selected, candidates)
+            == frag_minimal_cover_dilation(boxes, list(vit.selected), candidates))
+    with pytest.raises(ValueError, match="no candidate dilation factor covers the family"):
+        minimal_cover_dilation(boxes, [], candidates)
+    try:
+        expected = [_cube_slices(box_to_grid_cube(b, n)) for b in fam]
+    except UnsupportedGeometry as err:
+        with pytest.raises(UnsupportedGeometry, match=f"^{re.escape(str(err))}$"):
+            _grid_cells(fam, n)
+    else:
+        lo, hi = _grid_cells(fam, n)
+        assert [tuple(map(slice, *c)) for c in zip(lo.tolist(), hi.tolist())] == expected
+
+
+def test_benchmark_families_run_on_int64():
+    # every cube_selection family at seed 0 takes the int64 path, and a 3-D
+    # corner at 2^21 puts (2m)^3 = 2^66 past it
+    families = [job.args[0] for job in workloads.cube_jobs(0) if isinstance(job.args[0], BoxFamily)]
+    assert len(families) == 40
+    assert all(f._ints[1].dtype == f._ints[2].dtype == np.int64 for f in families)
+    far = BoxFamily([Box((F(1), F(1), F(1)), 2), Box((F(2**21 - 1),) * 3, 2)])
+    assert far._ints[0] == 1 and far._ints[3] == 2**21
+    assert far._ints[1].dtype == far._ints[2].dtype == object
 
 
 def test_boxes_touching_at_a_face_or_corner_meet():

@@ -440,18 +440,13 @@ def test_satellite_union_preserved_random():
         assert cover == union_measure(fam)
 
 
-def test_satellite_group_invariant_raises(monkeypatch):
+def test_satellite_group_invariant_raises():
     # groups are formed from the same integer corners the check reads, so only
     # a false "every pair meets" can put a disjoint box in a group
-    real = covering._volumes_and_meets
-
-    def all_meet(fam):
-        vols, meets = real(fam)
-        return vols, [[True] * len(row) for row in meets]
-
-    monkeypatch.setattr(covering, "_volumes_and_meets", all_meet)
+    fam = BoxFamily([interval(0, 4), interval(5, 6)])
+    fam.__dict__["_meets"] = np.ones((2, 2), dtype=bool)
     with pytest.raises(InvariantViolation, match="satellite configuration"):
-        satellite_decompose(BoxFamily([interval(0, 4), interval(5, 6)]))
+        satellite_decompose(fam)
 
 
 # -- overlap-2 ---------------------------------------------------------------------
