@@ -5,7 +5,9 @@ Three engines:
 * grid: uncentered / centered / dyadic cube maximal operators on the N^n
   grid over [0,1)^n, for Lebesgue or grid-weight measures.  Cubes run over
   grid-aligned cubes inside the domain, so grid superlevel sets are lower
-  approximations of their continuous counterparts.
+  approximations of their continuous counterparts.  The grid-weight 1-D
+  uncentered superlevel is exact: one pass over prefix sums of exact cell
+  masses per alpha.  Every other superlevel compares float values with alpha.
 * exact 1-D: interval sets and piecewise-constant weights with `Fraction`
   endpoints; maximal values and full superlevel sets ("halos") are exact.
   The Lebesgue halo is one pass over the excess |E ∩ [l, x]| - alpha*(x - l).
@@ -23,9 +25,10 @@ Each engine's alpha-free stage is remembered on its measure object, one
 keeps its value, so an alpha ladder on one (measure, E) pair pays only for
 its thresholds:
 
-* `superlevel` keeps the last `grid_maximal` values (one read-only N^d float
-  array) on the `GridWeight`, keyed by (spec, E's shape, E's bytes).  A
-  Lebesgue call has no measure object and is not memoized.
+* `superlevel` keeps one read-only array on the `GridWeight`, keyed by
+  (spec, E's shape, E's bytes): for the 1-D uncentered spec, E's exact
+  prefix (N+1 ints); for every other spec, the `grid_maximal` values (N^d
+  floats).  A Lebesgue call has no measure object and is not memoized.
 * `exact_halo_1d` and `point_eval_1d` keep F(E) (one `IntervalSet`) on the
   `PiecewiseWeight1D`, keyed by E, and share that entry.
 * `atomic_maximal_lower` keeps one candidate set (its boxes, atom
@@ -85,6 +88,22 @@ class MaximalSpec:
 # ---------------------------------------------------------------------------
 
 
+def _checked(e, spec: MaximalSpec, weight: GridWeight | None) -> tuple[np.ndarray, int]:
+    """e as a bool array and its resolution, once e, spec and weight agree."""
+    e = np.asarray(e, dtype=bool)
+    n = resolution(e)
+    if spec.variant == "dyadic" and n & (n - 1):
+        raise ValueError("dyadic variant needs a power-of-two resolution")
+    if spec.measure == "grid-weight":
+        if weight is None:
+            raise ValueError("grid-weight measure needs a weight")
+        if weight.values.shape != e.shape:
+            raise ValueError("weight grid and set grid differ in shape")
+    elif weight is not None:
+        raise ValueError("lebesgue measure takes no weight; use the grid-weight measure")
+    return e, n
+
+
 def grid_maximal(e: np.ndarray, spec: MaximalSpec = MaximalSpec(),
                  weight: GridWeight | None = None) -> np.ndarray:
     """Per-cell values of the maximal function of the indicator of e.
@@ -106,18 +125,8 @@ def grid_maximal(e: np.ndarray, spec: MaximalSpec = MaximalSpec(),
     1-D N=4096.  The centered and dyadic variants read the same divided
     table: the odd sides, and side 2^k at the multiples of 2^k.
     """
-    e = np.asarray(e, dtype=bool)
-    n, d = resolution(e), e.ndim
-    if spec.variant == "dyadic" and n & (n - 1):
-        raise ValueError("dyadic variant needs a power-of-two resolution")
-    weighted = spec.measure == "grid-weight"
-    if weighted:
-        if weight is None:
-            raise ValueError("grid-weight measure needs a weight")
-        if weight.values.shape != e.shape:
-            raise ValueError("weight grid and set grid differ in shape")
-    elif weight is not None:
-        raise ValueError("lebesgue measure takes no weight; use the grid-weight measure")
+    e, n = _checked(e, spec, weight)
+    d, weighted = e.ndim, weight is not None
     flat, sides = side_table(np.where(e, weight.values, 0.0) if weighted else e)
     den = (weight.table.flat if weighted else
            np.repeat([float(s**d) for s in range(1, n + 1)], [a.size for a in sides]))
@@ -146,24 +155,48 @@ def superlevel(e: np.ndarray, alpha: float, spec: MaximalSpec = MaximalSpec(),
                weight: GridWeight | None = None) -> np.ndarray:
     """Cells where the maximal function strictly exceeds alpha, a fresh array.
 
-    With a weight, the `grid_maximal` values are remembered on it, read-only,
-    keyed by (spec, E's shape, E's bytes), so an alpha ladder on one set
-    computes them once; an in-place change to E is a new key.  The memo is
-    one N^d float array per weight.  A Lebesgue call (no weight) is not
-    memoized.
+    With a weight, the 1-D uncentered superlevel is exact at alpha's exact
+    value p/q.  Cell c lies in it iff some grid interval [i, j) that holds c
+    has q*w(E ∩ [i, j)) > p*w([i, j)), that is iff min over i <= c of
+    Phi(i) < max over j > c of Phi(j), with Phi = q*P_E - p*P_w on the
+    prefix sums of E's and the weight's exact cell masses (`GridWeight.exact`).
+    An interval of no mass leaves Phi unchanged and raises nothing, as
+    `grid_maximal` skips it.  That is one O(N) pass of Python ints per alpha.
+    Every other weighted spec compares the `grid_maximal` values with alpha.
+
+    The alpha-free stage is remembered on the weight, read-only, keyed by
+    (spec, E's shape, E's bytes), so an alpha ladder on one set computes it
+    once; an in-place change to E is a new key.  It is P_E (N+1 ints) for the
+    1-D uncentered spec and the `grid_maximal` values (one N^d float array)
+    for every other spec.  A Lebesgue call (no weight) compares the float
+    `grid_maximal` values with alpha and is not memoized.
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    e = np.asarray(e, dtype=bool)
     if weight is None:
         return grid_maximal(e, spec) > alpha
+    e, _ = _checked(e, spec, weight)
+    key = (spec, e.shape, e.tobytes())
+    if e.ndim == 1 and spec.variant == "uncentered":
+        p_e = _remembered(weight, key, lambda: _set_prefix(e, weight))
+        p, q = alpha.as_integer_ratio()
+        phi = q * p_e - p * weight.exact.prefix
+        return np.minimum.accumulate(phi[:-1]) < np.maximum.accumulate(phi[:0:-1])[::-1]
 
     def values():
         vals = grid_maximal(e, spec, weight)
         vals.flags.writeable = False
         return vals
 
-    return _remembered(weight, (spec, e.shape, e.tobytes()), values) > alpha
+    return _remembered(weight, key, values) > alpha
+
+
+def _set_prefix(e: np.ndarray, weight: GridWeight) -> np.ndarray:
+    """P_E: the prefix sums of E's exact cell masses on `weight.exact`'s unit, read-only."""
+    prefix = np.zeros(e.size + 1, dtype=object)  # object zeros are Python ints
+    prefix[1:] = np.where(e, weight.exact.cells, 0).cumsum()
+    prefix.flags.writeable = False
+    return prefix
 
 
 def set_mass(e: np.ndarray, weight: GridWeight | None = None) -> float:

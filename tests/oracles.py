@@ -452,6 +452,27 @@ def grid_maximal_naive(e: np.ndarray, spec: MaximalSpec, weight: GridWeight | No
     return vals
 
 
+def superlevel_1d_exact(e: np.ndarray, alpha: float, weight: GridWeight | None = None
+                        ) -> np.ndarray:
+    """The 1-D uncentered grid superlevel {M 1_E > alpha} in `Fraction`s: cell c
+    is in iff some grid interval [i, j) holding c has mu(E ∩ [i, j)) >
+    alpha * mu([i, j)).  mu gives each cell 1 (Lebesgue) or `Fraction` of its
+    float mass, and alpha is the exact value of the float passed in."""
+    e = np.asarray(e, dtype=bool)
+    masses = ([Fraction(1)] * len(e) if weight is None
+              else [Fraction(float(v)) for v in weight.values])
+    alpha = Fraction(alpha)
+    out = np.zeros(len(e), dtype=bool)
+    for i in range(len(e)):
+        total = inside = Fraction(0)
+        for j in range(i, len(e)):
+            total += masses[j]
+            inside += masses[j] if e[j] else 0
+            if inside > alpha * total:
+                out[i : j + 1] = True
+    return out
+
+
 def _piece_sol(c0: Fraction, c1: Fraction, t_hi: Fraction):
     """sup of t in (0, t_hi] with c0 + t*c1 > 0, or None."""
     if c1 > 0:

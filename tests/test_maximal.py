@@ -9,8 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (atomic_maximal_lower_float, exact_halo_1d_sweep, grid_maximal_naive,
-                     grid_maximal_sides,
-                     piecewise_mass_loop, point_eval_1d_direct)
+                     grid_maximal_sides, piecewise_mass_loop, point_eval_1d_direct,
+                     superlevel_1d_exact)
 from tauberian_lab.maximal import (
     VARIANTS,
     AtomicMeasure,
@@ -28,6 +28,7 @@ from tauberian_lab.maximal import (
 from tauberian_lab.weights import GridWeight, WeightFamilySpec, generate_weight
 
 F = Fraction
+WEIGHTED = MaximalSpec("uncentered", "grid-weight")
 
 
 def single_cell(n, idx, dim=1):
@@ -444,8 +445,16 @@ def test_halo_alpha_validation():
         exact_halo_1d(e, F(1))
 
 
+def lifted(level, n):
+    """The cells of a grid superlevel as an `IntervalSet` of [c/n, (c+1)/n]."""
+    return IntervalSet.merge([(F(int(c), n), F(int(c) + 1, n)) for c in np.flatnonzero(level)])
+
+
 def test_grid_superlevel_inside_exact_halo():
+    # each halo is taken at the exact value of the float alpha the grid call
+    # gets; the grid-weight calls run on the weight refined 8x
     rng = np.random.default_rng(23)
+    wrng = np.random.default_rng(29)
     trials = 0
     while trials < 100:
         n = int(rng.integers(4, 13))
@@ -453,14 +462,69 @@ def test_grid_superlevel_inside_exact_halo():
         if not mask.any():
             continue
         trials += 1
-        alpha = float(rng.uniform(0.2, 0.95))
-        e_exact = IntervalSet.merge(
-            [(F(i, n), F(i + 1, n)) for i in np.flatnonzero(mask)])
-        halo = exact_halo_1d(e_exact, F(alpha).limit_denominator(997))
-        lv = superlevel(mask, float(F(alpha).limit_denominator(997)))
-        cells = IntervalSet.merge([(F(int(c), n), F(int(c) + 1, n))
-                                   for c in np.flatnonzero(lv)])
-        assert halo.contains_set(cells)
+        alpha = float(F(rng.uniform(0.2, 0.95)).limit_denominator(997))
+        e_exact = lifted(mask, n)
+        halo = exact_halo_1d(e_exact, F(alpha))
+        assert halo.contains_set(lifted(superlevel(mask, alpha), n))
+        a = float(wrng.choice([-0.5, 1.0, 2.0]))
+        v = generate_weight(WeightFamilySpec("power", 1, n, a=a,
+                                             x0=float(wrng.uniform(0.05, 0.95)))).values
+        fine = GridWeight(np.repeat(v / 8, 8))
+        level = superlevel(np.repeat(mask, 8), alpha, WEIGHTED, fine)
+        halo = exact_halo_1d(e_exact, F(alpha), PiecewiseWeight1D.from_grid(fine))
+        assert halo.contains_set(lifted(level, 8 * n))
+
+
+@st.composite
+def exact_superlevel_cases(draw):
+    """A 1-D set of 1-24 cells; alpha the float of a fraction with denominator
+    up to 64, of 1/3 or of 1/10; and no weight, or cells drawn from 0, CELLS
+    and ODD_CELLS (which hold 5e-324, 1e300, 2^-60 and 0.1)."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    e = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    alpha = float(draw(st.one_of(ALPHAS, st.sampled_from([F(1, 3), F(1, 10)]))))
+    if draw(st.booleans()):
+        return e, alpha, None
+    cells = draw(st.lists(st.one_of(CELLS, st.sampled_from(ODD_CELLS)), min_size=n, max_size=n)
+                 .filter(lambda v: sum(v) > 0))
+    return e, alpha, GridWeight(np.array(cells))
+
+
+@settings(max_examples=300)
+@given(exact_superlevel_cases())
+@example((np.array([True, False]), 0.5, GridWeight(np.ones(2))))  # ratio 1/2 is not > 1/2
+@example((np.array([True, False, False]), 1 / 3, GridWeight(np.ones(3))))  # 1/3 > float(1/3)
+# 1/(3 + 2e-16) lies between the decimal 0.3333333333333333 and float(1/3)
+@example((np.array([True, False, False]), 1 / 3, GridWeight(np.array([1.0, 2.0, 2e-16]))))
+@example((np.array([True, False, False]), 1 / 3, None))
+def test_1d_uncentered_superlevel_matches_the_exact_oracle(case):
+    e, alpha, w = case
+    exact = superlevel_1d_exact(e, alpha, w)
+    if w is not None:
+        assert np.array_equal(superlevel(e, alpha, WEIGHTED, w), exact)
+        return
+    # the Lebesgue path compares the float ratios k/s, each rounded once, with
+    # alpha: it differs only where a ratio rounds onto alpha, by leaving the cell out
+    ties = grid_maximal(e) == alpha
+    assert np.array_equal(superlevel(e, alpha), exact & ~ties)
+
+
+def test_superlevel_keeps_a_cell_whose_float_value_rounds_below_alpha():
+    # seed 7 of the benchmark's tauberian_sweep: on [24, 56) the exact E-fraction
+    # exceeds 1/2 by 3.5e-17, and the float table gives cell 41 0.49999999999999939
+    v = generate_weight(WeightFamilySpec("power", 1, 16, a=1.0, x0=0.7049710793158196)).values
+    fine = GridWeight(np.repeat(v / 8, 8))
+    e = np.zeros(16, dtype=bool)
+    for a, b in [(0, 1), (3, 4), (6, 7), (9, 10), (12, 13), (14, 15)]:
+        e[a:b] = True
+    e = np.repeat(e, 8)
+    masses = [F(float(m)) for m in fine.values[24:56]]
+    ratio = sum(m for m, x in zip(masses, e[24:56]) if x) / sum(masses)
+    assert 3e-17 < ratio - F(1, 2) < 4e-17
+    assert grid_maximal(e, WEIGHTED, fine)[41] < 0.5
+    level = superlevel(e, 0.5, WEIGHTED, fine)
+    assert level[41]
+    assert np.array_equal(level, superlevel_1d_exact(e, 0.5, fine))
 
 
 @st.composite
@@ -730,8 +794,8 @@ def test_atomic_measure_rejects_empty_list():
 # Each engine keeps its last alpha-free stage on the measure object; these
 # tests see that entry only as the one attribute the calls add.
 
-LADDER = st.lists(st.fractions(min_value=F(1, 64), max_value=F(63, 64), max_denominator=64),
-                  min_size=1, max_size=6)
+ALPHAS = st.fractions(min_value=F(1, 64), max_value=F(63, 64), max_denominator=64)
+LADDER = st.lists(ALPHAS, min_size=1, max_size=6)
 
 
 def memo_entries(obj, before):
@@ -740,6 +804,14 @@ def memo_entries(obj, before):
 
 def fresh_grid_weight(w):
     return GridWeight(w.values.copy())
+
+
+def expected_superlevel(e, alpha, spec, w):
+    """The exact oracle where `superlevel` decides exactly (1-D uncentered with
+    a weight); elsewhere fresh `grid_maximal` values against alpha."""
+    if e.ndim == 1 and spec == WEIGHTED:
+        return superlevel_1d_exact(e, alpha, w)
+    return grid_maximal(e, spec, measured(spec, fresh_grid_weight(w))) > alpha
 
 
 def fresh_piecewise(w):
@@ -764,7 +836,7 @@ def test_superlevel_interleaved_sets_and_specs(case, alphas):
     calls = [(e, spec), (e, other), (~e, other), (~e, spec)]
     for alpha in alphas:
         for s, sp in calls:
-            expect = grid_maximal(s, sp, measured(sp, fresh_grid_weight(w))) > float(alpha)
+            expect = expected_superlevel(s, float(alpha), sp, w)
             assert np.array_equal(superlevel(s, float(alpha), sp, measured(sp, w)), expect)
 
 
@@ -776,7 +848,7 @@ def test_superlevel_follows_a_mask_changed_in_place(case, data):
         cell = tuple(data.draw(st.integers(0, n - 1)) for n in e.shape)
         superlevel(e, 0.5, spec, measured(spec, w))
         e[cell] = not e[cell]
-        expect = grid_maximal(e, spec, measured(spec, fresh_grid_weight(w))) > 0.5
+        expect = expected_superlevel(e, 0.5, spec, w)
         assert np.array_equal(superlevel(e, 0.5, spec, measured(spec, w)), expect)
 
 
@@ -805,6 +877,7 @@ def test_a_weight_with_the_lebesgue_measure_is_rejected():
 def test_superlevel_returns_fresh_arrays_and_keeps_one_read_only_entry():
     w = generate_weight(WeightFamilySpec("log-smooth-random", 1, 32, seed=4))
     w.table
+    w.exact
     before = set(vars(w))
     spec = MaximalSpec("uncentered", "grid-weight")
     e = np.random.default_rng(4).random(32) < 0.3
