@@ -7,10 +7,14 @@ weight's exact masses (`GridWeight.exact`): it keeps a running free table,
 the cell masses with every kept box's cells zeroed, so a box's overlap with
 the kept ones is its mass minus the sum of its free cells.  Vitali, the
 satellite grouping and the Lebesgue greedy read the boxes' volumes and meet
-matrix that the family caches.  verify_selection_contract
-replays the run and re-checks every clause in exact integers on a cell grid,
-the family's (with triple dilates for Vitali) or the weight's; it reads the
-selectors' cell tables but slices and sums each box on its own.
+matrix that the family caches.  Every selector takes a BoxFamily or a plain
+sequence of boxes; the CF selectors read the order from the sides and raise
+OrderingViolation when a box is larger than the one before it.
+
+verify_selection_contract replays the run and re-checks every clause in exact
+integers on a cell grid, the family's (with triple dilates for Vitali) or the
+weight's; it reads the selectors' cell tables but slices and sums each box on
+its own.
 """
 
 from __future__ import annotations
@@ -20,21 +24,20 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import InvariantViolation, OrderingViolation, UnsupportedGeometry
+from .errors import InvariantViolation, UnsupportedGeometry
 from .geometry import (
-    ORDER_DECREASING,
     Box,
     BoxFamily,
+    _decreasing,
     _dilated_grid,
     _family,
     _fit,
     _level,
     _positive,
-    _to_rat,
 )
 from .weights import GridCube, GridWeight
 
@@ -43,7 +46,6 @@ from .weights import GridCube, GridWeight
 class SelectionResult:
     kind: str
     input: BoxFamily
-    order: tuple[int, ...]
     selected_indices: tuple[int, ...]
     certificates: dict[int, dict] = field(default_factory=dict)
     params: dict = field(default_factory=dict)
@@ -70,26 +72,20 @@ def vitali_select(f: BoxFamily | Sequence[Box]) -> SelectionResult:
     whole union."""
     fam = _family(f)
     vols, meets = fam._volumes, fam._meets
-    order = sorted(range(len(fam)), key=lambda i: -vols[i])
     selected: list[int] = []
     certs: dict[int, dict] = {}
-    for i in order:
+    for i in sorted(range(len(fam)), key=lambda i: -vols[i]):
         hit = next((j for j in selected if meets[j, i]), None)
         if hit is None:
             selected.append(i)
         else:
             certs[i] = {"rule": "intersects-selected", "selected_index": hit}
-    return SelectionResult("vitali", fam, tuple(order), tuple(selected), certs)
+    return SelectionResult("vitali", fam, tuple(selected), certs)
 
 
 # ---------------------------------------------------------------------------
 # Cordoba-Fefferman: one integer greedy for both measures
 # ---------------------------------------------------------------------------
-
-
-def _require_decreasing(f: BoxFamily) -> None:
-    if f.ordering_tag != ORDER_DECREASING:
-        raise OrderingViolation("selection requires a decreasing-sidelength family")
 
 
 # kind: (its level's name, rejection rule, overlap key, the value of an exact ratio)
@@ -122,21 +118,21 @@ def _cf_select(kind: str, f: BoxFamily, level: Fraction, free: np.ndarray, unit:
             free[sl] = 0
         else:  # so vol >= overlap > 0
             certs[i] = {"rule": rule, key: value(overlap, unit), "fraction": value(overlap, vol)}
-    return SelectionResult(kind, f, tuple(range(len(f))), tuple(selected), certs,
+    return SelectionResult(kind, f, tuple(selected), certs,
                            {name: level}, incs, tuple(equality))
 
 
-def cf_select_lebesgue(f: BoxFamily, delta) -> SelectionResult:
+def cf_select_lebesgue(f: BoxFamily | Sequence[Box], delta) -> SelectionResult:
     """Keep a cube iff at most a (1-delta) fraction of it is already covered.
 
     Every kept cube after the first contributes new measure >= delta * |Q|;
     every rejected cube was covered above the (1-delta) level when visited.
     """
     delta = _level(delta, "delta")
-    _require_decreasing(f)
-    grid = f._grid
-    return _cf_select("cf-lebesgue", f, delta, grid.cells(), grid.scale ** grid.dim,
-                      grid.slices, f._volumes)
+    fam = _decreasing(f, "selection requires")
+    grid = fam._grid
+    return _cf_select("cf-lebesgue", fam, delta, grid.cells(), grid.scale ** grid.dim,
+                      grid.slices, fam._volumes)
 
 
 def box_to_grid_cube(b: Box, n: int) -> GridCube:
@@ -174,17 +170,17 @@ def _grid_cells(f: BoxFamily, n: int) -> tuple[np.ndarray, np.ndarray]:
     return a.astype(np.int64), b.astype(np.int64)
 
 
-def cf_select_weighted(f: BoxFamily, w: GridWeight, xi) -> SelectionResult:
+def cf_select_weighted(f: BoxFamily | Sequence[Box], w: GridWeight, xi) -> SelectionResult:
     """Weighted variant: keep a cube iff the already-covered part carries at
     most a (1-xi) fraction of its w-mass, decided on the exact masses that the
     verifier reads, each cube's from their summed-area table.  The result's
     floats are the exact ratios correctly rounded, float(Fraction(n, d))."""
     xi = _level(xi, "xi")
-    _require_decreasing(f)
-    if f and f.dim != w.dim:
+    fam = _decreasing(f, "selection requires")
+    if fam and fam.dim != w.dim:
         raise ValueError("dimension mismatch")
-    (lo, hi), exact = _grid_cells(f, w.resolution), w.exact
-    return _cf_select("cf-weighted", f, xi, exact.cells.copy(), exact.unit,
+    (lo, hi), exact = _grid_cells(fam, w.resolution), w.exact
+    return _cf_select("cf-weighted", fam, xi, exact.cells.copy(), exact.unit,
                       [tuple(map(slice, *c)) for c in zip(lo.tolist(), hi.tolist())],
                       exact.box_sums(lo, hi))
 
@@ -224,20 +220,13 @@ def satellite_decompose(f: BoxFamily | Sequence[Box]) -> dict[int, list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _as_interval_box(iv) -> Box:
-    if isinstance(iv, Box):
-        if iv.dim != 1:
-            raise UnsupportedGeometry("overlap-2 selection is one-dimensional")
-        return iv
-    a, b = _to_rat(iv[0]), _to_rat(iv[1])
-    return Box(((a + b) / 2,), b - a)
-
-
-def overlap2_select_1d(intervals: Iterable) -> SelectionResult:
-    """Subfamily with the same union and pointwise overlap at most 2 away
-    from finitely many touching points: greedy farthest-reach chains."""
-    boxes = [_as_interval_box(iv) for iv in intervals]
-    fam = BoxFamily(boxes)
+def overlap2_select_1d(f: BoxFamily | Sequence[Box]) -> SelectionResult:
+    """Subfamily of 1-D boxes with the same union and pointwise overlap at
+    most 2 away from finitely many touching points: greedy farthest-reach chains."""
+    fam = _family(f)
+    if fam and fam.dim != 1:
+        raise UnsupportedGeometry("overlap-2 selection is one-dimensional")
+    boxes = fam.boxes
     items = sorted(range(len(boxes)),
                    key=lambda i: (boxes[i].lo[0], -boxes[i].hi[0]))
     selected: list[int] = []
@@ -269,7 +258,7 @@ def overlap2_select_1d(intervals: Iterable) -> SelectionResult:
                 break
             selected.append(best)
             comp_end = boxes[best].hi[0]
-    return SelectionResult("overlap2", fam, tuple(items), tuple(selected), certs)
+    return SelectionResult("overlap2", fam, tuple(selected), certs)
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,17 @@ Box families are measured by coordinate compression on one integer grid, as
 in Klee's measure problem.  A family is converted once, on first use, to
 integer corner arrays L, H at one scale D, the `_on_scale` of its corners,
 to the boxes' volumes, to the matrix of which closed boxes meet, and to the
-compressed grid of its boxes; BoxFamily caches all four, and every family
-operation here and in `covering` reads them (a plain sequence of boxes is
-wrapped into a BoxFamily once per call).  Decisions that compare volumes or
-test whether closed boxes meet are integer comparisons on L, H.  Per axis, the
-grid coordinates are the distinct corners, so a box is a slice tuple into the
-grid and a region is a boolean mask over its cells: union is `|`, difference
-`& ~`, and measure the integer sum of the marked cells' volumes divided once
-by D^d, bounded by the product of the axis spans.  Dilations stay integer
+compressed grid of its boxes; BoxFamily caches all four.  Every family
+operation here and in `covering` takes a BoxFamily or a plain sequence of
+boxes, which it wraps into a BoxFamily once per call, and reads them.  Order
+is read from the sides, never declared: the operations that need
+nonincreasing sides (`increments` and the Cordoba-Fefferman selectors) check
+the cached volumes and raise OrderingViolation.  Decisions that compare
+volumes or test whether closed boxes meet are integer comparisons on L, H.
+Per axis, the grid coordinates are the distinct corners, so a box is a slice
+tuple into the grid and a region is a boolean mask over its cells: union is
+`|`, difference `& ~`, and measure the integer sum of the marked cells'
+volumes divided once by D^d, bounded by the product of the axis spans.  Dilations stay integer
 too: for t = p/q, at scale 2qD a box is (2qL, 2qH) and its concentric
 t-dilate q(L+H) -/+ p(H-L).
 For t > 1 every box lies in its own t-dilate, so the enlargement excess is
@@ -38,6 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -46,13 +50,13 @@ import numpy as np
 
 from .errors import OrderingViolation
 
-ORDER_DECREASING = "decreasing-sidelength"
-ORDER_UNORDERED = "unordered"
-
 
 def _to_rat(x) -> Fraction:
     if isinstance(x, Fraction):
-        return x
+        # a Fraction of numpy integers keeps their fixed-width parts
+        if type(x.numerator) is type(x.denominator) is int:
+            return x
+        return Fraction(int(x.numerator), int(x.denominator))
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
@@ -134,25 +138,17 @@ def dilate(b: Box, factor) -> Box:
 
 @dataclass(frozen=True)
 class BoxFamily:
-    """Ordered list of same-dimension boxes with an ordering tag."""
+    """Ordered list of same-dimension boxes."""
 
     boxes: tuple[Box, ...]
-    ordering_tag: str = ORDER_UNORDERED
 
-    def __init__(self, boxes: Iterable[Box], ordering_tag: str = ORDER_UNORDERED):
+    def __init__(self, boxes: Iterable[Box]):
         boxes = tuple(boxes)
         if boxes:
             dims = {b.dim for b in boxes}
             if len(dims) != 1:
                 raise ValueError("dimension mismatch: boxes in a family must share a dimension")
-        if ordering_tag not in (ORDER_DECREASING, ORDER_UNORDERED):
-            raise ValueError(f"unknown ordering tag {ordering_tag!r}")
-        if ordering_tag == ORDER_DECREASING:
-            sides = [b.side for b in boxes]
-            if any(a < b for a, b in zip(sides, sides[1:])):
-                raise OrderingViolation("sidelengths are not nonincreasing")
         object.__setattr__(self, "boxes", boxes)
-        object.__setattr__(self, "ordering_tag", ordering_tag)
 
     def __len__(self) -> int:
         return len(self.boxes)
@@ -213,10 +209,19 @@ def _family(f: BoxFamily | Sequence[Box]) -> BoxFamily:
     return f if isinstance(f, BoxFamily) else BoxFamily(f)
 
 
+def _decreasing(f: BoxFamily | Sequence[Box], what: str) -> BoxFamily:
+    """f as a BoxFamily; raises OrderingViolation("<what> a decreasing-sidelength
+    family") when a box's cached volume exceeds its predecessor's."""
+    fam = _family(f)
+    vols = fam._volumes
+    if any(map(operator.lt, vols, vols[1:])):
+        raise OrderingViolation(f"{what} a decreasing-sidelength family")
+    return fam
+
+
 def sorted_decreasing(boxes: Iterable[Box]) -> BoxFamily:
     """Stable sort by nonincreasing sidelength; ties keep input order."""
-    bs = sorted(boxes, key=lambda b: -b.side)
-    return BoxFamily(bs, ORDER_DECREASING)
+    return BoxFamily(sorted(boxes, key=lambda b: -b.side))
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +424,10 @@ def union_measure(f: BoxFamily | Sequence[Box]) -> Fraction:
     return _family(f)._measure
 
 
-def increments(f: BoxFamily) -> list[BoxRegion]:
-    """Disjointification of a decreasing-ordered family into increment
+def increments(f: BoxFamily | Sequence[Box]) -> list[BoxRegion]:
+    """Disjointification of a family of nonincreasing sides into increment
     regions E_j = Q_j minus the earlier boxes, by one pass with a running OR."""
-    if f.ordering_tag != ORDER_DECREASING:
-        raise OrderingViolation("increments require a decreasing-sidelength family")
-    grid = f._grid
+    grid = _decreasing(f, "increments require")._grid
     masks = [grid.cover([i]) for i in range(len(grid.slices))]
     seen = np.logical_or.accumulate([np.zeros(grid.shape, dtype=bool)] + masks)
     return [BoxRegion(grid.dim, grid.scale, grid.axes, m & ~s) for m, s in zip(masks, seen)]

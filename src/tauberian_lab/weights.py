@@ -186,6 +186,10 @@ class GridWeight:
 # ---------------------------------------------------------------------------
 
 
+# the checkerboard's densities, alternating from cell to cell
+_CHECKERBOARD_DENSITIES = np.array([1.0, float(np.e) ** 2])
+
+
 @dataclass(frozen=True)
 class WeightFamilySpec:
     """Recipe for a test-corpus weight; deterministic for fixed fields."""
@@ -195,7 +199,6 @@ class WeightFamilySpec:
     resolution: int
     a: float = 0.0
     x0: tuple[float, ...] | float = 0.0
-    levels: tuple[float, ...] = (1.0, float(np.e) ** 2)
     seed: int = 0
 
     def label(self) -> str:
@@ -247,16 +250,11 @@ def generate_weight(spec: WeightFamilySpec) -> GridWeight:
                                  "which sits on a cell midpoint")
             values = r2 ** (spec.a / 2.0) * cellvol
     elif spec.family == "checkerboard":
-        levels = np.asarray(spec.levels, dtype=float)
-        if not levels.size:
-            raise ValueError("checkerboard needs at least one level")
-        if np.any(levels <= 0):
-            raise ValueError("checkerboard levels must be positive")
         idx = np.arange(n)
         if d == 1:
-            dens = levels[idx % len(levels)]
+            dens = _CHECKERBOARD_DENSITIES[idx % 2]
         else:
-            dens = levels[(idx[:, None] + idx[None, :]) % len(levels)]
+            dens = _CHECKERBOARD_DENSITIES[(idx[:, None] + idx[None, :]) % 2]
         values = dens * cellvol
     elif spec.family == "log-smooth-random":
         rng = np.random.default_rng(spec.seed)
@@ -571,19 +569,16 @@ class WeightConstants:
 DEFAULT_PROFILE_T = (1 / 64, 1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2)
 
 
-def compute_weight_constants(
-    w: GridWeight,
-    p_values: Sequence[float] = (2.0, 4.0, 8.0),
-    t_values: Sequence[float] = DEFAULT_PROFILE_T,
-    rh_constant: float = 2.0,
-) -> WeightConstants:
-    profile = growth_profile(w, t_values)
+def compute_weight_constants(w: GridWeight) -> WeightConstants:
+    """Every gauge of w: A_p for p in {2, 4, 8}, the reverse-Holder exponent
+    at its default constant, and the growth fit over DEFAULT_PROFILE_T."""
+    profile = growth_profile(w, DEFAULT_PROFILE_T)
     return WeightConstants(
-        ap={p: ap_constant(w, p) for p in p_values},
+        ap={p: ap_constant(w, p) for p in (2.0, 4.0, 8.0)},
         fujii_wilson=fujii_wilson(w),
         hruscev=hruscev_constant(w),
         doubling=doubling_constant(w),
-        rh_epsilon=reverse_holder_exponent(w, rh_constant),
+        rh_epsilon=reverse_holder_exponent(w),
         gamma=sidelength_growth_exponent(w),
         growth_exponent=fit_growth_exponent(profile),
         meta=dict(w.meta),

@@ -741,7 +741,7 @@ def frag_cf_select_lebesgue(f, delta) -> SelectionResult:
         else:
             certs[i] = {"rule": "overlap-fraction", "overlap": overlap,
                         "fraction": overlap / vol}
-    return SelectionResult("cf-lebesgue", f, tuple(range(len(boxes))), tuple(selected), certs,
+    return SelectionResult("cf-lebesgue", f, tuple(selected), certs,
                            {"delta": delta}, incs, tuple(equality))
 
 
@@ -816,7 +816,7 @@ def pairwise_vitali_select(f) -> SelectionResult:
             selected.append(i)
         else:
             certs[i] = {"rule": "intersects-selected", "selected_index": hit}
-    return SelectionResult("vitali", fam, tuple(order), tuple(selected), certs)
+    return SelectionResult("vitali", fam, tuple(selected), certs)
 
 
 def is_satellite(f, center_index: int = 0) -> bool:
@@ -892,5 +892,5 @@ def fraction_cf_select_weighted(f: BoxFamily, w: GridWeight, xi: Fraction) -> Se
         else:
             certs[i] = {"rule": "weighted-overlap", "overlap_mass": float(overlap),
                         "fraction": float(overlap / mass)}
-    return SelectionResult("cf-weighted", f, tuple(range(len(f))), tuple(selected), certs,
+    return SelectionResult("cf-weighted", f, tuple(selected), certs,
                            {"xi": xi}, incs, tuple(equality))

@@ -22,7 +22,6 @@ from tauberian_lab.covering import (
 )
 from tauberian_lab.errors import InvariantViolation, OrderingViolation, UnsupportedGeometry
 from tauberian_lab.geometry import (
-    ORDER_DECREASING,
     Box,
     BoxFamily,
     check_dilation_identity,
@@ -108,7 +107,7 @@ def overlapping_selections(draw):
 @example((BoxFamily([interval(0, 2), interval(1, 3), interval(F(1, 2), 2)]), (0, 1, 2)))
 def test_vitali_disjointness_defect_is_the_pairwise_overlap_sum(case):
     fam, idx = case
-    res = SelectionResult("vitali", fam, tuple(range(len(fam))), idx)
+    res = SelectionResult("vitali", fam, idx)
     rep = verify_selection_contract(res)
     assert rep["selected-disjoint"]["defect"] == pairwise_overlap_volume(list(fam), idx)
 
@@ -116,7 +115,7 @@ def test_vitali_disjointness_defect_is_the_pairwise_overlap_sum(case):
 def test_vitali_disjointness_defect_counts_a_triple_overlap_thrice():
     # [1, 2] lies in all three selected intervals, [1/2, 1] in two of them
     fam = BoxFamily([interval(0, 2), interval(1, 3), interval(F(1, 2), 2)])
-    res = SelectionResult("vitali", fam, (0, 1, 2), (0, 1, 2))
+    res = SelectionResult("vitali", fam, (0, 1, 2))
     assert verify_selection_contract(res)["selected-disjoint"] == {"pass": False,
                                                                   "defect": F(7, 2)}
 
@@ -162,6 +161,52 @@ def test_cf_lebesgue_requires_order():
         cf_select_lebesgue(fam, F(1, 2))
 
 
+def test_cf_weighted_rejects_an_increasing_list():
+    w = generate_weight(WeightFamilySpec("constant", 1, 16))
+    with pytest.raises(OrderingViolation,
+                       match="selection requires a decreasing-sidelength family"):
+        cf_select_weighted([interval(0, F(1, 8)), interval(0, F(1, 2))], w, F(1, 2))
+
+
+def assert_ordered_operations_accept(boxes, w):
+    """Every operation that needs nonincreasing sides takes boxes as they are,
+    and agrees with its run on the same boxes as a sorted family."""
+    fam = sorted_decreasing(boxes)
+    assert list(fam) == list(boxes)
+    for level in (F(1, 4), F(3, 4)):
+        res = cf_select_lebesgue(boxes, level)
+        assert res == cf_select_lebesgue(fam, level)
+        assert verify_selection_contract(res)["all"]["pass"]
+        res = cf_select_weighted(boxes, w, level)
+        assert res == cf_select_weighted(fam, w, level)
+        assert verify_selection_contract(res, w)["all"]["pass"]
+    regions = increments(boxes)
+    assert [r.measure() for r in regions] == [r.measure() for r in increments(fam)]
+    assert sum((r.measure() for r in regions), F(0)) == union_measure(boxes)
+
+
+def test_selections_feed_back_into_the_ordered_operations():
+    # a selection lists its boxes in the order it visited them, by nonincreasing
+    # side, so its `selected` needs no re-sorting before the next CF pass
+    n = 16
+    w = generate_weight(WeightFamilySpec("power", 2, n, a=1.0, x0=(0.3, 0.7)))
+    rng = rng_for(41, "covering/reselect")
+    for trial in range(12):
+        boxes = list(random_grid_cube_family(rng, n, 2, int(rng.integers(2, 10))))
+        rng.shuffle(boxes)
+        assert_ordered_operations_accept(vitali_select(boxes).selected, w)
+        fam = sorted_decreasing(boxes)
+        for delta in (F(1, 8), F(1, 2)):
+            assert_ordered_operations_accept(cf_select_lebesgue(fam, delta).selected, w)
+
+
+def test_a_plain_list_of_decreasing_boxes_is_accepted():
+    # sides 1/2, 1/4, 1/4, 1/8 on the 16-cell grid; ties keep their order
+    boxes = [interval(0, F(1, 2)), interval(F(1, 4), F(1, 2)), interval(F(3, 8), F(5, 8)),
+             interval(F(9, 16), F(11, 16))]
+    assert_ordered_operations_accept(boxes, generate_weight(WeightFamilySpec("constant", 1, 16)))
+
+
 def test_cf_lebesgue_contract_random():
     rng = rng_for(17, "covering/cf")
     for trial in range(50):
@@ -183,18 +228,18 @@ def test_cf_lebesgue_tampered_increment_fails():
 
 
 def test_cf_lebesgue_empty_family():
-    empty = BoxFamily([], ORDER_DECREASING)
+    empty = BoxFamily([])
     res = cf_select_lebesgue(empty, F(1, 2))
     assert (res.selected_indices, res.certificates, res.increments) == ((), {}, {})
     assert verify_selection_contract(res)["all"]["pass"]
 
 
 def test_increments_of_the_empty_family():
-    assert increments(BoxFamily([], ORDER_DECREASING)) == []
+    assert increments(BoxFamily([])) == []
 
 
 def test_every_family_operation_accepts_the_empty_family():
-    empty = BoxFamily([], ORDER_DECREASING)
+    empty = BoxFamily([])
     assert vitali_select(empty).selected_indices == ()
     assert satellite_decompose(empty) == {}
     assert enlargement_excess(empty, F(1, 2)) == 0
@@ -453,19 +498,19 @@ def test_satellite_group_invariant_raises():
 
 
 def test_overlap2_single():
-    res = overlap2_select_1d([(0, 1)])
+    res = overlap2_select_1d([interval(0, 1)])
     assert res.selected_indices == (0,)
 
 
 def test_overlap2_middle_redundant():
-    res = overlap2_select_1d([(0, 2), (1, 3), (2, 4)])
+    res = overlap2_select_1d([interval(0, 2), interval(1, 3), interval(2, 4)])
     assert set(res.selected_indices) == {0, 2}
     rep = verify_selection_contract(res)
     assert rep["all"]["pass"]
 
 
 def test_overlap2_duplicates_collapse():
-    res = overlap2_select_1d([(0, 1)] * 5)
+    res = overlap2_select_1d([interval(0, 1)] * 5)
     assert len(res.selected_indices) == 1
 
 
@@ -477,14 +522,19 @@ def test_overlap2_random_contract():
         for _ in range(count):
             a = F(int(rng.integers(0, 64)), 16)
             b = a + F(int(rng.integers(1, 33)), 16)
-            ivs.append((a, b))
+            ivs.append(interval(a, b))
         res = overlap2_select_1d(ivs)
         rep = verify_selection_contract(res)
         assert rep["all"]["pass"], rep
 
 
+def test_overlap2_rejects_a_2d_box():
+    with pytest.raises(UnsupportedGeometry, match="overlap-2 selection is one-dimensional"):
+        overlap2_select_1d([Box((0, 0), 1)])
+
+
 def test_overlap2_tampered_union_fails():
-    res = overlap2_select_1d([(0, 2), (3, 4)])
+    res = overlap2_select_1d([interval(0, 2), interval(3, 4)])
     bad = replace(res, selected_indices=(0,),
                   certificates={1: {"rule": "covered", "end": F(2)}})
     rep = verify_selection_contract(bad)
@@ -493,7 +543,7 @@ def test_overlap2_tampered_union_fails():
 
 
 def test_overlap2_three_deep_fails():
-    res = overlap2_select_1d([(0, 3), (1, 4), (2, 5)])
+    res = overlap2_select_1d([interval(0, 3), interval(1, 4), interval(2, 5)])
     assert res.selected_indices == (0, 2)
     bad = replace(res, selected_indices=(0, 1, 2), certificates={})
     rep = verify_selection_contract(bad)

@@ -296,9 +296,9 @@ def test_piecewise_weight_mass():
 
 
 def test_piecewise_from_grid_roundtrip():
-    gw = generate_weight(WeightFamilySpec("checkerboard", 1, 4, levels=(1.0, 3.0)))
+    gw = generate_weight(WeightFamilySpec("checkerboard", 1, 4))
     pw = PiecewiseWeight1D.from_grid(gw)
-    assert pw.mass(F(0), F(1)) == F(gw.total_mass)
+    assert pw.mass(F(0), F(1)) == sum(map(F, gw.values.tolist()))
 
 
 @given(piecewise_weights(), unit_points, unit_points)
@@ -443,6 +443,42 @@ def test_halo_alpha_validation():
     e = IntervalSet([(F(0), F(1))])
     with pytest.raises(ValueError):
         exact_halo_1d(e, F(1))
+
+
+def test_halo_of_numpy_integer_endpoints_matches_int_endpoints():
+    # a Fraction built from numpy integers keeps np.int64 parts, which once
+    # overflowed in the integer halo pass (warnings are errors in this suite)
+    i = np.flatnonzero([0, 1, 0, 0])[0]
+    halo = exact_halo_1d(IntervalSet([(F(i, 8), F(i + 1, 8))]), F(1 / 3))
+    j = int(i)
+    assert halo == exact_halo_1d(IntervalSet([(F(j, 8), F(j + 1, 8))]), F(1 / 3))
+
+
+def lebesgue_halo_ratio(w: PiecewiseWeight1D, e: IntervalSet, alpha):
+    """The Lebesgue halo of e clipped to w's domain, and its w-mass over w(e)."""
+    l, r = w.domain
+    halo = [(max(a, l), min(b, r)) for a, b in exact_halo_1d(e, alpha).intervals]
+    mass = lambda ivs: sum((w.mass(a, b) for a, b in ivs), F(0))
+    return halo, mass(halo) / mass(e.intervals)
+
+
+def test_two_intervals_beat_one_in_the_tauberian_ratio():
+    # the Lebesgue halo measured in w: adding an interval that skips the heavy
+    # cell 3 merges the two halos into the whole domain and raises the ratio
+    dens = [F(d) for d in ("187.872", "18.269", "5.981", "34.184", "16.398", "224.593")]
+    left, right = (F(1, 4), F(1, 2)), (F(2, 3), F(19, 24))
+    # no halo reaches past [0, 1], so padding the domain with 6 cells of
+    # density 20 on each side changes neither ratio
+    for pad in (0, 6):
+        ds = [F(20)] * pad + dens + [F(20)] * pad
+        w = PiecewiseWeight1D([F(k - pad, 6) for k in range(len(ds) + 1)], ds)
+        one = lebesgue_halo_ratio(w, IntervalSet([left]), F(1, 2))
+        assert one == ([(F(0), F(3, 4))], F(169670, 10077))
+        assert (lebesgue_halo_ratio(w, IntervalSet([right]), F(1, 2))[0]
+                == [(F(13, 24), F(11, 12))])
+        two = lebesgue_halo_ratio(w, IntervalSet([left, right]), F(1, 2))
+        assert two == ([(F(0), F(1))], F(487297, 27414))
+        assert two[1] > one[1]
 
 
 def lifted(level, n):
