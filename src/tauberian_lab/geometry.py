@@ -41,6 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,6 +60,8 @@ def _to_rat(x) -> Fraction:
         return Fraction(int(x.numerator), int(x.denominator))
     if isinstance(x, (int, str)):
         return Fraction(x)
+    if isinstance(x, numbers.Integral):  # numpy integers
+        return Fraction(int(x))
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 

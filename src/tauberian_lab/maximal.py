@@ -14,7 +14,8 @@ Three engines:
   A weight's distribution F(x) = w([l, x]) maps intervals to intervals and w
   to length, so weighted results are Lebesgue results on F(E), moved by F^-1.
   F, F^-1 and the halo pass run on Python ints over one scale per call, and
-  build a `Fraction` only for each endpoint and mass they return.
+  build a `Fraction` only for each endpoint and mass they return; a halo's
+  order is checked once, on integer cross-products of its endpoints.
 * atomic: finite atomic measures; halo mass is certified from below by
   candidate cubes.
 
@@ -29,8 +30,10 @@ its thresholds:
   (spec, E's shape, E's bytes): for the 1-D uncentered spec, E's exact
   prefix (N+1 ints); for every other spec, the `grid_maximal` values (N^d
   floats).  A Lebesgue call has no measure object and is not memoized.
-* `exact_halo_1d` and `point_eval_1d` keep F(E) (one `IntervalSet`) on the
-  `PiecewiseWeight1D`, keyed by E, and share that entry.
+* `exact_halo_1d` and `point_eval_1d` keep F(E) on the `PiecewiseWeight1D`,
+  keyed by E, and share that entry: its endpoints as Python ints on one
+  scale, (scale, [F(x) * scale for each endpoint x of E]).  E's place in the
+  domain is checked when the entry is built.
 * `atomic_maximal_lower` keeps one candidate set (its boxes, atom
   incidence and integer masses) on the `AtomicMeasure`, keyed by the tuple
   of E's indices.
@@ -51,6 +54,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .errors import InvariantViolation
 from .geometry import Box, _int_corners, _level, _on_scale, _to_rat
 from .gridops import resolution, side_table
 from .weights import GridWeight
@@ -276,6 +280,20 @@ class IntervalSet:
         return out
 
 
+def _halo_set(ends: list[tuple[int, int]]) -> IntervalSet:
+    """The IntervalSet with endpoints a_0 = n_0 / d_0, b_0, a_1, ... from
+    ends = [(n_0, d_0), ...], all d > 0.  Their order is checked once, on
+    integer cross-products, and each becomes one `Fraction`; the public
+    constructor, which would convert and compare each again, is skipped."""
+    for (n0, d0), (n1, d1) in zip(ends, ends[1:]):
+        if n0 * d1 >= n1 * d0:
+            raise InvariantViolation("halo endpoints must strictly increase")
+    xs = [Fraction(n, d) for n, d in ends]
+    out = object.__new__(IntervalSet)
+    object.__setattr__(out, "intervals", tuple(zip(xs[::2], xs[1::2])))
+    return out
+
+
 @dataclass(frozen=True)
 class PiecewiseWeight1D:
     """Positive piecewise-constant density on [l, r] = [breakpoints[0], breakpoints[-1]].
@@ -287,7 +305,9 @@ class PiecewiseWeight1D:
     the cumulative masses w([l, b_k]) = C_k / (d_b * D).  A point's piece is an
     integer bisect, the domain checks are integer cross-products, and each
     result is built as one `Fraction` from its integer numerator and
-    denominator.
+    denominator.  `from_grid`'s table is `GridWeight.exact`'s: d_b = N,
+    D = its unit, R_k = N * cells[k] and C_k = N * prefix[k], with no
+    `Fraction` between them.
     """
 
     breakpoints: tuple[Fraction, ...]
@@ -329,15 +349,15 @@ class PiecewiseWeight1D:
         k = min(bisect_right(t.bps, ad // b), len(t.dens)) - 1
         return t.cum[k] * b + t.dens[k] * (ad - t.bps[k] * b)
 
-    def _quantile(self, u: int, v: int) -> Fraction:
-        """F^-1(u / v), v > 0."""
+    def _quantile(self, u: int, v: int) -> tuple[int, int]:
+        """F^-1(u / v) as (numerator, denominator), the denominator > 0, for v > 0."""
         t = self._table
         ud = u * t.d_c
         if not 0 <= ud <= t.cum[-1] * v:
             raise ValueError("y escapes [0, w(domain)]")
         k = min(bisect_right(t.cum, ud // v), len(t.dens)) - 1
         r = t.dens[k]
-        return Fraction(t.bps[k] * r * v + ud - t.cum[k] * v, t.d_b * r * v)
+        return t.bps[k] * r * v + ud - t.cum[k] * v, t.d_b * r * v
 
     def distribution(self, x) -> Fraction:
         """F(x) = w([l, x]), x in the domain."""
@@ -350,28 +370,36 @@ class PiecewiseWeight1D:
     def quantile(self, y) -> Fraction:
         """F^-1(y), y in [0, w(domain)]."""
         y = _to_rat(y)
-        return self._quantile(y.numerator, y.denominator)
+        return Fraction(*self._quantile(y.numerator, y.denominator))
 
     def mass(self, a, b) -> Fraction:
         a, b = _to_rat(a), _to_rat(b)
         na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
         if na * db > nb * da:
             raise ValueError("empty interval")
-        if not (self._inside(na, da) and self._inside(nb, db)):
+        t = self._table  # a <= b, so l <= a and b <= r decide the domain
+        if t.bps[0] * da > na * t.d_b or nb * t.d_b > t.bps[-1] * db:
             raise ValueError("interval escapes the weight domain")
         return Fraction(self._distribution(nb, db) * da - self._distribution(na, da) * db,
-                        self._table.d_c * da * db)
+                        t.d_c * da * db)
 
     @staticmethod
     def from_grid(w: GridWeight) -> "PiecewiseWeight1D":
+        """w's cells as N pieces on [0, 1], the density of cell k its mass times N."""
         if w.dim != 1:
             raise ValueError("only 1-D grid weights convert to piecewise form")
-        if np.any(w.values <= 0):
+        unit, cells, prefix = w.exact
+        cells, prefix = cells.tolist(), prefix.tolist()
+        if min(cells) <= 0:
             raise ValueError("piecewise densities must be positive")
         n = w.resolution
-        bps = [Fraction(i, n) for i in range(n + 1)]
-        dens = [Fraction(float(v)) * n for v in w.values]
-        return PiecewiseWeight1D(bps, dens)
+        out = object.__new__(PiecewiseWeight1D)
+        object.__setattr__(out, "breakpoints", tuple(Fraction(i, n) for i in range(n + 1)))
+        object.__setattr__(out, "densities", tuple(Fraction(n * c, unit) for c in cells))
+        # fills the `_table` cache; with the cells checked above, all of __init__'s checks hold
+        out.__dict__["_table"] = _WeightTable(list(range(n + 1)), n, [n * c for c in prefix],
+                                              n * unit, [n * c for c in cells])
+        return out
 
 
 class _WeightTable(NamedTuple):
@@ -385,13 +413,17 @@ class _WeightTable(NamedTuple):
     dens: list[int]
 
 
-def _pushed(e: IntervalSet, weight: PiecewiseWeight1D) -> IntervalSet:
-    """F(E) for a nonempty E in the weight's domain, remembered on the weight, keyed by E."""
-    lo, hi = weight.domain
-    if e.intervals[0][0] < lo or e.intervals[-1][1] > hi:
-        raise ValueError("set escapes the weight domain")
-    return _remembered(weight, e, lambda: IntervalSet(
-        (weight.distribution(a), weight.distribution(b)) for a, b in e.intervals))
+def _pushed(e: IntervalSet, weight: PiecewiseWeight1D) -> tuple[int, list[int]]:
+    """F(E) for a nonempty E as (scale, its endpoints times scale), remembered on
+    the weight, keyed by E.  E's place in the domain is checked when it is built."""
+
+    def push():
+        lcm, ends = _on_scale(e.breakpoints())
+        if not (weight._inside(ends[0], lcm) and weight._inside(ends[-1], lcm)):
+            raise ValueError("set escapes the weight domain")
+        return weight._table.d_c * lcm, [weight._distribution(x, lcm) for x in ends]
+
+    return _remembered(weight, e, push)
 
 
 def point_eval_1d(e: IntervalSet, x, weight: PiecewiseWeight1D | None = None) -> Fraction:
@@ -406,18 +438,19 @@ def point_eval_1d(e: IntervalSet, x, weight: PiecewiseWeight1D | None = None) ->
     if e.is_empty:
         raise ValueError("empty set")
     if weight is None:
-        x = _to_rat(x)
+        x, bps = _to_rat(x), e.breakpoints()
     else:
-        e, x = _pushed(e, weight), weight.distribution(x)
-    if e.contains_point(x):
+        scale, ends = _pushed(e, weight)
+        x, bps = weight.distribution(x), [Fraction(y, scale) for y in ends]
+    ivs = list(zip(bps[::2], bps[1::2]))
+    if any(a <= x <= b for a, b in ivs):
         return Fraction(1)
-    bps = e.breakpoints()
     left = sorted(b for b in bps if b <= x) + [x]
     right = [x] + sorted(b for b in bps if b >= x)
     best = Fraction(0)
     for p, q in itertools.product(left, right):
         if p < q:
-            inside = sum((min(b, q) - max(a, p) for a, b in e.intervals if a < q and p < b),
+            inside = sum((min(b, q) - max(a, p) for a, b in ivs if a < q and p < b),
                          Fraction(0))
             best = max(best, inside / (q - p))
     return best
@@ -431,27 +464,29 @@ def exact_halo_1d(e: IntervalSet, alpha, weight: PiecewiseWeight1D | None = None
     [0, w(domain)]: F carries intervals and w onto intervals and length, and
     clipping only raises an interval's E-fraction.  Every halo component
     meets F(E), so no clipped piece is degenerate.  F(E) is remembered on the
-    weight, keyed by E (one `IntervalSet` per weight), so an alpha ladder on
-    one set pushes it once and pays for the Phi pass and the quantiles only.
-    The Phi pass hands its integer endpoints to F^-1 without a `Fraction`
-    between them.
+    weight, keyed by E, as integer endpoints on one scale, so an alpha ladder
+    on one set pushes it once and pays for the Phi pass and the quantiles
+    only.  The Phi pass hands its integer endpoints to F^-1, and F^-1 its
+    integer numerators and denominators to one order check, with one
+    `Fraction` per returned endpoint.
     """
     alpha = _level(alpha, "alpha")
     if e.is_empty:
         raise ValueError("empty set")
     if weight is None:
-        parts, scale = _halo(e, alpha)
-        return IntervalSet((Fraction(a, scale), Fraction(b, scale)) for a, b in parts)
-    parts, scale = _halo(_pushed(e, weight), alpha)
+        parts, scale = _halo(*_on_scale(e.breakpoints()), alpha)
+        return _halo_set([(x, scale) for part in parts for x in part])
+    parts, scale = _halo(*_pushed(e, weight), alpha)
     t = weight._table  # w(domain) = t.cum[-1] / t.d_c
-    return IntervalSet((weight._quantile(max(a, 0), scale),
-                        weight._quantile(min(b * t.d_c, t.cum[-1] * scale), t.d_c * scale))
-                       for a, b in parts)
+    top = t.cum[-1] * scale
+    return _halo_set([end for a, b in parts for end in (
+        weight._quantile(max(a, 0), scale), weight._quantile(min(b * t.d_c, top), t.d_c * scale))])
 
 
-def _halo(e: IntervalSet, alpha: Fraction) -> tuple[list[list[int]], int]:
-    """The Lebesgue halo, from one pass over Phi(x) = |E ∩ [l, x]| - alpha*(x - l),
-    as its sorted, disjoint components (a, b) on one scale: (a / scale, b / scale).
+def _halo(scale: int, ends: list[int], alpha: Fraction) -> tuple[list[list[int]], int]:
+    """The Lebesgue halo of the set E with sorted endpoints ends[i] / scale, ints
+    on one scale, from one pass over Phi(x) = |E ∩ [l, x]| - alpha*(x - l), as
+    its sorted, disjoint components (a, b) on one scale: (a / S', b / S').
 
     [p, q] has E-fraction > alpha iff Phi(q) > Phi(p), so x is in the halo iff
     min over p <= x of Phi(p) < max over q >= x of Phi(q).  Between E's
@@ -460,21 +495,19 @@ def _halo(e: IntervalSet, alpha: Fraction) -> tuple[list[list[int]], int]:
     piece is in the halo wholesale, or Phi falls across it and two linear
     solves against the running min and max give its halo.  O(B).
 
-    All of it runs on Python ints.  With E's endpoints over L, their scale
-    (`geometry._on_scale`), and alpha = p/q, x = X / S at S = L*p puts the
-    endpoints and the spare width |E|/alpha = |E|*L*q / S on integers, and
-    Phi * S * q has the integer slopes -p off E and q - p on it.  Only the
-    pieces off E fall, all with slope -p, so a solve moves X by
+    All of it runs on Python ints.  With L = scale and alpha = p/q, x = X / S
+    at S = L*p puts the endpoints and the spare width |E|/alpha = |E|*L*q / S
+    on integers, and Phi * S * q has the integer slopes -p off E and q - p on
+    it.  Only the pieces off E fall, all with slope -p, so a solve moves X by
     (Phi * S * q difference) / p: every boundary solution lies on the one
-    scale S*p.  The pieces come in order and each one's halo lies inside it,
-    left solve before right, so the components come out sorted and one
-    linear pass coalesces them.
+    scale S' = S*p = L*p*p.  The pieces come in order and each one's halo lies
+    inside it, left solve before right, so the components come out sorted and
+    one linear pass coalesces them.
     """
     p, q = alpha.numerator, alpha.denominator
-    lcm, ends = _on_scale(e.breakpoints())
     margin = q * (sum(ends[1::2]) - sum(ends[::2]))
     grid = [p * ends[0] - margin] + [p * x for x in ends] + [p * ends[-1] + margin]
-    slopes = [-p, q - p] * len(e.intervals) + [-p]
+    slopes = [-p, q - p] * (len(ends) // 2) + [-p]
     steps = (s * (b - a) for s, a, b in zip(slopes, grid, grid[1:]))
     phi = list(itertools.accumulate(steps, initial=0))
     low = list(itertools.accumulate(phi, min))
@@ -491,7 +524,7 @@ def _halo(e: IntervalSet, alpha: Fraction) -> tuple[list[list[int]], int]:
             parts.append((a, a + phi[k] - low[k]))
         if phi[k + 1] < high[k + 1]:
             parts.append((b - high[k + 1] + phi[k + 1], b))
-    return _coalesce(parts), lcm * p * p
+    return _coalesce(parts), scale * p * p
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 from oracles import (atomic_maximal_lower_float, exact_halo_1d_sweep, grid_maximal_naive,
                      grid_maximal_sides, piecewise_mass_loop, point_eval_1d_direct,
                      superlevel_1d_exact)
+from tauberian_lab import maximal
+from tauberian_lab.errors import InvariantViolation
+from tauberian_lab.geometry import Box, _to_rat
 from tauberian_lab.maximal import (
     VARIANTS,
     AtomicMeasure,
@@ -21,6 +24,7 @@ from tauberian_lab.maximal import (
     default_atomic_candidates,
     exact_halo_1d,
     grid_maximal,
+    _halo_set,
     point_eval_1d,
     set_mass,
     superlevel,
@@ -264,6 +268,23 @@ def test_interval_set_merge_converts_before_dropping_degenerate():
     # "1/2" < "1" is False as strings, and 0 < "1/2" raises TypeError
     assert IntervalSet.merge([("1/2", "1")]) == IntervalSet([("1/2", "1")])
     assert IntervalSet.merge([(0, "1/2"), ("1", "1")]).intervals == ((F(0), F(1, 2)),)
+
+
+def test_numpy_integers_are_exact_rationals():
+    s = IntervalSet([(np.int64(0), 1)])
+    assert s.intervals == ((F(0), F(1)),) and type(s.intervals[0][0].numerator) is int
+    w = PiecewiseWeight1D([F(0), F(1, 2), F(1)], [F(1), F(3)])
+    assert w.mass(np.int64(0), np.int64(1)) == 2
+    assert Box((np.int64(1),), 2) == Box((1,), 2)
+
+
+def test_halo_set_checks_the_order_on_integers():
+    assert _halo_set([(0, 1), (1, 3), (1, 2), (3, 4)]) == IntervalSet(
+        [(0, F(1, 3)), (F(1, 2), F(3, 4))])
+    for ends in ([(1, 3), (2, 6)], [(0, 1), (1, 2), (1, 2), (1, 1)],
+                 [(0, 1), (2, 3), (1, 2), (1, 1)]):
+        with pytest.raises(InvariantViolation, match="strictly increase"):
+            _halo_set(ends)
 
 
 def test_interval_set_validation():
@@ -982,6 +1003,71 @@ def test_point_eval_shares_the_halo_entry():
                 assert point_eval_1d(e, x, w) == point_eval_1d(e, x, fresh_piecewise(w))
         (again,) = memo_entries(w, before)
         assert again is entry
+
+
+@st.composite
+def grid_weights_1d(draw):
+    """1-D GridWeights of positive cells: 1-8 ODD_CELLS, one of them, or a
+    `generate_weight` family at N <= 16."""
+    kind = draw(st.sampled_from(("odd", "one", "family")))
+    if kind != "family":
+        size = 1 if kind == "one" else draw(st.integers(min_value=1, max_value=8))
+        return GridWeight(np.array(draw(st.lists(st.sampled_from(ODD_CELLS),
+                                                 min_size=size, max_size=size))))
+    spec = WeightFamilySpec(
+        draw(st.sampled_from(("constant", "checkerboard", "power", "log-smooth-random"))), 1,
+        draw(st.integers(min_value=1, max_value=16)), a=draw(st.sampled_from((-0.5, 1.0, 2.0))),
+        x0=draw(st.floats(min_value=0, max_value=1)), seed=draw(st.integers(0, 99)))
+    w = generate_weight(spec)
+    assume(np.all(w.values > 0))
+    return w
+
+
+@given(grid_weights_1d(), st.data())
+def test_from_grid_reads_the_exact_masses(gw, data):
+    # from_grid builds its table from GridWeight.exact; the public constructor
+    # builds it from the Fraction breakpoints and densities
+    w = PiecewiseWeight1D.from_grid(gw)
+    n = gw.resolution
+    assert w.breakpoints == tuple(F(i, n) for i in range(n + 1))
+    assert w.densities == tuple(F(float(v)) * n for v in gw.values)
+    fresh = fresh_piecewise(w)
+    pts = sorted(data.draw(st.lists(unit_points, min_size=2, max_size=6, unique=True)))
+    pts = pts[:len(pts) // 2 * 2]
+    e = IntervalSet(zip(pts[::2], pts[1::2]))
+    top = fresh.distribution(1)
+    for x in pts + [F(0), F(1)]:
+        assert w.distribution(x) == fresh.distribution(x)
+        assert w.quantile(x * top) == fresh.quantile(x * top)
+        assert point_eval_1d(e, x, w) == point_eval_1d(e, x, fresh)
+    for a, b in itertools.combinations(pts, 2):
+        assert w.mass(a, b) == fresh.mass(a, b)
+    for alpha in data.draw(LADDER):
+        assert exact_halo_1d(e, alpha, w) == exact_halo_1d(e, alpha, fresh)
+
+
+def test_from_grid_rejects_zero_cells_and_2d_grids():
+    with pytest.raises(ValueError, match="piecewise densities must be positive"):
+        PiecewiseWeight1D.from_grid(GridWeight(np.array([1.0, 0.0, 2.0])))
+    with pytest.raises(ValueError, match="only 1-D grid weights"):
+        PiecewiseWeight1D.from_grid(GridWeight(np.ones((2, 2))))
+
+
+def test_a_warm_weighted_halo_converts_no_endpoint(monkeypatch):
+    # the entry holds F(E) as ints and the halo's endpoints are checked as
+    # ints, so on a warm entry at most alpha passes through `_to_rat`
+    w = PiecewiseWeight1D.from_grid(
+        generate_weight(WeightFamilySpec("log-smooth-random", 1, 16, seed=3)))
+    e = IntervalSet([(F(1, 8), F(1, 4)), (F(9, 16), F(5, 8))])
+    exact_halo_1d(e, F(1, 2), w)
+    calls = []
+    monkeypatch.setattr(maximal, "_to_rat", lambda x: calls.append(x) or _to_rat(x))
+    halo = exact_halo_1d(e, F(3, 4), w)
+    assert len(calls) <= 1
+    # the patch is live: the public constructor converts every endpoint
+    before = len(calls)
+    assert IntervalSet(halo.intervals) == halo
+    assert len(calls) == before + 2 * len(halo.intervals)
 
 
 @settings(max_examples=200)
