@@ -8,8 +8,10 @@ Three engines:
   approximations of their continuous counterparts.  The grid-weight 1-D
   uncentered superlevel is exact: one pass over prefix sums of exact cell
   masses per alpha.  Every other superlevel compares float values with alpha.
-* exact 1-D: interval sets and piecewise-constant weights with `Fraction`
-  endpoints; maximal values and full superlevel sets ("halos") are exact.
+* exact 1-D: interval sets with `Fraction` endpoints, and piecewise-constant
+  weights held as integers on their least scales, whose `Fraction`
+  breakpoints and densities are built only when read; maximal values and
+  full superlevel sets ("halos") are exact.
   The Lebesgue halo is one pass over the excess |E ∩ [l, x]| - alpha*(x - l).
   A weight's distribution F(x) = w([l, x]) maps intervals to intervals and w
   to length, so weighted results are Lebesgue results on F(E), moved by F^-1.
@@ -47,8 +49,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -298,66 +301,73 @@ def _halo_set(ends: list[tuple[int, int]]) -> IntervalSet:
 class PiecewiseWeight1D:
     """Positive piecewise-constant density on [l, r] = [breakpoints[0], breakpoints[-1]].
 
-    Its distribution F(x) = w([l, x]) maps intervals onto intervals and w onto
-    length.  F, its inverse `quantile` and `mass` read one cached table of
-    Python ints (`_table`): the breakpoints b_k = B_k / d_b on their scale d_b
-    (`geometry._on_scale`), the densities R_k / D on theirs, D, and
-    the cumulative masses w([l, b_k]) = C_k / (d_b * D).  A point's piece is an
-    integer bisect, the domain checks are integer cross-products, and each
-    result is built as one `Fraction` from its integer numerator and
-    denominator.  `from_grid`'s table is `GridWeight.exact`'s: d_b = N,
-    D = its unit, R_k = N * cells[k] and C_k = N * prefix[k], with no
-    `Fraction` between them.
+    The weight is its table of Python ints, each on its least scale
+    (`geometry._on_scale` of reduced `Fraction`s), so equal weights hold equal
+    fields: breakpoints b_k = bps[k] / d_b, densities dens[k] / d, and the
+    cumulative masses w([l, b_k]) = cum[k] / d_c, d_c = d_b * d, which follow.
+    F(x) = w([l, x]) maps intervals onto intervals and w onto length.  F, its
+    inverse `quantile` and `mass` bisect and cross-multiply on the table and
+    build one `Fraction` per result; `breakpoints` and `densities` are built
+    when first read.  `from_grid` reads `GridWeight.exact`: d_b = N, and
+    dens = N * cells and d = its unit, both divided by their gcd.
     """
 
-    breakpoints: tuple[Fraction, ...]
-    densities: tuple[Fraction, ...]
+    bps: tuple[int, ...]
+    d_b: int
+    dens: tuple[int, ...]
+    d: int
+    cum: tuple[int, ...] = field(compare=False, repr=False)
+    d_c: int = field(compare=False, repr=False)
 
     def __init__(self, breakpoints: Sequence, densities: Sequence):
-        bps = tuple(_to_rat(b) for b in breakpoints)
-        dens = tuple(_to_rat(d) for d in densities)
+        self._fill(*_on_scale(_to_rat(b) for b in breakpoints),
+                   *_on_scale(_to_rat(r) for r in densities), "densities")
+
+    def _fill(self, d_b: int, bps: Iterable[int], d: int, dens: Iterable[int], what: str):
+        """Check and set the table b_k = bps[k] / d_b, densities dens[k] / d,
+        given on their least scales, with its cumulative masses."""
+        bps, dens = tuple(bps), tuple(dens)
         if len(bps) != len(dens) + 1 or len(dens) < 1:
             raise ValueError("need k+1 breakpoints for k pieces")
         if any(a >= b for a, b in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        if any(d <= 0 for d in dens):
-            raise ValueError("densities must be positive")
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "densities", dens)
+        if min(dens) <= 0:
+            raise ValueError(f"{what} must be positive")
+        steps = (r * (b1 - b0) for r, b0, b1 in zip(dens, bps, bps[1:]))
+        for name, value in (("bps", bps), ("d_b", d_b), ("dens", dens), ("d", d), ("d_c", d_b * d),
+                            ("cum", tuple(itertools.accumulate(steps, initial=0)))):
+            object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(b, self.d_b) for b in self.bps)
+
+    @functools.cached_property
+    def densities(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(r, self.d) for r in self.dens)
 
     @property
     def domain(self) -> tuple[Fraction, Fraction]:
-        return self.breakpoints[0], self.breakpoints[-1]
-
-    @functools.cached_property
-    def _table(self) -> _WeightTable:
-        d_b, bps = _on_scale(self.breakpoints)
-        d, dens = _on_scale(self.densities)
-        steps = (r * (b1 - b0) for r, b0, b1 in zip(dens, bps, bps[1:]))
-        return _WeightTable(bps, d_b, list(itertools.accumulate(steps, initial=0)),
-                            d_b * d, dens)
+        return Fraction(self.bps[0], self.d_b), Fraction(self.bps[-1], self.d_b)
 
     def _inside(self, a: int, b: int) -> bool:
         """a / b lies in the domain, b > 0."""
-        t = self._table
-        return t.bps[0] * b <= a * t.d_b <= t.bps[-1] * b
+        return self.bps[0] * b <= a * self.d_b <= self.bps[-1] * b
 
     def _distribution(self, a: int, b: int) -> int:
         """F(a / b) times d_c * b, for b > 0 and a / b in the domain."""
-        t = self._table
-        ad = a * t.d_b
-        k = min(bisect_right(t.bps, ad // b), len(t.dens)) - 1
-        return t.cum[k] * b + t.dens[k] * (ad - t.bps[k] * b)
+        ad = a * self.d_b
+        k = min(bisect_right(self.bps, ad // b), len(self.dens)) - 1
+        return self.cum[k] * b + self.dens[k] * (ad - self.bps[k] * b)
 
     def _quantile(self, u: int, v: int) -> tuple[int, int]:
         """F^-1(u / v) as (numerator, denominator), the denominator > 0, for v > 0."""
-        t = self._table
-        ud = u * t.d_c
-        if not 0 <= ud <= t.cum[-1] * v:
+        ud = u * self.d_c
+        if not 0 <= ud <= self.cum[-1] * v:
             raise ValueError("y escapes [0, w(domain)]")
-        k = min(bisect_right(t.cum, ud // v), len(t.dens)) - 1
-        r = t.dens[k]
-        return t.bps[k] * r * v + ud - t.cum[k] * v, t.d_b * r * v
+        k = min(bisect_right(self.cum, ud // v), len(self.dens)) - 1
+        r = self.dens[k]
+        return self.bps[k] * r * v + ud - self.cum[k] * v, self.d_b * r * v
 
     def distribution(self, x) -> Fraction:
         """F(x) = w([l, x]), x in the domain."""
@@ -365,7 +375,7 @@ class PiecewiseWeight1D:
         a, b = x.numerator, x.denominator
         if not self._inside(a, b):
             raise ValueError("x escapes the weight domain")
-        return Fraction(self._distribution(a, b), self._table.d_c * b)
+        return Fraction(self._distribution(a, b), self.d_c * b)
 
     def quantile(self, y) -> Fraction:
         """F^-1(y), y in [0, w(domain)]."""
@@ -377,40 +387,24 @@ class PiecewiseWeight1D:
         na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
         if na * db > nb * da:
             raise ValueError("empty interval")
-        t = self._table  # a <= b, so l <= a and b <= r decide the domain
-        if t.bps[0] * da > na * t.d_b or nb * t.d_b > t.bps[-1] * db:
+        # a <= b, so l <= a and b <= r decide the domain
+        if self.bps[0] * da > na * self.d_b or nb * self.d_b > self.bps[-1] * db:
             raise ValueError("interval escapes the weight domain")
         return Fraction(self._distribution(nb, db) * da - self._distribution(na, da) * db,
-                        t.d_c * da * db)
+                        self.d_c * da * db)
 
     @staticmethod
     def from_grid(w: GridWeight) -> "PiecewiseWeight1D":
         """w's cells as N pieces on [0, 1], the density of cell k its mass times N."""
         if w.dim != 1:
             raise ValueError("only 1-D grid weights convert to piecewise form")
-        unit, cells, prefix = w.exact
-        cells, prefix = cells.tolist(), prefix.tolist()
-        if min(cells) <= 0:
-            raise ValueError("piecewise densities must be positive")
+        unit, cells, _ = w.exact
         n = w.resolution
+        dens = [n * c for c in cells.tolist()]
+        g = math.gcd(unit, *dens)
         out = object.__new__(PiecewiseWeight1D)
-        object.__setattr__(out, "breakpoints", tuple(Fraction(i, n) for i in range(n + 1)))
-        object.__setattr__(out, "densities", tuple(Fraction(n * c, unit) for c in cells))
-        # fills the `_table` cache; with the cells checked above, all of __init__'s checks hold
-        out.__dict__["_table"] = _WeightTable(list(range(n + 1)), n, [n * c for c in prefix],
-                                              n * unit, [n * c for c in cells])
+        out._fill(n, range(n + 1), unit // g, [r // g for r in dens], "piecewise densities")
         return out
-
-
-class _WeightTable(NamedTuple):
-    """A `PiecewiseWeight1D` on integers: b_k = bps[k] / d_b, the density of
-    piece k is dens[k] / (d_c / d_b), and w([l, b_k]) = cum[k] / d_c."""
-
-    bps: list[int]
-    d_b: int
-    cum: list[int]
-    d_c: int
-    dens: list[int]
 
 
 def _pushed(e: IntervalSet, weight: PiecewiseWeight1D) -> tuple[int, list[int]]:
@@ -421,7 +415,7 @@ def _pushed(e: IntervalSet, weight: PiecewiseWeight1D) -> tuple[int, list[int]]:
         lcm, ends = _on_scale(e.breakpoints())
         if not (weight._inside(ends[0], lcm) and weight._inside(ends[-1], lcm)):
             raise ValueError("set escapes the weight domain")
-        return weight._table.d_c * lcm, [weight._distribution(x, lcm) for x in ends]
+        return weight.d_c * lcm, [weight._distribution(x, lcm) for x in ends]
 
     return _remembered(weight, e, push)
 
@@ -477,10 +471,10 @@ def exact_halo_1d(e: IntervalSet, alpha, weight: PiecewiseWeight1D | None = None
         parts, scale = _halo(*_on_scale(e.breakpoints()), alpha)
         return _halo_set([(x, scale) for part in parts for x in part])
     parts, scale = _halo(*_pushed(e, weight), alpha)
-    t = weight._table  # w(domain) = t.cum[-1] / t.d_c
-    top = t.cum[-1] * scale
+    d_c = weight.d_c  # w(domain) = weight.cum[-1] / d_c
+    top = weight.cum[-1] * scale
     return _halo_set([end for a, b in parts for end in (
-        weight._quantile(max(a, 0), scale), weight._quantile(min(b * t.d_c, top), t.d_c * scale))])
+        weight._quantile(max(a, 0), scale), weight._quantile(min(b * d_c, top), d_c * scale))])
 
 
 def _halo(scale: int, ends: list[int], alpha: Fraction) -> tuple[list[list[int]], int]:

@@ -989,6 +989,7 @@ def test_halo_keeps_one_entry():
 def test_point_eval_shares_the_halo_entry():
     w = fresh_piecewise(ANCHOR_WEIGHTS[2])
     w.quantile(0)
+    fresh_piecewise(w)  # caches w's breakpoints and densities, which the loop reads
     before = set(vars(w))
     sets = [IntervalSet([(F(4, 9), F(11, 18))]),
             IntervalSet([(F(1, 10), F(1, 5)), (F(7, 10), F(3, 4))])]
@@ -1023,8 +1024,9 @@ def grid_weights_1d(draw):
     return w
 
 
-@given(grid_weights_1d(), st.data())
-def test_from_grid_reads_the_exact_masses(gw, data):
+@given(grid_weights_1d(), st.lists(unit_points, min_size=2, max_size=6, unique=True), LADDER)
+@example(GridWeight(np.array([0.5, 1.5])), [F(1, 3), F(3, 4)], [F(1, 2)])  # gcd(2, 2, 6) = 2
+def test_from_grid_reads_the_exact_masses(gw, pts, alphas):
     # from_grid builds its table from GridWeight.exact; the public constructor
     # builds it from the Fraction breakpoints and densities
     w = PiecewiseWeight1D.from_grid(gw)
@@ -1032,8 +1034,8 @@ def test_from_grid_reads_the_exact_masses(gw, data):
     assert w.breakpoints == tuple(F(i, n) for i in range(n + 1))
     assert w.densities == tuple(F(float(v)) * n for v in gw.values)
     fresh = fresh_piecewise(w)
-    pts = sorted(data.draw(st.lists(unit_points, min_size=2, max_size=6, unique=True)))
-    pts = pts[:len(pts) // 2 * 2]
+    assert w == fresh and hash(w) == hash(fresh)
+    pts = sorted(pts)[:len(pts) // 2 * 2]
     e = IntervalSet(zip(pts[::2], pts[1::2]))
     top = fresh.distribution(1)
     for x in pts + [F(0), F(1)]:
@@ -1042,8 +1044,18 @@ def test_from_grid_reads_the_exact_masses(gw, data):
         assert point_eval_1d(e, x, w) == point_eval_1d(e, x, fresh)
     for a, b in itertools.combinations(pts, 2):
         assert w.mass(a, b) == fresh.mass(a, b)
-    for alpha in data.draw(LADDER):
+    for alpha in alphas:
         assert exact_halo_1d(e, alpha, w) == exact_halo_1d(e, alpha, fresh)
+
+
+def test_from_grid_builds_no_fraction(monkeypatch):
+    gw = GridWeight(np.array(ODD_CELLS))
+    with monkeypatch.context() as m:
+        m.setattr(maximal, "Fraction", lambda *args: pytest.fail("from_grid built a Fraction"))
+        w = PiecewiseWeight1D.from_grid(gw)
+    n = gw.resolution
+    assert w.breakpoints == tuple(F(i, n) for i in range(n + 1))
+    assert w.densities == tuple(F(float(v)) * n for v in gw.values)
 
 
 def test_from_grid_rejects_zero_cells_and_2d_grids():

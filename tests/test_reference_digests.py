@@ -2,7 +2,9 @@
 under perfbench/reference/, so a change of results shows up in the test
 suite and not only in a benchmark run.  Each job list runs twice: the first
 pass builds every measure's remembered maximal stage, the second reads it, as
-the benchmark's later passes do.  The benchmark files are only read."""
+the benchmark's later passes do.  A third pass runs under the benchmark's
+tracer, which wraps library functions and methods by name, as a traced
+benchmark run does.  The benchmark files are only read."""
 
 import json
 import sys
@@ -13,6 +15,7 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
+import tracer  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -23,3 +26,9 @@ def test_seed0_digests_match_reference(name):
     jobs = workloads.WORKLOADS[name].jobs(0)
     for _ in range(2):
         assert {job.name: workloads.digest(job.run()) for job in jobs} == reference["jobs"]
+    traced = tracer.Tracer().install()
+    try:
+        assert {job.name: workloads.digest(job.run()) for job in jobs} == reference["jobs"]
+    finally:
+        traced.uninstall()
+    assert traced.spans
