@@ -1,12 +1,13 @@
 import itertools
 import math
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (ap_constant_sides, doubling_exact, doubling_window_loop, fsum_mass,
@@ -30,6 +31,7 @@ from tauberian_lab.weights import (
     reverse_holder_exponent,
     reverse_holder_holds,
     sidelength_growth_exponent,
+    _side_volumes,
 )
 from tauberian_lab.errors import BudgetExceeded, DegenerateFit
 
@@ -175,6 +177,17 @@ def test_cached_table_is_read_only(values):
         with pytest.raises(ValueError):
             side.flags.writeable = True
     assert w.table is w.table and w.cube_mass(GridCube((0,) * w.dim, 1)) == 1.0
+
+
+@pytest.mark.parametrize("n, dim", [(1, 1), (5, 1), (3, 2)])
+def test_cached_side_volumes_are_read_only(n, dim):
+    volumes, counts = _side_volumes(n, dim)
+    assert volumes.tolist() == [(s / n) ** dim for s in range(1, n + 1)]
+    assert counts.tolist() == [a.size for a in GridWeight(np.ones((n,) * dim)).table.sides]
+    for a in (volumes, counts):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    assert _side_volumes(n, dim) is _side_volumes(n, dim)
 
 
 # -- A_p ----------------------------------------------------------------------
@@ -561,11 +574,41 @@ PROFILE_T = st.one_of(st.sampled_from([2.0**-10, 1 / 300, 1 / 7, 0.5, 1.0]),
                       st.floats(min_value=2.0**-12, max_value=1.0))
 
 
-@given(st.one_of(grid_weights(dim=1, max_n=24), grid_weights(dim=2, max_n=8)),
+@st.composite
+def tied_grids(draw, dim, max_n):
+    """Grids of a few masses, so that cubes tie on cells and on whole sums,
+    and many have no mass."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    vals = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]), min_size=n**dim,
+                         max_size=n**dim).filter(any))
+    return GridWeight(np.reshape(vals, (n,) * dim))
+
+
+@given(st.one_of(grid_weights(dim=1, max_n=24), grid_weights(dim=2, max_n=8),
+                 tied_grids(dim=1, max_n=24), tied_grids(dim=2, max_n=8)),
        st.lists(PROFILE_T, min_size=1, max_size=6))
+@example(GridWeight([0.0, 0.0, 0.0, 1.0]), [1 / 300, 0.5, 1.0])
+@example(GridWeight([[0.0, 0.0], [0.0, 1.0]]), [1 / 300, 0.5, 1.0])
 def test_growth_profile_equals_per_side_loop(w, ts):
     ts = sorted(ts + ts[:1])  # the first t twice
-    assert growth_profile(w, ts) == growth_profile_sides(w, ts)
+    prof = growth_profile(w, ts)
+    assert prof == growth_profile_sides(w, ts)
+    # == takes -0.0 for 0.0, but a digest prints it as "-0"
+    assert all(math.copysign(1.0, v) == 1.0 for v in prof.values())
+
+
+def test_growth_profile_peak_memory_stays_under_the_side_table():
+    # in 1-D the one buffer for a side's cells holds at most half a side table
+    w = generate_weight(WeightFamilySpec("log-smooth-random", 1, 512, seed=1))
+    budget = 1.3 * w.table.flat.nbytes
+    growth_profile(w, DEFAULT_PROFILE_T)
+    tracemalloc.start()
+    try:
+        growth_profile(w, DEFAULT_PROFILE_T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget
 
 
 def test_growth_profile_rejects_bad_t():
