@@ -7,7 +7,9 @@ weight's exact masses (`GridWeight.exact`): it keeps a running free table,
 the cell masses with every kept box's cells zeroed, so a box's overlap with
 the kept ones is its mass minus the sum of its free cells.  Vitali, the
 satellite grouping and the Lebesgue greedy read the boxes' volumes and meet
-matrix that the family caches.  Every selector takes a BoxFamily or a plain
+matrix that the family caches.  Overlap-2 scans the family's integer ends,
+and minimal_cover_dilation reads the integer corners of the family and the
+selected boxes as one family.  Every selector takes a BoxFamily or a plain
 sequence of boxes; the CF selectors read the order from the sides and raise
 OrderingViolation when a box is larger than the one before it.
 
@@ -19,7 +21,6 @@ its own.
 
 from __future__ import annotations
 
-import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -37,7 +38,6 @@ from .geometry import (
     _family,
     _fit,
     _level,
-    _positive,
 )
 from .weights import GridCube, GridWeight
 
@@ -222,42 +222,34 @@ def satellite_decompose(f: BoxFamily | Sequence[Box]) -> dict[int, list[int]]:
 
 def overlap2_select_1d(f: BoxFamily | Sequence[Box]) -> SelectionResult:
     """Subfamily of 1-D boxes with the same union and pointwise overlap at
-    most 2 away from finitely many touching points: greedy farthest-reach chains."""
+    most 2 away from finitely many touching points: greedy farthest-reach
+    chains, in one scan of the integer ends by (left end, -right end).  Of the
+    boxes that start by the last kept box's right end and reach past it, the
+    farthest-reaching is kept once a box starts past that end."""
     fam = _family(f)
     if fam and fam.dim != 1:
         raise UnsupportedGeometry("overlap-2 selection is one-dimensional")
-    boxes = fam.boxes
-    items = sorted(range(len(boxes)),
-                   key=lambda i: (boxes[i].lo[0], -boxes[i].hi[0]))
+    lo, hi = (a.ravel().tolist() for a in fam._ints[1:3])
     selected: list[int] = []
     certs: dict[int, dict] = {}
-    pos = 0
-    while pos < len(items):
-        i0 = items[pos]
-        comp_end = boxes[i0].hi[0]
-        selected.append(i0)
-        pos += 1
-        while True:
-            # among intervals starting inside the current coverage, the one
-            # reaching farthest; the rest that end inside it are redundant
-            best = None
-            while pos < len(items) and boxes[items[pos]].lo[0] <= comp_end:
-                cand = items[pos]
-                if boxes[cand].hi[0] <= comp_end:
-                    certs[cand] = {"rule": "covered", "end": comp_end}
-                elif best is None or boxes[cand].hi[0] > boxes[best].hi[0]:
-                    if best is not None:
-                        certs[best] = {"rule": "superseded",
-                                       "by_reach": boxes[cand].hi[0]}
-                    best = cand
-                else:
-                    certs[cand] = {"rule": "superseded",
-                                   "by_reach": boxes[best].hi[0]}
-                pos += 1
-            if best is None:
-                break
+    end = best = None
+    for i in sorted(range(len(fam)), key=lambda i: (lo[i], -hi[i])):
+        if best is not None and lo[i] > end:
             selected.append(best)
-            comp_end = boxes[best].hi[0]
+            end, best = hi[best], None
+        if end is None or lo[i] > end:  # a new chain
+            selected.append(i)
+            end = hi[i]
+        elif hi[i] <= end:
+            certs[i] = {"rule": "covered", "end": fam[selected[-1]].hi[0]}
+        elif best is None or hi[i] > hi[best]:
+            if best is not None:
+                certs[best] = {"rule": "superseded", "by_reach": fam[i].hi[0]}
+            best = i
+        else:
+            certs[i] = {"rule": "superseded", "by_reach": fam[best].hi[0]}
+    if best is not None:
+        selected.append(best)
     return SelectionResult("overlap2", fam, tuple(selected), certs)
 
 
@@ -363,35 +355,26 @@ def verify_selection_contract(result: SelectionResult,
     return report
 
 
-# the default candidates of minimal_cover_dilation: positive and increasing, as
-# the given candidates are once checked and sorted
+# minimal_cover_dilation's factors: increasing, so they can be bisected
 _DILATION_LADDER = tuple(Fraction(k, 8) for k in range(8, 41))
 
 
-def minimal_cover_dilation(f: BoxFamily | Sequence[Box], selected: Sequence[Box],
-                           candidates: Sequence[Fraction] | None = None) -> Fraction:
-    """Smallest candidate factor t with union(f) inside union(t * selected).
+def minimal_cover_dilation(f: BoxFamily | Sequence[Box], selected: Sequence[Box]) -> Fraction:
+    """Smallest factor t on the ladder k/8, k = 8..40, with union(f) inside
+    union(t * selected); raises if no factor on it covers.
 
-    Factors default to the ladder k/8 for k = 8..40; raises if none covers.
-    The dilates are concentric, so coverage is monotone in t: candidates are bisected,
+    The dilates are concentric, so coverage is monotone in t: the ladder is bisected,
     first on whether the dilates reach every corner of every box (corners lie in
     union(f), and a corner missed at t is missed below t), then by the grid test
-    from the first candidate that reaches them all.
+    from the first factor that reaches them all.
     """
-    fam, sel = _family(f), _family(selected)
+    fam = _family(f)
     if not fam:
         return Fraction(1)
-    ts = (_DILATION_LADDER if candidates is None
-          else sorted(_positive(t, "dilation factor") for t in candidates))
-    if sel and sel.dim != fam.dim:
-        raise ValueError("dimension mismatch")
-    # the family, then the selected boxes, on the lcm of their scales: |corner|
-    # <= top there, and the corner gaps below reach 4 top
-    scale = math.lcm(fam._ints[0], sel._ints[0])
-    top = max(c[3] * (scale // c[0]) for c in (fam._ints, sel._ints))
-    lo, hi = (np.concatenate([_fit(max(4 * top, scale // c[0]), c[s])[0].reshape(-1, fam.dim)
-                              * (scale // c[0]) for c in (fam._ints, sel._ints)])
-              for s in (1, 2))
+    # the family, then the selected boxes, on one scale with |corner| <= top;
+    # the corners are int64 only when (2 top)^3 < 2^62, where the corner gaps
+    # below (at most 4 top) times a ladder term (at most 39) stay in int64
+    scale, lo, hi, top = BoxFamily(fam.boxes + tuple(selected))._ints
     k = len(fam)
     # corner x lies in the t-dilate of selected box j iff q |2x - L_j - H_j|_inf <= p (H_j - L_j)
     bits = np.indices((2,) * fam.dim).reshape(fam.dim, -1).T.astype(bool)
@@ -400,13 +383,13 @@ def minimal_cover_dilation(f: BoxFamily | Sequence[Box], selected: Sequence[Box]
     sides = (hi - lo)[k:, 0]
 
     def reaches_corners(t) -> bool:
-        g, s = _fit(4 * max(t.numerator, t.denominator) * top, gaps, sides)
-        return bool((t.denominator * g <= t.numerator * s).any(axis=1).all())
+        return bool((t.denominator * gaps <= t.numerator * sides).any(axis=1).all())
 
     def covers(t) -> bool:
         grid = _dilated_grid(scale, lo, hi, top, t, k)
         return not (grid.cover(range(k)) & ~grid.cover(range(k, len(grid.slices)))).any()
 
+    ts = _DILATION_LADDER
     i = bisect_left(ts, True, key=reaches_corners)
     if i < len(ts) and not covers(ts[i]):
         i = bisect_left(ts, True, lo=i + 1, key=covers)

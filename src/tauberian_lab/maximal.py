@@ -548,6 +548,8 @@ class AtomicMeasure:
         dims = {len(pt) for pt in pts}
         if len(dims) > 1:
             raise ValueError("atoms must share a dimension")
+        if not 1 <= dims.pop() <= 3:
+            raise ValueError("supported dimensions are 1..3")
         object.__setattr__(self, "atoms", tuple(norm))
 
     @property

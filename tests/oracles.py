@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from tauberian_lab.covering import SelectionResult
-from tauberian_lab.errors import InvariantViolation
+from tauberian_lab.errors import InvariantViolation, UnsupportedGeometry
 from tauberian_lab.geometry import (_BLOCK_CELLS, Box, BoxFamily, IdentityCheck, _Grid,
                                     _int_corners, _to_rat, _volume, dilate,
                                     sorted_decreasing)
@@ -759,8 +759,9 @@ def frag_minimal_cover_dilation(boxes, selected, candidates) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # The dilation identity on the grid of all k(k+1)/2 boxes D_j(Q_i), i <= j,
-# and Vitali and the satellite grouping by pairwise `Box.intersects`: how
-# they were computed before the family's integer form, kept as oracles.
+# Vitali and the satellite grouping by pairwise `Box.intersects`, and the
+# overlap-2 chains on `Fraction` ends: how they were computed before the
+# family's integer form, kept as oracles.
 # ---------------------------------------------------------------------------
 
 
@@ -858,6 +859,44 @@ def pairwise_satellite_decompose(f) -> dict[int, list[int]]:
     if assigned != set(range(len(boxes))):
         raise InvariantViolation("satellite groups lost a box")
     return groups
+
+
+def chain_overlap2_select_1d(f) -> SelectionResult:
+    """Overlap-2 selection by nested chain loops over the boxes' `Fraction`
+    ends, sorted by (left end, -right end)."""
+    fam = f if isinstance(f, BoxFamily) else BoxFamily(f)
+    if fam and fam.dim != 1:
+        raise UnsupportedGeometry("overlap-2 selection is one-dimensional")
+    boxes = fam.boxes
+    items = sorted(range(len(boxes)), key=lambda i: (boxes[i].lo[0], -boxes[i].hi[0]))
+    selected: list[int] = []
+    certs: dict[int, dict] = {}
+    pos = 0
+    while pos < len(items):
+        i0 = items[pos]
+        comp_end = boxes[i0].hi[0]
+        selected.append(i0)
+        pos += 1
+        while True:
+            # among intervals starting inside the current coverage, the one
+            # reaching farthest; the rest that end inside it are redundant
+            best = None
+            while pos < len(items) and boxes[items[pos]].lo[0] <= comp_end:
+                cand = items[pos]
+                if boxes[cand].hi[0] <= comp_end:
+                    certs[cand] = {"rule": "covered", "end": comp_end}
+                elif best is None or boxes[cand].hi[0] > boxes[best].hi[0]:
+                    if best is not None:
+                        certs[best] = {"rule": "superseded", "by_reach": boxes[cand].hi[0]}
+                    best = cand
+                else:
+                    certs[cand] = {"rule": "superseded", "by_reach": boxes[best].hi[0]}
+                pos += 1
+            if best is None:
+                break
+            selected.append(best)
+            comp_end = boxes[best].hi[0]
+    return SelectionResult("overlap2", fam, tuple(selected), certs)
 
 
 def pairwise_overlap_volume(boxes: Sequence[Box], idx: Sequence[int]) -> Fraction:

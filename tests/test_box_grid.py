@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    chain_overlap2_select_1d,
     frag_cf_select_lebesgue,
     frag_enlargement_excess,
     frag_identity_defect,
@@ -26,11 +27,13 @@ from oracles import (
     pairwise_vitali_select,
 )
 from tauberian_lab.covering import (
+    _DILATION_LADDER,
     _cube_slices,
     _grid_cells,
     box_to_grid_cube,
     cf_select_lebesgue,
     minimal_cover_dilation,
+    overlap2_select_1d,
     satellite_decompose,
     verify_selection_contract,
     vitali_select,
@@ -107,13 +110,13 @@ HUGE_DENOMS = st.sampled_from([1, 3, 2**19 + 1, 2**40, 2**61, 3**40])
 
 
 @st.composite
-def huge_box_lists(draw, max_boxes=4):
+def huge_box_lists(draw, max_boxes=4, dim=None):
     """Boxes placed as box_lists places them, on HUGE_DENOMS, and moved by
     x -> base + unit x with |base| up to 2^40 and unit up to 2^38, so that
     corners reach 2^41 and boxes still meet and nest.  A family draws from
     at most 3 of the denominators, and base and unit are often small, so that
     the int64 side is drawn too."""
-    dim = draw(st.integers(1, 3))
+    dim = dim or draw(st.integers(1, 3))
     denoms = st.sampled_from(draw(st.lists(HUGE_DENOMS, min_size=1, max_size=3)))
     base = [F(draw(st.integers(-8, 8) | st.integers(-2**40, 2**40)), draw(denoms))
             for _ in range(dim)]
@@ -124,6 +127,15 @@ def huge_box_lists(draw, max_boxes=4):
         center = tuple(b + unit * F(draw(st.integers(-3 * den, 3 * den)), den) for b in base)
         boxes.append(Box(center, unit * F(draw(st.integers(1, 3 * side_den)), side_den)))
     return boxes
+
+
+@st.composite
+def interval_lists(draw):
+    """Lattice, rational or huge intervals, so ends touch, nest and pass 2^63
+    at the common scale, with repeats of drawn intervals, shuffled."""
+    boxes = draw(st.one_of(lattice_box_lists(12, 1), box_lists(12, 1), huge_box_lists(8, 1)))
+    boxes += draw(st.lists(st.sampled_from(boxes), max_size=4))
+    return draw(st.permutations(boxes))
 
 
 @st.composite
@@ -184,13 +196,12 @@ def test_cf_lebesgue_matches_fragment_engine(boxes, delta):
 
 
 @settings(max_examples=300)
-@given(st.one_of(box_lists(), lattice_box_lists()), st.data(),
-       st.lists(st.integers(1, 40), min_size=1, max_size=12, unique=True), st.integers(1, 8))
-def test_cover_dilation_bisection_matches_linear_scan(boxes, data, nums, den):
+@given(st.one_of(box_lists(), lattice_box_lists()), st.data())
+def test_cover_dilation_bisection_matches_linear_scan(boxes, data):
     # the selection: a Vitali prefix, any subset of the family plus boxes from
     # outside it, or small boxes centred on the corners of a subset, which
     # reach every corner long before they cover the family; lattice families
-    # put corners on the dilates' faces, and candidates go below 1
+    # put corners on the dilates' faces
     how = data.draw(st.sampled_from(["vitali", "subset", "corners"]))
     keep = data.draw(st.lists(st.booleans(), min_size=len(boxes), max_size=len(boxes)))
     chosen = [b for b, k in zip(boxes, keep) if k]
@@ -203,14 +214,21 @@ def test_cover_dilation_bisection_matches_linear_scan(boxes, data, nums, den):
     else:
         m = data.draw(st.integers(2, 4))
         selected = [Box(c, b.side / m) for b in chosen for c in product(*zip(b.lo, b.hi))]
-    candidates = [F(n, den) for n in nums]
     try:
-        expected = frag_minimal_cover_dilation(boxes, selected, candidates)
+        expected = frag_minimal_cover_dilation(boxes, selected, _DILATION_LADDER)
     except ValueError:
         with pytest.raises(ValueError, match="no candidate dilation factor covers the family"):
-            minimal_cover_dilation(boxes, selected, candidates)
+            minimal_cover_dilation(boxes, selected)
     else:
-        assert minimal_cover_dilation(boxes, selected, candidates) == expected
+        assert minimal_cover_dilation(boxes, selected) == expected
+
+
+@settings(max_examples=300)
+@given(st.just([]) | interval_lists())
+def test_overlap2_scan_matches_the_chain_loops(boxes):
+    res, expected = overlap2_select_1d(boxes), chain_overlap2_select_1d(boxes)
+    assert res.selected_indices == expected.selected_indices
+    assert res.certificates == expected.certificates
 
 
 @settings(max_examples=150)
@@ -222,8 +240,8 @@ def test_vitali_and_satellites_match_pairwise_loops(boxes):
 
 @settings(max_examples=150)
 @given(huge_box_lists(), huge_fractions(below_one=True), huge_fractions(),
-       st.lists(huge_fractions(), min_size=1, max_size=4), st.sampled_from([1, 3, 2**20, 2**61]))
-def test_huge_families_match_the_oracles(boxes, delta, t, candidates, n):
+       st.sampled_from([1, 3, 2**20, 2**61]))
+def test_huge_families_match_the_oracles(boxes, delta, t, n):
     fam = sorted_decreasing(boxes)
     assert enlargement_excess(boxes, delta) == frag_enlargement_excess(boxes, delta)
     assert check_dilation_identity(boxes, t).defect == frag_identity_defect(boxes, t)
@@ -234,12 +252,11 @@ def test_huge_families_match_the_oracles(boxes, delta, t, candidates, n):
     assert satellite_decompose(boxes) == pairwise_satellite_decompose(boxes)
     for res in (cf, vit):
         assert verify_selection_contract(res)["all"]["pass"]
-    # triple dilates of a Vitali selection cover, so 3 always answers
-    candidates = candidates + [F(3)]
-    assert (minimal_cover_dilation(boxes, vit.selected, candidates)
-            == frag_minimal_cover_dilation(boxes, list(vit.selected), candidates))
+    # triple dilates of a Vitali selection cover, and 3 is on the ladder
+    assert (minimal_cover_dilation(boxes, vit.selected)
+            == frag_minimal_cover_dilation(boxes, list(vit.selected), _DILATION_LADDER))
     with pytest.raises(ValueError, match="no candidate dilation factor covers the family"):
-        minimal_cover_dilation(boxes, [], candidates)
+        minimal_cover_dilation(boxes, [])
     try:
         expected = [_cube_slices(box_to_grid_cube(b, n)) for b in fam]
     except UnsupportedGeometry as err:

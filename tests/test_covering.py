@@ -421,6 +421,13 @@ def test_cf_weighted_rejects_a_weight_of_another_dimension(family_dim, weight_di
         verify_selection_contract(res, w)
 
 
+def test_weighted_verification_needs_the_weight():
+    w = GridWeight(np.ones(8))
+    res = cf_select_weighted([interval(0, F(1, 4))], w, F(1, 2))
+    with pytest.raises(ValueError, match="weighted contract verification needs the weight"):
+        verify_selection_contract(res)
+
+
 def test_grid_cube_box_roundtrip():
     q = GridCube((3, 5), 2)
     b = grid_cube_to_box(q, 8)
@@ -566,19 +573,11 @@ def test_minimal_cover_dilation_without_selected_boxes_raises():
     fam = [interval(0, 1), interval(2, 3)]
     with pytest.raises(ValueError, match="no candidate dilation factor covers the family"):
         minimal_cover_dilation(fam, [])
-    with pytest.raises(ValueError, match="no candidate dilation factor covers the family"):
-        minimal_cover_dilation(fam, fam, candidates=[])
 
 
-def test_minimal_cover_dilation_rejects_nonpositive_candidates():
-    with pytest.raises(ValueError, match="positive"):
-        minimal_cover_dilation([interval(0, 1)], [interval(0, 1)], [F(0), F(1)])
-
-
-def test_minimal_cover_dilation_orders_string_candidates_by_value():
-    # the candidates were sorted as given, so "10/8" came before "9/8" and was returned
-    t = minimal_cover_dilation([interval(0, 1)], [interval(0, 1)], ["10/8", "9/8"])
-    assert t == F(9, 8) and type(t) is F
+def test_minimal_cover_dilation_rejects_a_selection_of_another_dimension():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        minimal_cover_dilation([interval(0, 1)], [Box((0, 0), 1)])
 
 
 # -- the verifier compares stored numbers -----------------------------------------

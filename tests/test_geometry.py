@@ -334,3 +334,29 @@ def test_satellite_union_in_triple_dilate():
             big = dilate(fam[0], 3)
             assert all(big.contains_box(b) for b in fam)
     assert hits > 0
+
+
+# -- input checks ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("center", [(), (0, 0, 0, 0)])
+def test_box_rejects_dimensions_outside_1_to_3(center):
+    with pytest.raises(ValueError, match=r"supported dimensions are 1\.\.3"):
+        Box(center, 1)
+
+
+def test_the_empty_family_has_no_dimension():
+    with pytest.raises(ValueError, match="empty family has no dimension"):
+        BoxFamily([]).dim
+
+
+def test_box_region_rejects_mixed_dimensions():
+    line, square = BoxRegion.from_boxes([interval(0, 1)]), BoxRegion.from_boxes([Box((0, 0), 1)])
+    with pytest.raises(ValueError, match="from_boxes needs at least one box"):
+        BoxRegion.from_boxes([])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        BoxRegion.from_rational_corners(2, [((F(0),), (F(1),))])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        line.union(square)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        square.dilate_about((0,), 2)

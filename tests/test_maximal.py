@@ -1112,3 +1112,42 @@ def test_atomic_follows_an_index_list_changed_in_place():
     assert atomic_maximal_lower(mu, idx, F(3, 4)) == atomic_maximal_lower(
         harmonic_measure(8), [0, 3], F(3, 4))
 
+
+
+# -- input checks ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: MaximalSpec("sideways"), "unknown variant 'sideways'"),
+    (lambda: MaximalSpec(measure="counting"),
+     "grid engine supports lebesgue or grid-weight, got 'counting'"),
+    (lambda: grid_maximal(single_cell(4, 0), MaximalSpec(measure="grid-weight")),
+     "grid-weight measure needs a weight"),
+    (lambda: PiecewiseWeight1D([0, 1], [1, 2]), r"need k\+1 breakpoints for k pieces"),
+    (lambda: PiecewiseWeight1D([0, 1, 1], [1, 2]), "breakpoints must be strictly increasing"),
+    (lambda: PiecewiseWeight1D([0, 1], [1]).mass(F(1, 2), F(1, 4)), "empty interval"),
+    (lambda: exact_halo_1d(IntervalSet([]), F(1, 2)), "empty set"),
+    (lambda: point_eval_1d(IntervalSet([]), 0), "empty set"),
+    (lambda: AtomicMeasure([((0,), 0)]), "atom masses must be positive"),
+    (lambda: AtomicMeasure([((0,), 1), ((0,), 2)]), "atom points must be distinct"),
+    (lambda: AtomicMeasure([((0,), 1), ((0, 1), 2)]), "atoms must share a dimension"),
+], ids=["variant", "measure", "no-weight", "pieces", "breakpoints", "empty-interval",
+        "halo-of-empty", "eval-of-empty", "atom-mass", "atom-points", "atom-dims"])
+def test_bad_input_raises_a_value_error(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+@pytest.mark.parametrize("pt", [(), (0, 0, 0, 0)])
+def test_atomic_measure_rejects_points_outside_dimensions_1_to_3(pt):
+    # unchecked, the atom passed here and its candidate boxes failed later
+    with pytest.raises(ValueError, match=r"supported dimensions are 1\.\.3"):
+        AtomicMeasure([(pt, 1)])
+
+
+def test_exact_1d_engines_reject_a_float():
+    e = IntervalSet([(0, 1)])
+    with pytest.raises(TypeError, match="expected an exact rational, got float"):
+        exact_halo_1d(e, 0.5)
+    with pytest.raises(TypeError, match="expected an exact rational, got float"):
+        point_eval_1d(e, 0.5)

@@ -5,12 +5,30 @@ from pathlib import Path
 
 import tauberian_lab
 
+FILES = sorted(Path(tauberian_lab.__file__).parent.rglob("*.py"))
+
 
 def test_the_package_raises_instead_of_asserting():
     # python -O strips assert statements, so an invariant must raise a typed error
-    files = sorted(Path(tauberian_lab.__file__).parent.rglob("*.py"))
-    assert len(files) > 1
-    asserts = [f"{path.name}:{node.lineno}" for path in files
+    assert len(FILES) > 1
+    asserts = [f"{path.name}:{node.lineno}" for path in FILES
                for node in ast.walk(ast.parse(path.read_text(), str(path)))
                if isinstance(node, ast.Assert)]
     assert asserts == []
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in FILES:
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and not (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                for alias in node.names:
+                    # `import a.b` binds a
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

@@ -956,3 +956,37 @@ def test_exact_masses_read_each_float_exactly(values):
     assert ex.box_sums(lo, hi) == [sum(ex.cells[tuple(map(slice, a, b))].ravel().tolist())
                                    for a, b in boxes]
     assert ex.box_sums(np.zeros((0, d), int), np.zeros((0, d), int)) == []
+
+
+# -- input checks ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: GridCube((0,), 0), "cube side must be >= 1 cell"),
+    (lambda: GridCube((-1,), 1), "cube corner must be nonnegative"),
+    (lambda: GridWeight(np.array([-1.0, 2.0])), "cell masses must be nonnegative"),
+    (lambda: GridWeight(np.zeros(4)), "total mass must be positive"),
+    (lambda: const_w(8).cube_mass(GridCube((0, 0), 1)), "cube dimension does not match grid"),
+    (lambda: generate_weight(WeightFamilySpec("constant", 3, 4)), "dim must be 1 or 2"),
+    (lambda: generate_weight(WeightFamilySpec("constant", 1, 0)), "resolution must be >= 1"),
+    (lambda: generate_weight(WeightFamilySpec("bumpy", 1, 4)), "unknown weight family 'bumpy'"),
+    (lambda: growth_profile(const_w(8), [0.5, 0.25]), "t values must be ascending"),
+    (lambda: fit_growth_exponent({0.125: 0.1, 0.25: 0.2}),
+     "need at least 3 profile points with t < 1/2"),
+    (lambda: sidelength_growth_exponent(const_w(4)), "resolution must be >= 8"),
+], ids=["cube-side", "cube-corner", "negative-mass", "zero-mass", "cube-dim", "spec-dim",
+        "spec-resolution", "spec-family", "descending-t", "short-profile", "gamma-n"])
+def test_bad_input_raises_a_value_error(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+def test_fit_rejects_a_falling_profile():
+    with pytest.raises(DegenerateFit, match="profile fit has nonpositive slope"):
+        fit_growth_exponent({0.0625: 1.0, 0.125: 0.5, 0.25: 0.25})
+
+
+def test_rh_exponent_at_constant_one_warns_and_returns_zero():
+    # the power mean exceeds avg w on every cube where w is not constant
+    with pytest.warns(UserWarning, match="no dyadic reverse Holder exponent passed; returning 0"):
+        assert reverse_holder_exponent(power_w(16, 1.0), 1.0) == 0.0
