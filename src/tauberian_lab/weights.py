@@ -3,12 +3,18 @@
 A GridWeight stores cell masses (integrals of the weight over grid cells),
 not point samples, so w(Q) is exact for grid cubes and refining the grid
 never loses mass.  Cube masses are sums of cells by additions only
-(`gridops.side_table`), so each is exact to rounding relative to itself, and
-a cube with no positive cell has mass exactly 0.  A weight caches that table;
-the A_p, Hruscev and reverse-Holder gauges add at most two tables to it, and
-Fujii-Wilson adds one, of its cube integrals, the size of `w.table.flat`.
-The growth profile adds no table but one buffer for the cells of one side's
-cubes, at most ((N+1)/2)^(2d) floats: half a table in 1-D, about 3N/16 in 2-D.
+(`gridops.side_sums`), so each is exact to rounding relative to itself, and
+a cube with no positive cell has mass exactly 0.  A weight caches that table
+with its per-side views (`gridops.side_table`).  The A_p, Hruscev and
+reverse-Holder gauges add at most two flat buffers of cube sums to it, the
+size of `w.table.flat` and with no per-side views, and Fujii-Wilson adds one,
+of its cube integrals.  Doubling and gamma keep index pairs into
+`w.table.flat`, cached per (N, d) and shared by every call: at 1-D N = 1024,
+2.1 MB for doubling's 130,816 pairs and 0.34 MB for gamma's 21,278, against
+4.2 MB for the table.  Each call gathers and divides three floats per pair,
+3.3 MB for doubling there.  The growth profile adds no table but one buffer
+for the cells of one side's cubes, at most ((N+1)/2)^(2d) floats: half a
+table in 1-D, about 3N/16 in 2-D.
 
 Exact decisions read `GridWeight.exact`, also cached: on the masses' one
 integer scale (`geometry._on_scale`), their largest denominator, a power of
@@ -170,7 +176,7 @@ class GridWeight:
 
     def window_sums(self, s: int) -> np.ndarray:
         """The read-only masses of all side-s cubes, `table.sides[s - 1]`, 1 <= s <= N:
-        within `gridops.side_table`'s error bound, 0.0 on cubes with no positive cell."""
+        within `gridops.side_sums`' error bound, 0.0 on cubes with no positive cell."""
         if not 1 <= s <= self.resolution:
             raise ValueError(f"cube side must lie in 1..{self.resolution}, got {s}")
         return self.table.sides[s - 1]
@@ -298,7 +304,7 @@ def _cube_averages(w: GridWeight, cells: np.ndarray) -> tuple[np.ndarray, np.nda
     The cube volumes repeat `_side_volumes`, cached per (N, d), over each
     side's cubes, so no call builds a Python list per side."""
     _require_finite(cells)
-    avg = gridops.side_table(cells).flat
+    avg = gridops.side_sums(cells)
     vol = np.repeat(*_side_volumes(w.resolution, w.dim))
     avg /= vol
     return np.divide(w.table.flat, vol, out=vol), avg
@@ -307,7 +313,7 @@ def _cube_averages(w: GridWeight, cells: np.ndarray) -> tuple[np.ndarray, np.nda
 @functools.lru_cache(maxsize=32)
 def _side_volumes(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Each side's cube volume (s/N)^d and how many side-s cubes
-    `side_table`'s flat buffer holds, s = 1..N: 2N numbers, read-only since
+    `gridops.side_sums`' flat buffer holds, s = 1..N: 2N numbers, read-only since
     every call with this (N, d) shares them."""
     volumes = np.array([(s / n) ** d for s in range(1, n + 1)])
     counts = np.diff(gridops.side_offsets(n, d))
@@ -378,7 +384,7 @@ def hruscev_constant(w: GridWeight) -> float:
 
     The cell integrals of log(1/w) have mixed signs, so their sum over a
     side-s cube Q is exact only to about d*s*u times the sum of their
-    absolute values (u = 2^-53; see gridops.side_table).  The value on Q is
+    absolute values (u = 2^-53; see gridops.side_sums).  The value on Q is
     therefore exact to a relative error of about d*s*u times the average of
     |log w| over Q, whatever the average of log w itself.
     """
@@ -393,22 +399,55 @@ def hruscev_constant(w: GridWeight) -> float:
 
 def doubling_constant(w: GridWeight) -> float:
     """sup of w(2Q)/w(Q) over cubes whose concentric double is grid-aligned
-    and inside the domain; even sides only so that 2Q is exact."""
+    and inside the domain; even sides only so that 2Q is exact.
+
+    The (2Q, Q) pairs depend only on (N, d), so their indices into
+    `w.table.flat` are built once per (N, d) (`_doubling_pairs`), and each
+    call is one gather, one divide and one max over all of them, the same
+    divisions as a loop over the sides.  A Q with no mass reads -inf; if
+    every Q has none, ValueError.
+    """
     n = w.resolution
     if n < 4:
         raise ValueError("domain too small: doubling needs N >= 4")
-    sides = w.table.sides
-    best = -math.inf
-    for s in range(2, n // 2 + 1, 2):
-        # corners h..n-s-h of Q, and every corner 0..n-2s of its double 2Q
-        h = s // 2
-        den = sides[s - 1][(slice(h, n - s - h + 1),) * w.dim]
-        ratio = np.full(den.shape, -np.inf)
-        np.divide(sides[2 * s - 1], den, out=ratio, where=den > 0)
-        best = max(best, float(ratio.max()))
+    best = float(_pair_ratios(w.table.flat, *_doubling_pairs(n, w.dim)).max())
     if best == -math.inf:
         raise ValueError("no admissible cube with positive mass")
     return best
+
+
+def _pair_ratios(flat: np.ndarray, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """flat[outer] / flat[inner] per pair of indices, -inf where the inner mass is 0."""
+    den = flat[inner]
+    ratio = np.full(den.size, -np.inf)
+    np.divide(flat[outer], den, out=ratio, where=den > 0)
+    return ratio
+
+
+def _cube_indices(n: int, d: int, s: int, corners: np.ndarray) -> np.ndarray:
+    """The indices into `gridops.side_sums`' flat buffer of the side-s cubes
+    at the product of `corners` on each axis, in row-major order."""
+    grid = np.ix_(*(corners,) * d)
+    return (gridops.side_offsets(n, d)[s - 1]
+            + np.ravel_multi_index(grid, (n - s + 1,) * d)).ravel()
+
+
+@functools.lru_cache(maxsize=32)
+def _doubling_pairs(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (2Q, Q) pairs of doubling_constant as indices into
+    `gridops.side_sums`' flat buffer, read-only since every call with this
+    (N, d) shares them: about N^(d+1) / (4(d+1)) pairs (130,816 and 2 MB at
+    1-D N = 1024)."""
+    outer, inner = [], []
+    for s in range(2, n // 2 + 1, 2):
+        # corners h..n-s-h of Q, and every corner 0..n-2s of its double 2Q
+        h, k = s // 2, n - 2 * s + 1
+        outer.append(_cube_indices(n, d, 2 * s, np.arange(k)))
+        inner.append(_cube_indices(n, d, s, np.arange(h, h + k)))
+    pairs = np.concatenate(outer), np.concatenate(inner)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
 
 
 def growth_profile(w: GridWeight, t_values: Sequence[float]) -> dict[float, float]:
@@ -530,15 +569,12 @@ def sidelength_growth_exponent(w: GridWeight) -> float:
     if n < 8:
         raise ValueError("resolution must be >= 8")
     pairs = _gamma_pairs(n, d)
-    flat = w.table.flat
-    inner = flat[pairs.inner]
-    ratio = np.full(inner.size, -np.inf)
-    np.divide(flat[pairs.outer], inner, out=ratio, where=inner > 0)
+    ratio = _pair_ratios(w.table.flat, pairs.outer, pairs.inner)
     peaks = np.maximum.reduceat(ratio, pairs.starts).tolist()
-    vals = [math.log(peak) / den for peak, den in zip(peaks, pairs.log_sides) if peak > -math.inf]
-    if not vals:
-        raise ValueError("degenerate weight: all sampled inner cubes have zero mass")
-    return max(vals)
+    # every cell is a Q1 of the whole domain, so a positive total mass leaves
+    # at least one group with a finite peak
+    return max(math.log(peak) / den for peak, den in zip(peaks, pairs.log_sides)
+               if peak > -math.inf)
 
 
 class _GammaPairs(NamedTuple):
@@ -551,15 +587,8 @@ class _GammaPairs(NamedTuple):
 @functools.lru_cache(maxsize=32)
 def _gamma_pairs(n: int, d: int) -> _GammaPairs:
     """The sampled (Q2, Q1) pairs of sidelength_growth_exponent as indices
-    into `side_table`'s flat buffer, one group per (s2, s1)."""
+    into `gridops.side_sums`' flat buffer, one group per (s2, s1)."""
     ladder = [n >> k for k in range(n.bit_length())]
-    offsets = gridops.side_offsets(n, d)
-
-    def index(s, corners):
-        # flat indices of the side-s cubes at the product of `corners` on each axis
-        grid = np.ix_(*(corners,) * d)
-        return (offsets[s - 1] + np.ravel_multi_index(grid, (n - s + 1,) * d)).ravel()
-
     outer, inner, starts, log_sides = [], [], [], []
     at = 0
     for i, s2 in enumerate(ladder):
@@ -567,11 +596,11 @@ def _gamma_pairs(n: int, d: int) -> _GammaPairs:
         for s1 in ladder[i + 1:]:
             # Q1 at Q2's corner, far end and centre; for s2 = N (one Q2, the
             # whole domain) also at every corner
-            q1 = [index(s1, c2 + o) for o in (0, s2 - s1, (s2 - s1) // 2)]
+            q1 = [_cube_indices(n, d, s1, c2 + o) for o in (0, s2 - s1, (s2 - s1) // 2)]
             if i == 0:
-                q1.append(index(s1, np.arange(n - s1 + 1)))
+                q1.append(_cube_indices(n, d, s1, np.arange(n - s1 + 1)))
             q1 = np.concatenate(q1)
-            outer.append(np.resize(index(s2, c2), q1.size))  # cycles: Q2 per placement
+            outer.append(np.resize(_cube_indices(n, d, s2, c2), q1.size))  # cycles: Q2 per placement
             inner.append(q1)
             starts.append(at)
             at += q1.size

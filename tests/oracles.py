@@ -43,7 +43,7 @@ def fsum_mass(values: np.ndarray, q: GridCube) -> float:
 
 
 def side_sum_rel(dim: int, s: int) -> float:
-    """Largest relative distance of a side-s `gridops.side_table` entry from
+    """Largest relative distance of a side-s `gridops.side_sums` entry from
     fsum_mass: d*s*u / (1 - d*s*u) from the exact sum (its docstring), plus
     the u of fsum's own rounding, u = 2^-53."""
     u = 2.0**-53
@@ -166,7 +166,7 @@ def random_grid_cube_family_settable(rng: np.random.Generator, n: int, dim: int,
 def side_sums(values):
     """Yield, for s = 1..N, the sums of all side-s cubes of a 1-D or square
     2-D grid, indexed by the cube's first cell, by the additions that
-    `gridops.side_table` documents: W_s = W_{s-1}[:-1] + v[s-1:] in 1-D; in
+    `gridops.side_sums` documents: W_s = W_{s-1}[:-1] + v[s-1:] in 1-D; in
     2-D, W_s = W_{s-1} + (last row) + (last column less that row's cell)."""
     v = np.array(values, dtype=float)
     if v.ndim not in (1, 2) or v.shape != (v.shape[0],) * v.ndim:

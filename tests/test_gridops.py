@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,3 +62,32 @@ def test_side_table_layout_and_per_side_kernel_bit_for_bit(v):
     for sums, want in zip(sides, side_sums(v), strict=True):
         assert sums.base is flat and sums.shape == want.shape
         assert sums.tobytes() == want.tobytes()
+
+
+@given(grids())
+def test_side_sums_is_side_tables_flat_and_the_per_side_kernel_bit_for_bit(v):
+    got = gridops.side_sums(v).tobytes()
+    assert got == gridops.side_table(v).flat.tobytes()
+    assert got == b"".join(a.tobytes() for a in side_sums(v))
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (7, 1), (5, 2)])
+def test_side_offsets_are_one_cached_tuple(n, d):
+    offsets = gridops.side_offsets(n, d)
+    assert isinstance(offsets, tuple) and offsets is gridops.side_offsets(n, d)
+    assert offsets[0] == 0
+    assert np.diff(offsets).tolist() == [a.size for a in side_sums(np.ones((n,) * d))]
+
+
+def test_side_sums_peak_memory_is_its_output():
+    # 1-D sides are written straight into the buffer: no temporary per side,
+    # and never an N x N window
+    v = np.random.default_rng(1).random(1024)
+    gridops.side_sums(v)
+    tracemalloc.start()
+    try:
+        out = gridops.side_sums(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * out.nbytes

@@ -32,3 +32,23 @@ def test_every_imported_name_is_used():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_every_lru_cache_has_an_integer_maxsize():
+    # a cached index table keyed by (N, d) must not grow without bound
+    unbounded = []
+    for path in FILES:
+        tree = ast.parse(path.read_text(), str(path))
+        bounded = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+                if len(sizes) == 1 and isinstance(sizes[0], ast.Constant) and \
+                        type(sizes[0].value) is int:
+                    bounded.add(id(node.func))
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else \
+                node.id if isinstance(node, ast.Name) else None
+            if name in ("lru_cache", "cache") and id(node) not in bounded:
+                unbounded.append(f"{path.name}:{node.lineno} {name}")
+    assert unbounded == []

@@ -31,6 +31,7 @@ from tauberian_lab.weights import (
     reverse_holder_exponent,
     reverse_holder_holds,
     sidelength_growth_exponent,
+    _doubling_pairs,
     _side_volumes,
 )
 from tauberian_lab.errors import BudgetExceeded, DegenerateFit
@@ -534,6 +535,47 @@ def test_doubling_equals_window_loop(w):
         assert doubling_constant(w) == expect
 
 
+@pytest.mark.parametrize("spec", [WeightFamilySpec("log-smooth-random", 1, 1024, seed=1),
+                                  WeightFamilySpec("log-smooth-random", 2, 64, seed=1)])
+def test_doubling_equals_window_loop_at_large_n(spec):
+    w = generate_weight(spec)
+    assert doubling_constant(w) == doubling_window_loop(w)
+
+
+@pytest.mark.parametrize("n, dim", [(4, 1), (9, 1), (4, 2), (7, 2)])
+def test_cached_doubling_pairs_are_read_only(n, dim):
+    # cell i weighs 2^i, so every cube's mass is exact and names its cells
+    w = GridWeight(2.0 ** np.arange(n**dim).reshape((n,) * dim))
+    outer, inner = _doubling_pairs(n, dim)
+    flat = w.table.flat
+    got = sorted(zip(flat[outer].tolist(), flat[inner].tolist()))
+    want = []
+    for s in range(2, n // 2 + 1, 2):
+        h = s // 2
+        for corner in itertools.product(range(h, n - s - h + 1), repeat=dim):
+            q2 = GridCube(tuple(c - h for c in corner), 2 * s)
+            want.append((fsum_mass(w.values, q2), fsum_mass(w.values, GridCube(corner, s))))
+    assert got == sorted(want)
+    for a in (outer, inner):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    assert _doubling_pairs(n, dim) is _doubling_pairs(n, dim)
+
+
+def test_doubling_peak_memory_stays_under_the_side_table():
+    # the cached pairs, and the gather of their masses, hold fewer floats than the table
+    w = generate_weight(WeightFamilySpec("log-smooth-random", 1, 1024, seed=1))
+    budget = w.table.flat.nbytes
+    doubling_constant(w)
+    tracemalloc.start()
+    try:
+        doubling_constant(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget
+
+
 # -- growth profile -----------------------------------------------------------
 
 
@@ -778,6 +820,18 @@ def test_gamma_defined_with_zero_cells():
     for seed in range(60):
         w = zero_cell_grid(seed, 8)
         assert math.isfinite(sidelength_growth_exponent(w))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("at", [0, 4])
+def test_gamma_finite_with_one_positive_cell(dim, at):
+    # every cell is a Q1 of the whole domain, so one positive cell, at the
+    # corner or the centre, gives a finite gamma
+    values = np.zeros((8,) * dim)
+    values[(at,) * dim] = 1.0
+    w = GridWeight(values)
+    assert math.isfinite(sidelength_growth_exponent(w))
+    assert sidelength_growth_exponent(w) == sidelength_growth_exponent_pairs(w)
 
 
 # -- parameters ------------------------------------------------------------------
