@@ -17,11 +17,13 @@ import numpy as np
 
 
 def resolution(values: np.ndarray) -> int:
-    """Cells per axis of a 1-D or square 2-D grid; ValueError for any other shape."""
+    """Cells per axis of a nonempty 1-D or square 2-D grid; ValueError otherwise."""
     if values.ndim not in (1, 2):
         raise ValueError("only 1-D and 2-D grids are supported")
     if values.ndim == 2 and values.shape[0] != values.shape[1]:
         raise ValueError("2-D grid must be square")
+    if values.size == 0:
+        raise ValueError("empty grid")
     return values.shape[0]
 
 

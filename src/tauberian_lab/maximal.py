@@ -2,12 +2,12 @@
 
 Three engines:
 
-* grid: uncentered / centered / dyadic cube maximal operators on the N^n
-  grid over [0,1)^n, for Lebesgue or grid-weight measures.  Cubes run over
-  grid-aligned cubes inside the domain, so grid superlevel sets are lower
-  approximations of their continuous counterparts.  The grid-weight 1-D
-  uncentered superlevel is exact: one pass over prefix sums of exact cell
-  masses per alpha.  Every other superlevel compares float values with alpha.
+* grid: the uncentered cube maximal operator on the N^n grid over [0,1)^n,
+  for Lebesgue or grid-weight measures.  Cubes run over grid-aligned cubes
+  inside the domain, so grid superlevel sets are lower approximations of
+  their continuous counterparts.  The grid-weight 1-D superlevel is exact:
+  one pass over prefix sums of exact cell masses per alpha.  The 2-D
+  weighted and the Lebesgue superlevels compare float values with alpha.
 * exact 1-D: interval sets with `Fraction` endpoints, and piecewise-constant
   weights held as integers on their least scales, whose `Fraction`
   breakpoints and densities are built only when read; maximal values and
@@ -29,9 +29,9 @@ keeps its value, so an alpha ladder on one (measure, E) pair pays only for
 its thresholds:
 
 * `superlevel` keeps one read-only array on the `GridWeight`, keyed by
-  (spec, E's shape, E's bytes): for the 1-D uncentered spec, E's exact
-  prefix (N+1 ints); for every other spec, the `grid_maximal` values (N^d
-  floats).  A Lebesgue call has no measure object and is not memoized.
+  (E's shape, E's bytes): in 1-D, E's exact prefix (N+1 ints); in 2-D, the
+  `grid_maximal` values (N^d floats).  A Lebesgue call has no measure object
+  and is not memoized.
 * `exact_halo_1d` and `point_eval_1d` keep F(E) on the `PiecewiseWeight1D`,
   keyed by E, and share that entry: its endpoints as Python ints on one
   scale, (scale, [F(x) * scale for each endpoint x of E]).  E's place in the
@@ -62,7 +62,6 @@ from .geometry import Box, _int_corners, _level, _on_scale, _to_rat
 from .gridops import resolution, side_table
 from .weights import GridWeight
 
-VARIANTS = ("uncentered", "centered", "dyadic")
 _MEMO = "_maximal_memo"
 
 
@@ -79,11 +78,15 @@ def _remembered(owner, key, compute):
 
 @dataclass(frozen=True)
 class MaximalSpec:
+    """The grid engine's measure: "lebesgue", or "grid-weight" for M_w.
+    `variant` accepts only the paper's "uncentered"; the field remains because
+    callers build the spec positionally, MaximalSpec("uncentered", "grid-weight")."""
+
     variant: str = "uncentered"
     measure: str = "lebesgue"
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
+        if self.variant != "uncentered":
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.measure not in ("lebesgue", "grid-weight"):
             raise ValueError(f"grid engine supports lebesgue or grid-weight, "
@@ -95,32 +98,35 @@ class MaximalSpec:
 # ---------------------------------------------------------------------------
 
 
-def _checked(e, spec: MaximalSpec, weight: GridWeight | None) -> tuple[np.ndarray, int]:
-    """e as a bool array and its resolution, once e, spec and weight agree."""
+def _grid(e, weight: GridWeight | None) -> np.ndarray:
+    """e as a nonempty 1-D or square 2-D bool array, of weight's shape if given."""
     e = np.asarray(e, dtype=bool)
-    n = resolution(e)
-    if spec.variant == "dyadic" and n & (n - 1):
-        raise ValueError("dyadic variant needs a power-of-two resolution")
+    resolution(e)
+    if weight is not None and weight.values.shape != e.shape:
+        raise ValueError("weight grid and set grid differ in shape")
+    return e
+
+
+def _checked(e, spec: MaximalSpec, weight: GridWeight | None) -> np.ndarray:
+    """`_grid(e, weight)`, once spec's measure and weight agree."""
     if spec.measure == "grid-weight":
         if weight is None:
             raise ValueError("grid-weight measure needs a weight")
-        if weight.values.shape != e.shape:
-            raise ValueError("weight grid and set grid differ in shape")
     elif weight is not None:
         raise ValueError("lebesgue measure takes no weight; use the grid-weight measure")
-    return e, n
+    return _grid(e, weight)
 
 
 def grid_maximal(e: np.ndarray, spec: MaximalSpec = MaximalSpec(),
                  weight: GridWeight | None = None) -> np.ndarray:
-    """Per-cell values of the maximal function of the indicator of e.
+    """Per-cell values of the uncentered maximal function of the indicator of e.
 
-    value(c) = max over admissible grid cubes R containing c of mu(R∩E)/mu(R);
-    cubes with no cell of positive mass are skipped.
+    value(c) = max over grid cubes R inside the domain containing c of
+    mu(R∩E)/mu(R); cubes with no cell of positive mass are skipped.
 
     The ratios of all cubes are one table, `gridops.side_table` of mu(R∩E)
     divided in place by mu(R); a cube with no cell of positive mass keeps
-    mu(R∩E) = 0, which raises no value.  The uncentered variant sweeps sides
+    mu(R∩E) = 0, which raises no value.  The sweep runs over sides
     s = N..1 and keeps, for every side-s cube Q(i, s), the largest ratio
     up(i, s) over the cubes of side >= s that contain it.  A cube of side > s
     that contains Q(i, s) contains one of its 2^d parents Q(i - o, s + 1),
@@ -129,62 +135,50 @@ def grid_maximal(e: np.ndarray, spec: MaximalSpec = MaximalSpec(),
     and the value of cell c is up(c, 1).  That is O(2^d N^(d+1)) work, in
     place in the table.  Memory: the set's table and one of cube masses (the
     weight's, or the Lebesgue volumes), O(N^(d+1)) floats each, 64 MB at
-    1-D N=4096.  The centered and dyadic variants read the same divided
-    table: the odd sides, and side 2^k at the multiples of 2^k.
+    1-D N=4096.
     """
-    e, n = _checked(e, spec, weight)
-    d, weighted = e.ndim, weight is not None
+    e = _checked(e, spec, weight)
+    n, d, weighted = e.shape[0], e.ndim, weight is not None
     flat, sides = side_table(np.where(e, weight.values, 0.0) if weighted else e)
     den = (weight.table.flat if weighted else
            np.repeat([float(s**d) for s in range(1, n + 1)], [a.size for a in sides]))
     np.divide(flat, den, out=flat, where=den > 0)
-    vals = np.zeros(e.shape)
-    if spec.variant == "uncentered":
-        kids = list(itertools.product((slice(None, -1), slice(1, None)), repeat=d))
-        for up, parents in zip(sides[-2::-1], sides[:0:-1]):
-            for kid in kids:
-                child = up[kid]
-                np.maximum(child, parents, out=child)
-        vals[...] = sides[0]  # a copy: the result pins none of the O(N^(d+1)) table
-    elif spec.variant == "centered":
-        # odd-sided cubes centered at the cell, fully inside the domain
-        for t in range(1, n + 1, 2):
-            inner = vals[(slice(t // 2, n - t // 2),) * d]
-            np.maximum(inner, sides[t - 1], out=inner)
-    else:  # dyadic: the side-s cubes at multiples of s tile the grid
-        for s in (1 << k for k in range(n.bit_length())):
-            tiles = vals.reshape((n // s, s) * d)
-            np.maximum(tiles, sides[s - 1][(slice(None, None, s), None) * d], out=tiles)
-    return vals
+    kids = list(itertools.product((slice(None, -1), slice(1, None)), repeat=d))
+    for up, parents in zip(sides[-2::-1], sides[:0:-1]):
+        for kid in kids:
+            child = up[kid]
+            np.maximum(child, parents, out=child)
+    return sides[0].copy()  # the result pins none of the O(N^(d+1)) table
 
 
 def superlevel(e: np.ndarray, alpha: float, spec: MaximalSpec = MaximalSpec(),
                weight: GridWeight | None = None) -> np.ndarray:
-    """Cells where the maximal function strictly exceeds alpha, a fresh array.
+    """Cells where the uncentered maximal function strictly exceeds alpha, a
+    fresh array.
 
-    With a weight, the 1-D uncentered superlevel is exact at alpha's exact
-    value p/q.  Cell c lies in it iff some grid interval [i, j) that holds c
-    has q*w(E ∩ [i, j)) > p*w([i, j)), that is iff min over i <= c of
+    With a weight, the 1-D superlevel is exact at alpha's exact value p/q.
+    Cell c lies in it iff some grid interval [i, j) that holds c has
+    q*w(E ∩ [i, j)) > p*w([i, j)), that is iff min over i <= c of
     Phi(i) < max over j > c of Phi(j), with Phi = q*P_E - p*P_w on the
     prefix sums of E's and the weight's exact cell masses (`GridWeight.exact`).
     An interval of no mass leaves Phi unchanged and raises nothing, as
     `grid_maximal` skips it.  That is one O(N) pass of Python ints per alpha.
-    Every other weighted spec compares the `grid_maximal` values with alpha.
+    The 2-D weighted call compares the `grid_maximal` values with alpha.
 
     The alpha-free stage is remembered on the weight, read-only, keyed by
-    (spec, E's shape, E's bytes), so an alpha ladder on one set computes it
-    once; an in-place change to E is a new key.  It is P_E (N+1 ints) for the
-    1-D uncentered spec and the `grid_maximal` values (one N^d float array)
-    for every other spec.  A Lebesgue call (no weight) compares the float
-    `grid_maximal` values with alpha and is not memoized.
+    (E's shape, E's bytes), so an alpha ladder on one set computes it once;
+    an in-place change to E is a new key.  It is P_E (N+1 ints) in 1-D and
+    the `grid_maximal` values (one N^2 float array) in 2-D.  A Lebesgue call
+    (no weight) compares the float `grid_maximal` values with alpha and is
+    not memoized.
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     if weight is None:
         return grid_maximal(e, spec) > alpha
-    e, _ = _checked(e, spec, weight)
-    key = (spec, e.shape, e.tobytes())
-    if e.ndim == 1 and spec.variant == "uncentered":
+    e = _checked(e, spec, weight)
+    key = (e.shape, e.tobytes())
+    if e.ndim == 1:
         p_e = _remembered(weight, key, lambda: _set_prefix(e, weight))
         p, q = alpha.as_integer_ratio()
         phi = q * p_e - p * weight.exact.prefix
@@ -207,11 +201,10 @@ def _set_prefix(e: np.ndarray, weight: GridWeight) -> np.ndarray:
 
 
 def set_mass(e: np.ndarray, weight: GridWeight | None = None) -> float:
-    e = np.asarray(e, dtype=bool)
+    """w(E), or |E| (the share of cells in E) without a weight."""
+    e = _grid(e, weight)
     if weight is None:
         return float(e.sum()) / e.size
-    if weight.values.shape != e.shape:
-        raise ValueError("weight grid and set grid differ in shape")
     return float(weight.values[e].sum())
 
 

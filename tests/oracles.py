@@ -223,8 +223,8 @@ def reverse_holder_holds_sides(w: GridWeight, eps: float, constant: float = 2.0)
 def grid_maximal_sides(e: np.ndarray, spec: MaximalSpec, weight: GridWeight | None = None
                        ) -> np.ndarray:
     """Grid maximal function with each side's ratios formed as the side comes,
-    -inf on cubes with no cell of positive mass; the uncentered sweep keeps
-    every side's ratios and walks them from side N down."""
+    -inf on cubes with no cell of positive mass; the sweep keeps every side's
+    ratios and walks them from side N down."""
     e = np.asarray(e, dtype=bool)
     n = e.shape[0]
     weighted = spec.measure == "grid-weight"
@@ -236,29 +236,14 @@ def grid_maximal_sides(e: np.ndarray, spec: MaximalSpec, weight: GridWeight | No
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(den > 0, sums / den, -np.inf)
 
-    vals = np.full(e.shape, -np.inf)
-    sides = enumerate(side_sums(num), 1)
-    if spec.variant == "uncentered":
-        ups = [ratio(s, sums) for s, sums in sides]
-        vals = ups.pop()  # up(., s + 1) as the sweep enters side s
-        for s in range(n - 1, 0, -1):
-            up = ups.pop()
-            for o in itertools.product((0, 1), repeat=e.ndim):
-                child = up[tuple(slice(k, k + n - s) for k in o)]
-                np.maximum(child, vals, out=child)
-            vals = up
-    elif spec.variant == "centered":
-        for t, sums in itertools.islice(sides, 0, None, 2):
-            inner = vals[(slice(t // 2, n - t // 2),) * e.ndim]
-            np.maximum(inner, ratio(t, sums), out=inner)
-    else:
-        for s, sums in sides:
-            if s & (s - 1):
-                continue
-            m = ratio(s, sums)[(slice(None, None, s),) * e.ndim]
-            for axis in range(e.ndim):
-                m = np.repeat(m, s, axis=axis)
-            np.maximum(vals, m, out=vals)
+    ups = [ratio(s, sums) for s, sums in enumerate(side_sums(num), 1)]
+    vals = ups.pop()  # up(., s + 1) as the sweep enters side s
+    for s in range(n - 1, 0, -1):
+        up = ups.pop()
+        for o in itertools.product((0, 1), repeat=e.ndim):
+            child = up[tuple(slice(k, k + n - s) for k in o)]
+            np.maximum(child, vals, out=child)
+        vals = up
     vals[vals == -np.inf] = 0.0
     return vals
 
@@ -413,42 +398,22 @@ def atomic_maximal_lower_float(mu: AtomicMeasure, e_indices: Sequence[int], alph
     return AtomicHaloBound(lower, frozenset(covered), tuple(witnesses))
 
 
-def _admissible_cubes(variant: str, n: int, dim: int):
-    """(cube, cells whose value it bounds) for every cube the grid engine's
-    variant ranges over: all of its cells, or only the center cell for the
-    centered variant."""
-    if variant == "uncentered":
-        for s in range(1, n + 1):
-            for corner in itertools.product(range(n - s + 1), repeat=dim):
-                q = GridCube(corner, s)
-                yield q, _cells(q)
-    elif variant == "centered":
-        for t in range(1, n + 1, 2):
-            for center in itertools.product(range(t // 2, n - t // 2), repeat=dim):
-                yield GridCube(tuple(c - t // 2 for c in center), t), center
-    else:
-        s = 1
-        while s <= n:
-            for corner in itertools.product(range(0, n, s), repeat=dim):
-                q = GridCube(corner, s)
-                yield q, _cells(q)
-            s *= 2
-
-
 def grid_maximal_naive(e: np.ndarray, spec: MaximalSpec, weight: GridWeight | None = None
                        ) -> np.ndarray:
-    """Grid maximal function by enumeration: every admissible cube with a cell
-    of positive mass raises the cells it bounds to its E-mass fraction; cells
-    that no such cube bounds get 0."""
+    """Grid maximal function by enumeration: every grid cube inside the domain
+    with a cell of positive mass raises its cells to its E-mass fraction;
+    cells that no such cube holds get 0."""
     e = np.asarray(e, dtype=bool)
+    n = e.shape[0]
     masses = weight.values if spec.measure == "grid-weight" else np.ones(e.shape)
     vals = np.zeros(e.shape)
-    for q, target in _admissible_cubes(spec.variant, e.shape[0], e.ndim):
-        cells = _cells(q)
-        if not (masses[cells] > 0).any():
-            continue
-        ratio = masses[cells][e[cells]].sum() / masses[cells].sum()
-        vals[target] = np.maximum(vals[target], ratio)
+    for s in range(1, n + 1):
+        for corner in itertools.product(range(n - s + 1), repeat=e.ndim):
+            cells = _cells(GridCube(corner, s))
+            if not (masses[cells] > 0).any():
+                continue
+            ratio = masses[cells][e[cells]].sum() / masses[cells].sum()
+            vals[cells] = np.maximum(vals[cells], ratio)
     return vals
 
 
