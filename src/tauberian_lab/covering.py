@@ -56,10 +56,6 @@ class SelectionResult:
     def selected(self) -> BoxFamily:
         return BoxFamily([self.input[i] for i in self.selected_indices])
 
-    @property
-    def rejected(self) -> BoxFamily:
-        return BoxFamily([self.input[i] for i in sorted(self.certificates)])
-
 
 # ---------------------------------------------------------------------------
 # Vitali

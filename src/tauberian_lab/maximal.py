@@ -563,11 +563,22 @@ def _linf(p, q) -> Fraction:
     return max(abs(a - b) for a, b in zip(p, q))
 
 
+def _atom_indices(mu: AtomicMeasure, e_indices: Sequence[int]) -> list[int]:
+    """e_indices as a list, each an int or numpy integer (not a bool) indexing
+    one of mu's atoms; repeats are allowed."""
+    e_indices = list(e_indices)
+    for i in e_indices:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise TypeError(f"atom indices must be integers, got {i!r}")
+        if not 0 <= i < len(mu.atoms):
+            raise ValueError("atom index out of range")
+    return e_indices
+
+
 def default_atomic_candidates(mu: AtomicMeasure, e_indices: Sequence[int]) -> list[Box]:
     """Minimal bounding cubes of (E-atom, atom) pairs at all corner placements,
     plus a tiny cube around each E-atom."""
-    if any(not 0 <= i < len(mu.atoms) for i in e_indices):
-        raise ValueError("atom index out of range")
+    e_indices = _atom_indices(mu, e_indices)
     pts = [pt for pt, _ in mu.atoms]
     eset = set(e_indices)
     out: list[Box] = []
@@ -630,7 +641,7 @@ def atomic_maximal_lower(mu: AtomicMeasure, e_indices: Sequence[int], alpha
     alpha ladder on one E builds them once.
     """
     alpha = _level(alpha, "alpha")
-    e_indices = list(e_indices)
+    e_indices = _atom_indices(mu, e_indices)
     if not e_indices:
         raise ValueError("E must contain at least one atom")
     boxes, inside, masses, scale, mass, mass_e = _remembered(

@@ -11,10 +11,11 @@ size of `w.table.flat` and with no per-side views, and Fujii-Wilson adds one,
 of its cube integrals.  Doubling and gamma keep index pairs into
 `w.table.flat`, cached per (N, d) and shared by every call: at 1-D N = 1024,
 2.1 MB for doubling's 130,816 pairs and 0.34 MB for gamma's 21,278, against
-4.2 MB for the table.  Each call gathers and divides three floats per pair,
-3.3 MB for doubling there.  The growth profile adds no table but one buffer
-for the cells of one side's cubes, at most ((N+1)/2)^(2d) floats: half a
-table in 1-D, about 3N/16 in 2-D.
+4.2 MB for the table.  Each call gathers two floats per pair and divides in
+place, with two masks of one byte per pair: 2.4 MB for doubling there.  The
+growth profile adds no table but one buffer for the cells of one side's
+cubes, at most ((N+1)/2)^(2d) floats: half a table in 1-D, about 3N/16 in
+2-D.
 
 Exact decisions read `GridWeight.exact`, also cached: on the masses' one
 integer scale (`geometry._on_scale`), their largest denominator, a power of
@@ -25,6 +26,12 @@ All cube suprema run over grid-aligned cubes inside the domain; every
 constant here is therefore a lower approximation of its continuous
 counterpart, nondecreasing under the refinement N -> 2N (gamma only at
 power-of-two N; see sidelength_growth_exponent).
+
+The float sup gauges (A_p, Hruscev, Fujii-Wilson, doubling, gamma) share two
+rules.  A quotient over a cube with no mass reads -inf (`_ratios`), so the sup
+skips it, and if every cube has none the gauge raises "no admissible cube with
+positive mass".  A value that overflows reads inf, and a sup of inf or NaN
+raises "<gauge> cube values must be finite" (`_sup`); no gauge returns inf.
 
 Supported grids: 1-D and 2-D, resolution N cells per axis.
 """
@@ -298,12 +305,33 @@ def _require_positive_cells(w: GridWeight, what: str) -> None:
         raise ValueError(f"{what} undefined: weight has zero-mass cells")
 
 
-def _cube_averages(w: GridWeight, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The averages over every grid cube of w and of the finite cell
-    integrals `cells`, as two fresh arrays laid out like `w.table.flat`.
+def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den in place in num, inf where it overflows and -inf where den is
+    0: the one mark of a cube with no mass."""
+    with np.errstate(over="ignore"):
+        np.divide(num, den, out=num, where=den > 0)
+    num[den == 0] = -np.inf
+    return num
+
+
+def _sup(best: float, gauge: str) -> float:
+    """A gauge's sup, the max it took over its cubes, as a Python float:
+    ValueError if every cube read -inf (no mass) or the max is inf or NaN."""
+    best = float(best)
+    if best == -math.inf:
+        raise ValueError("no admissible cube with positive mass")
+    if not math.isfinite(best):
+        raise ValueError(f"{gauge} cube values must be finite, "
+                         f"got {'NaN' if math.isnan(best) else 'inf'}")
+    return best
+
+
+def _cube_averages(w: GridWeight, cells: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The averages over every grid cube of w and of the finite cell integrals
+    `cells`, named `what`, as two fresh arrays laid out like `w.table.flat`.
     The cube volumes repeat `_side_volumes`, cached per (N, d), over each
     side's cubes, so no call builds a Python list per side."""
-    _require_finite(cells)
+    _require_finite(cells, what)
     avg = gridops.side_sums(cells)
     vol = np.repeat(*_side_volumes(w.resolution, w.dim))
     avg /= vol
@@ -328,9 +356,11 @@ def ap_constant(w: GridWeight, p: float) -> float:
     _require_positive_cells(w, "dual weight")
     with np.errstate(over="ignore"):
         sigma = w.density ** (-1.0 / (p - 1)) * w.cell_volume
-    avg_w, avg_sigma = _cube_averages(w, sigma)
-    avg_sigma **= p - 1
-    return float(np.multiply(avg_w, avg_sigma, out=avg_sigma).max())
+    avg_w, avg_sigma = _cube_averages(w, sigma, "A_p dual masses")
+    with np.errstate(over="ignore"):
+        avg_sigma **= p - 1
+        np.multiply(avg_w, avg_sigma, out=avg_sigma)
+    return _sup(avg_sigma.max(), "A_p")
 
 
 def fujii_wilson(w: GridWeight) -> float:
@@ -347,9 +377,9 @@ def fujii_wilson(w: GridWeight) -> float:
     One sweep over s = 1..N keeps M for all side-s cubes at once, as an array
     indexed by corner and then by cell within the cube, and writes each
     cube's integral of M into one buffer laid out like `w.table.flat`; the
-    quotient and its sup are then taken over all cubes at once.  Time is
-    Theta(N^(2d+1)) and the peak array holds Theta(N^(2d)) values, whatever
-    the weight.
+    quotient is then taken in that buffer and its sup over all cubes at once.
+    Time is Theta(N^(2d+1)) and the peak array holds Theta(N^(2d)) values,
+    whatever the weight.
     """
     n, d = w.resolution, w.dim
     if n > FW_CAP[d]:
@@ -373,10 +403,8 @@ def fujii_wilson(w: GridWeight) -> float:
                 np.maximum(part, local[tuple(slice(o, o + k) for o in e)], out=part)
             local = grown
             grown.reshape(sums.size, -1).sum(axis=-1, out=integrals[lo:lo + sums.size])
-        heavy = flat > 0
-        quotients = integrals[heavy] / n**d / flat[heavy]
-    _require_finite(quotients, "Fujii-Wilson cube values")
-    return float(quotients.max())
+    integrals /= n**d
+    return _sup(_ratios(integrals, flat).max(), "Fujii-Wilson")
 
 
 def hruscev_constant(w: GridWeight) -> float:
@@ -389,12 +417,12 @@ def hruscev_constant(w: GridWeight) -> float:
     |log w| over Q, whatever the average of log w itself.
     """
     _require_positive_cells(w, "log of weight")
-    avg_w, avg_log = _cube_averages(w, -np.log(w.density) * w.cell_volume)
+    avg_w, avg_log = _cube_averages(w, -np.log(w.density) * w.cell_volume,
+                                    "Hruscev log masses")
     with np.errstate(over="ignore"):
         np.exp(avg_log, out=avg_log)
         np.multiply(avg_w, avg_log, out=avg_log)
-    _require_finite(avg_log, "Hruscev cube values")
-    return float(avg_log.max())
+    return _sup(avg_log.max(), "Hruscev")
 
 
 def doubling_constant(w: GridWeight) -> float:
@@ -404,24 +432,14 @@ def doubling_constant(w: GridWeight) -> float:
     The (2Q, Q) pairs depend only on (N, d), so their indices into
     `w.table.flat` are built once per (N, d) (`_doubling_pairs`), and each
     call is one gather, one divide and one max over all of them, the same
-    divisions as a loop over the sides.  A Q with no mass reads -inf; if
-    every Q has none, ValueError.
+    divisions as a loop over the sides.
     """
     n = w.resolution
     if n < 4:
         raise ValueError("domain too small: doubling needs N >= 4")
-    best = float(_pair_ratios(w.table.flat, *_doubling_pairs(n, w.dim)).max())
-    if best == -math.inf:
-        raise ValueError("no admissible cube with positive mass")
-    return best
-
-
-def _pair_ratios(flat: np.ndarray, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """flat[outer] / flat[inner] per pair of indices, -inf where the inner mass is 0."""
-    den = flat[inner]
-    ratio = np.full(den.size, -np.inf)
-    np.divide(flat[outer], den, out=ratio, where=den > 0)
-    return ratio
+    outer, inner = _doubling_pairs(n, w.dim)
+    flat = w.table.flat
+    return _sup(_ratios(flat[outer], flat[inner]).max(), "doubling")
 
 
 def _cube_indices(n: int, d: int, s: int, corners: np.ndarray) -> np.ndarray:
@@ -459,13 +477,14 @@ def growth_profile(w: GridWeight, t_values: Sequence[float]) -> dict[float, floa
     heaviest cells, each exactly negated, and one gather reads every t off
     it; one divide by the cube's mass, also negated, gives the same ratio as
     the unnegated sums.  A cube with no mass gives 0/0 = NaN, which the
-    side's fmax skips.  Sorting Theta(N^(2d+1)) values dominates: 1.2-1.3 s
-    at 1-D N = 1024 (traced peak 2.4 MB) and 0.3 s at 2-D N = 64 (9.5 MB)
-    on a 2-vCPU Xeon with numpy 2.4.
+    side's fmax skips.  Every ratio is at most 1, so nothing overflows, and
+    the NaN skip needs no pass of its own in this hot per-side loop, which
+    is why it keeps it rather than `_ratios`' -inf mark.  Sorting
+    Theta(N^(2d+1)) values dominates: 1.2-1.3 s at 1-D N = 1024 (traced peak
+    2.4 MB) and 0.3 s at 2-D N = 64 (9.5 MB) on a 2-vCPU Xeon with numpy 2.4.
     """
     ts = list(t_values)
-    if not all(0 < t <= 1 for t in ts):
-        raise ValueError("t values must lie in (0, 1]")
+    _check_t_values(ts)
     if ts != sorted(ts):
         raise ValueError("t values must be ascending")
     n, d = w.resolution, w.dim
@@ -494,6 +513,11 @@ def growth_profile(w: GridWeight, t_values: Sequence[float]) -> dict[float, floa
     return dict(zip(ts, np.where(ks >= 1, peaks, 0.0).max(axis=0).tolist()))
 
 
+def _check_t_values(ts) -> None:
+    if not all(0 < t <= 1 for t in ts):
+        raise ValueError("t values must lie in (0, 1]")
+
+
 class GrowthFit(NamedTuple):
     c1: float
     c2: float
@@ -501,7 +525,11 @@ class GrowthFit(NamedTuple):
 
 
 def fit_growth_exponent(profile: dict[float, float]) -> GrowthFit:
-    """Least squares of log phi = log c1 + (1/c2) log t over the supplied points."""
+    """Least squares of log phi = log c1 + (1/c2) log t over the points with
+    phi > 0.  Every t must lie in (0, 1], as in `growth_profile`, and every
+    phi be finite."""
+    _check_t_values(profile)
+    _require_finite(np.array(list(profile.values()), dtype=float), "profile values")
     pts = [(t, v) for t, v in sorted(profile.items()) if v > 0]
     if sum(1 for t, _ in pts if t < 0.5) < 3:
         raise ValueError("need at least 3 profile points with t < 1/2")
@@ -529,7 +557,7 @@ def reverse_holder_holds(w: GridWeight, eps: float, constant: float = 2.0) -> bo
     _require_positive_cells(w, "reverse Holder powers")
     with np.errstate(over="ignore"):
         powers = w.density ** (1 + eps) * w.cell_volume
-    avg_w, avg_power = _cube_averages(w, powers)
+    avg_w, avg_power = _cube_averages(w, powers, "reverse Holder power masses")
     avg_power **= 1 / (1 + eps)
     avg_w *= constant
     return not (avg_power > avg_w).any()
@@ -568,13 +596,12 @@ def sidelength_growth_exponent(w: GridWeight) -> float:
     n, d = w.resolution, w.dim
     if n < 8:
         raise ValueError("resolution must be >= 8")
-    pairs = _gamma_pairs(n, d)
-    ratio = _pair_ratios(w.table.flat, pairs.outer, pairs.inner)
+    pairs, flat = _gamma_pairs(n, d), w.table.flat
+    ratio = _ratios(flat[pairs.outer], flat[pairs.inner])
     peaks = np.maximum.reduceat(ratio, pairs.starts).tolist()
-    # every cell is a Q1 of the whole domain, so a positive total mass leaves
-    # at least one group with a finite peak
-    return max(math.log(peak) / den for peak, den in zip(peaks, pairs.log_sides)
-               if peak > -math.inf)
+    # a group whose Q1 all have no mass keeps its -inf peak
+    return _sup(max(math.log(peak) / den if peak > -math.inf else peak
+                    for peak, den in zip(peaks, pairs.log_sides)), "gamma")
 
 
 class _GammaPairs(NamedTuple):

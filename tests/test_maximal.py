@@ -486,6 +486,24 @@ def test_two_intervals_beat_one_in_the_tauberian_ratio():
         assert two[1] > one[1]
 
 
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_single_interval_anchors_of_the_tauberian_ratio(n):
+    # E = [L/3, 4L/3] at alpha = 3/4: its Lebesgue halo [0, 5L/3] ends at
+    # the singularity of |x|^(-1/2), so the ratio is sqrt(5L/3) / (sqrt(4L/3)
+    # - sqrt(L/3)) = sqrt(5) = 1 + R_a(1/3); for w = 1 it is (2 - alpha) /
+    # alpha.  A certified lower bound on C_w(3/4) must meet these values.
+    alpha = F(3, 4)
+    power = PiecewiseWeight1D.from_grid(generate_weight(
+        WeightFamilySpec("power", 1, n, a=-0.5, x0=0.0)))
+    constant = PiecewiseWeight1D.from_grid(generate_weight(WeightFamilySpec("constant", 1, n)))
+    for big_l in (F(3, 8), F(9, 16)):  # 9/16 gives E = [3/16, 3/4]
+        e = IntervalSet([(big_l / 3, 4 * big_l / 3)])
+        halo, ratio = lebesgue_halo_ratio(power, e, alpha)
+        assert halo == [(F(0), 5 * big_l / 3)]
+        assert float(ratio) == pytest.approx(math.sqrt(5), rel=1e-12)
+        assert lebesgue_halo_ratio(constant, e, alpha)[1] == F(5, 3)
+
+
 def lifted(level, n):
     """The cells of a grid superlevel as an `IntervalSet` of [c/n, (c+1)/n]."""
     return IntervalSet.merge([(F(int(c), n), F(int(c) + 1, n)) for c in np.flatnonzero(level)])
@@ -824,6 +842,21 @@ def test_atom_indices_out_of_range_raise_one_error():
             default_atomic_candidates(mu, bad)
         with pytest.raises(ValueError, match="atom index out of range"):
             atomic_maximal_lower(mu, bad, F(1, 2))
+
+
+def test_atom_indices_that_are_not_integers_raise_a_type_error():
+    # a bool or float index once reached numpy's indexing cold, and passed warm,
+    # since the memo key (1.0,) equals (1,)
+    mu = AtomicMeasure([((F(0),), F(1)), ((F(1),), F(2))])
+    for bad in ([True], [1.0], [0, F(1)]):
+        with pytest.raises(TypeError, match="atom indices must be integers, got "):
+            default_atomic_candidates(mu, bad)
+        with pytest.raises(TypeError, match="atom indices must be integers, got "):
+            atomic_maximal_lower(mu, bad, F(1, 2))
+        warm = atomic_maximal_lower(mu, [np.int64(1)], F(1, 2))
+        with pytest.raises(TypeError, match="atom indices must be integers, got "):
+            atomic_maximal_lower(mu, bad, F(1, 2))
+        assert atomic_maximal_lower(mu, [1], F(1, 2)) == warm
 
 
 def test_atomic_measure_rejects_empty_list():

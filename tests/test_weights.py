@@ -232,7 +232,7 @@ def test_ap_rejects_zero_cells():
 
 def test_ap_rejects_non_finite_dual_masses():
     # the dual density 4e-300 ** -100 overflows to inf
-    with pytest.raises(ValueError, match="cell masses must be finite, got inf"):
+    with pytest.raises(ValueError, match="A_p dual masses must be finite, got inf"):
         ap_constant(GridWeight([1e-300, 1, 1, 1]), 1.01)
 
 
@@ -447,7 +447,7 @@ def test_hruscev_rejects_overflowing_exp(shape):
     # the average of log(1/w) is about 743 on every cube, past exp's overflow
     # at 709.78; A_p refuses the same weight, whose dual masses overflow
     w = GridWeight(np.full(shape, 5e-324))
-    with pytest.raises(ValueError, match="cell masses must be finite, got inf"):
+    with pytest.raises(ValueError, match="A_p dual masses must be finite, got inf"):
         ap_constant(w, 2.0)
     with pytest.raises(ValueError, match="Hruscev cube values must be finite, got inf"):
         hruscev_constant(w)
@@ -708,7 +708,7 @@ def test_rh_power_positive_and_monotone():
 
 def test_rh_rejects_non_finite_power_masses():
     # the squared density (4e300)^2 overflows to inf
-    with pytest.raises(ValueError, match="cell masses must be finite, got inf"):
+    with pytest.raises(ValueError, match="reverse Holder power masses must be finite, got inf"):
         reverse_holder_holds(GridWeight([1e300, 1, 1, 1]), 1.0)
 
 
@@ -1028,11 +1028,46 @@ def test_exact_masses_read_each_float_exactly(values):
     (lambda: fit_growth_exponent({0.125: 0.1, 0.25: 0.2}),
      "need at least 3 profile points with t < 1/2"),
     (lambda: sidelength_growth_exponent(const_w(4)), "resolution must be >= 8"),
+    (lambda: fit_growth_exponent({0.0: 0.1, 0.125: 0.2, 0.25: 0.3}),
+     re.escape("t values must lie in (0, 1]")),
+    (lambda: fit_growth_exponent({-0.125: 0.1, 0.125: 0.2, 0.25: 0.3}),
+     re.escape("t values must lie in (0, 1]")),
+    (lambda: fit_growth_exponent({math.nan: 0.1, 0.0625: 0.2, 0.125: 0.3, 0.25: 0.4}),
+     re.escape("t values must lie in (0, 1]")),
+    (lambda: fit_growth_exponent({0.0625: 0.1, 0.125: 0.2, 0.25: math.inf}),
+     "profile values must be finite, got inf"),
 ], ids=["cube-side", "cube-corner", "negative-mass", "zero-mass", "cube-dim", "spec-dim",
-        "spec-resolution", "spec-family", "descending-t", "short-profile", "gamma-n"])
+        "spec-resolution", "spec-family", "descending-t", "short-profile", "gamma-n",
+        "fit-zero-t", "fit-negative-t", "fit-nan-t", "fit-infinite-phi"])
 def test_bad_input_raises_a_value_error(make, match):
     with pytest.raises(ValueError, match=match):
         make()
+
+
+# every cell and the total are finite, but the gauges' quotients and products
+# of cube averages overflow (warnings are errors in this suite)
+OVERFLOW_WEIGHTS = {"1e-300": [1e-300] * 4 + [1e300] * 4,
+                    "5e-324": [5e-324] * 4 + [1e300] * 4}
+
+
+@pytest.mark.parametrize("weight", OVERFLOW_WEIGHTS)
+@pytest.mark.parametrize("gauge, expected", [
+    # at 5e-324 the dual density itself overflows, before any cube average
+    (lambda w: ap_constant(w, 2.0), "A_p (cube values|dual masses) must be finite, got inf"),
+    (lambda w: ap_constant(w, 8.0), "A_p cube values must be finite, got inf"),
+    (hruscev_constant, "Hruscev cube values must be finite, got inf"),
+    (doubling_constant, "doubling cube values must be finite, got inf"),
+    (sidelength_growth_exponent, "gamma cube values must be finite, got inf"),
+    # FW's quotient on Q is at most Q's cell count, and no integral of M overflows here
+    (fujii_wilson, 2.283333333333333),
+], ids=["ap-2", "ap-8", "hruscev", "doubling", "gamma", "fujii-wilson"])
+def test_sup_gauges_reject_overflow(gauge, expected, weight):
+    w = GridWeight(OVERFLOW_WEIGHTS[weight])
+    if isinstance(expected, float):
+        assert gauge(w) == expected
+    else:
+        with pytest.raises(ValueError, match=expected):
+            gauge(w)
 
 
 def test_fit_rejects_a_falling_profile():
