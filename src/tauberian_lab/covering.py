@@ -5,13 +5,19 @@ box, the rule that rejected it.  Both Cordoba-Fefferman selectors run one
 integer greedy on the int cell volumes of the family's grid or on the
 weight's exact masses (`GridWeight.exact`): it keeps a running free table,
 the cell masses with every kept box's cells zeroed, so a box's overlap with
-the kept ones is its mass minus the sum of its free cells.  Vitali, the
-satellite grouping and the Lebesgue greedy read the boxes' volumes and meet
-matrix that the family caches.  Overlap-2 scans the family's integer ends,
-and minimal_cover_dilation reads the integer corners of the family and the
-selected boxes as one family.  Every selector takes a BoxFamily or a plain
-sequence of boxes; the CF selectors read the order from the sides and raise
-OrderingViolation when a box is larger than the one before it.
+the kept ones is its mass minus the sum of its free cells.  The weighted
+selector's delta-free stage, each box's cell slices on the weight's grid
+and its exact mass, is remembered on the family, keyed by a weak reference
+to the weight, so a delta ladder builds it once; each call still copies
+the cell masses as its free table.  Vitali, the satellite grouping and the
+Lebesgue greedy read the boxes' volumes and meet matrix that the family
+caches.  Overlap-2 scans the family's integer ends.  A result's `selected`
+is a family whose integer corners are its input's rows, and
+minimal_cover_dilation joins the integer corners of the family and of the
+selected boxes on the lcm of their scales.  Every selector takes a
+BoxFamily or a plain sequence of boxes; the CF selectors read the order
+from the sides and raise OrderingViolation when a box is larger than the
+one before it.
 
 verify_selection_contract replays the run and re-checks every clause in exact
 integers on a cell grid, the family's (with triple dilates for Vitali) or the
@@ -21,7 +27,9 @@ its own.
 
 from __future__ import annotations
 
+import math
 import operator
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,6 +46,7 @@ from .geometry import (
     _family,
     _fit,
     _level,
+    _remembered,
 )
 from .weights import GridCube, GridWeight
 
@@ -54,7 +63,9 @@ class SelectionResult:
 
     @property
     def selected(self) -> BoxFamily:
-        return BoxFamily([self.input[i] for i in self.selected_indices])
+        """The selected boxes, whose integer corners are the input's rows on
+        the input's scale, so they are not converted from their Fractions again."""
+        return self.input._rows(self.selected_indices)
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +181,23 @@ def cf_select_weighted(f: BoxFamily | Sequence[Box], w: GridWeight, xi) -> Selec
     """Weighted variant: keep a cube iff the already-covered part carries at
     most a (1-xi) fraction of its w-mass, decided on the exact masses that the
     verifier reads, each cube's from their summed-area table.  The result's
-    floats are the exact ratios correctly rounded, float(Fraction(n, d))."""
+    floats are the exact ratios correctly rounded, float(Fraction(n, d)).
+    Each box's cells and mass, which xi does not change, are remembered on the
+    family, keyed by a weak reference to w, so a ladder of xi on one (family,
+    weight) builds them once and the family does not keep w alive."""
     xi = _level(xi, "xi")
     fam = _decreasing(f, "selection requires")
     if fam and fam.dim != w.dim:
         raise ValueError("dimension mismatch")
-    (lo, hi), exact = _grid_cells(fam, w.resolution), w.exact
-    return _cf_select("cf-weighted", fam, xi, exact.cells.copy(), exact.unit,
-                      [tuple(map(slice, *c)) for c in zip(lo.tolist(), hi.tolist())],
-                      exact.box_sums(lo, hi))
+    exact = w.exact
+
+    def stage():
+        lo, hi = _grid_cells(fam, w.resolution)
+        return ([tuple(map(slice, *c)) for c in zip(lo.tolist(), hi.tolist())],
+                exact.box_sums(lo, hi))
+
+    slices, vols = _remembered(fam, weakref.ref(w), stage)
+    return _cf_select("cf-weighted", fam, xi, exact.cells.copy(), exact.unit, slices, vols)
 
 
 # ---------------------------------------------------------------------------
@@ -355,22 +374,34 @@ def verify_selection_contract(result: SelectionResult,
 _DILATION_LADDER = tuple(Fraction(k, 8) for k in range(8, 41))
 
 
-def minimal_cover_dilation(f: BoxFamily | Sequence[Box], selected: Sequence[Box]) -> Fraction:
+def minimal_cover_dilation(f: BoxFamily | Sequence[Box],
+                           selected: BoxFamily | Sequence[Box]) -> Fraction:
     """Smallest factor t on the ladder k/8, k = 8..40, with union(f) inside
     union(t * selected); raises if no factor on it covers.
 
     The dilates are concentric, so coverage is monotone in t: the ladder is bisected,
     first on whether the dilates reach every corner of every box (corners lie in
     union(f), and a corner missed at t is missed below t), then by the grid test
-    from the first factor that reaches them all.
+    from the first factor that reaches them all.  Both run on the cached integer
+    corners of f and of selected, a BoxFamily or a sequence of boxes, rescaled to
+    the lcm of their two scales; no Fraction corner is converted again.
     """
-    fam = _family(f)
+    fam, sel = _family(f), _family(selected)
     if not fam:
         return Fraction(1)
-    # the family, then the selected boxes, on one scale with |corner| <= top;
-    # the corners are int64 only when (2 top)^3 < 2^62, where the corner gaps
-    # below (at most 4 top) times a ladder term (at most 39) stay in int64
-    scale, lo, hi, top = BoxFamily(fam.boxes + tuple(selected))._ints
+    if sel and sel.dim != fam.dim:
+        raise ValueError("dimension mismatch")
+    # the family, then the selected boxes, on the lcm of their scales with
+    # |corner| <= top.  The corners are fit before they are rescaled, to a
+    # bound on the two rescaling factors and on 160 top: a corner gap below (at
+    # most 4 top) times a ladder term (at most 39), and every dilate's corner
+    (f_scale, f_lo, f_hi, f_top), (s_scale, s_lo, s_hi, s_top) = fam._ints, sel._ints
+    scale = math.lcm(f_scale, s_scale)
+    f_up, s_up = scale // f_scale, scale // s_scale
+    top = max(f_top * f_up, s_top * s_up)
+    f_lo, f_hi, s_lo, s_hi = _fit(max(160 * top, f_up, s_up), f_lo, f_hi,
+                                  s_lo.reshape(-1, fam.dim), s_hi.reshape(-1, fam.dim))
+    lo, hi = (np.concatenate([f * f_up, s * s_up]) for f, s in ((f_lo, s_lo), (f_hi, s_hi)))
     k = len(fam)
     # corner x lies in the t-dilate of selected box j iff q |2x - L_j - H_j|_inf <= p (H_j - L_j)
     bits = np.indices((2,) * fam.dim).reshape(fam.dim, -1).T.astype(bool)

@@ -14,14 +14,19 @@ m = max |corner|.
 
 Box families are measured by coordinate compression on one integer grid, as
 in Klee's measure problem.  A family is converted once, on first use, to
-integer corner arrays L, H at one scale D, the `_on_scale` of its corners,
-to the boxes' volumes, to the matrix of which closed boxes meet, and to the
-compressed grid of its boxes; BoxFamily caches all four.  Every family
-operation here and in `covering` takes a BoxFamily or a plain sequence of
-boxes, which it wraps into a BoxFamily once per call, and reads them.  Order
-is read from the sides, never declared: the operations that need
-nonincreasing sides (`increments` and the Cordoba-Fefferman selectors) check
-the cached volumes and raise OrderingViolation.  Decisions that compare
+integer corner arrays L, H at one scale D, the `_on_scale` of its corners
+(a subfamily from `_rows`, such as a selection's `selected`, keeps its
+parent's rows and D instead), to the boxes' volumes, to the matrix of which
+closed boxes meet, and to the compressed grid of its boxes; BoxFamily caches
+all four, but not the grid's cell table, a dense array built on each use.
+Work that depends on one more argument is remembered on the family by
+`_remembered`, the package's one-entry memo: `covering.cf_select_weighted`
+keeps its delta-free stage there, keyed by a weak reference to the weight.
+Every family operation here and in `covering` takes a BoxFamily or a plain
+sequence of boxes, which it wraps into a BoxFamily once per call, and reads
+them.  Order is read from the sides, never declared: the operations that
+need nonincreasing sides (`increments` and the Cordoba-Fefferman selectors)
+check the cached volumes and raise OrderingViolation.  Decisions that compare
 volumes or test whether closed boxes meet are integer comparisons on L, H.
 Per axis, the grid coordinates are the distinct corners, so a box is a slice
 tuple into the grid and a region is a boolean mask over its cells: union is
@@ -63,6 +68,20 @@ def _to_rat(x) -> Fraction:
     if isinstance(x, numbers.Integral):  # numpy integers
         return Fraction(int(x))
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+_MEMO = "_memo"
+
+
+def _remembered(owner, key, compute):
+    """compute(), or what it gave owner's last call with an equal key: one
+    (key, value) entry in owner.__dict__, replaced on a miss."""
+    last = owner.__dict__.get(_MEMO)
+    if last is not None and last[0] == key:
+        return last[1]
+    value = compute()
+    owner.__dict__[_MEMO] = (key, value)
+    return value
 
 
 def _level(x, name: str) -> Fraction:
@@ -171,13 +190,21 @@ class BoxFamily:
     @functools.cached_property
     def _ints(self) -> tuple[int, np.ndarray, np.ndarray, int]:
         """The scale D, the read-only (k, d) integer corner arrays L, H and
-        m = max |corner|; (0, 0) arrays on scale 1 for the empty family.  The
-        arrays are `_fit` to (2m)^3, which bounds every box volume in d <= 3."""
+        m = max |corner|; (0, 0) arrays on scale 1 for the empty family.  D is
+        the least scale of the corners for a family built from boxes; `_rows`
+        hands a subfamily its parent's D.  The arrays are `_fit` to (2m)^3,
+        which bounds every box volume in d <= 3."""
         scale, lo, hi = _int_corners([(b.lo, b.hi) for b in self.boxes])
-        top = max(map(abs, itertools.chain(lo.flat, hi.flat)), default=0)
-        lo, hi = _fit((2 * top) ** 3, lo, hi)
-        lo.flags.writeable = hi.flags.writeable = False
-        return scale, lo, hi, top
+        return _frozen_ints(scale, lo, hi)
+
+    def _rows(self, idx: Sequence[int]) -> "BoxFamily":
+        """The boxes idx as a family whose `_ints` are these rows of this
+        family's, on the same scale D, with m recomputed on them."""
+        sub = BoxFamily([self.boxes[i] for i in idx])
+        scale, lo, hi, _ = self._ints
+        idx = np.asarray(idx, dtype=np.intp)
+        sub.__dict__["_ints"] = _frozen_ints(scale, lo[idx], hi[idx])
+        return sub
 
     @functools.cached_property
     def _volumes(self) -> tuple[int, ...]:
@@ -206,6 +233,15 @@ class BoxFamily:
     def _measure(self) -> Fraction:
         """Exact measure of the union of the boxes."""
         return self._grid.measure(self._grid.cover(range(len(self)))) if self else Fraction(0)
+
+
+def _frozen_ints(scale: int, lo: np.ndarray, hi: np.ndarray
+                 ) -> tuple[int, np.ndarray, np.ndarray, int]:
+    """`BoxFamily._ints` of the corner rows lo, hi at scale."""
+    top = int(max(map(abs, itertools.chain(lo.flat, hi.flat)), default=0))
+    lo, hi = _fit((2 * top) ** 3, lo, hi)
+    lo.flags.writeable = hi.flags.writeable = False
+    return scale, lo, hi, top
 
 
 def _family(f: BoxFamily | Sequence[Box]) -> BoxFamily:

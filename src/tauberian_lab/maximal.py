@@ -23,10 +23,11 @@ Three engines:
 
 Superlevel sets use strict inequality throughout.
 
-Each engine's alpha-free stage is remembered on its measure object, one
-(key, value) entry in the object's __dict__ as `functools.cached_property`
-keeps its value, so an alpha ladder on one (measure, E) pair pays only for
-its thresholds:
+Each engine's alpha-free stage is remembered on its measure object by
+`geometry._remembered`, the package's one memo helper (covering's weighted
+CF selector uses it on a box family too): one (key, value) entry in the
+object's __dict__ as `functools.cached_property` keeps its value, so an
+alpha ladder on one (measure, E) pair pays only for its thresholds:
 
 * `superlevel` keeps one read-only array on the `GridWeight`, keyed by
   (E's shape, E's bytes): in 1-D, E's exact prefix (N+1 ints); in 2-D, the
@@ -58,22 +59,9 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvariantViolation
-from .geometry import Box, _int_corners, _level, _on_scale, _to_rat
+from .geometry import Box, _int_corners, _level, _on_scale, _remembered, _to_rat
 from .gridops import resolution, side_table
 from .weights import GridWeight
-
-_MEMO = "_maximal_memo"
-
-
-def _remembered(owner, key, compute):
-    """compute(), or what it gave owner's last call with an equal key: one
-    (key, value) entry in owner.__dict__, replaced on a miss."""
-    last = owner.__dict__.get(_MEMO)
-    if last is not None and last[0] == key:
-        return last[1]
-    value = compute()
-    owner.__dict__[_MEMO] = (key, value)
-    return value
 
 
 @dataclass(frozen=True)

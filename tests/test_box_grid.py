@@ -1,11 +1,15 @@
 """The compressed-grid box geometry against the pairwise fragment engine it
 replaced, the dilation identity against its all-pairs grid, and Vitali and
 the satellite grouping against their pairwise `Box.intersects` loops (all in
-`tests/oracles.py`), also on families whose integers pass int64; its
-dimension guards, and the contract that the benchmark's tracer wraps."""
+`tests/oracles.py`), also on families whose integers pass int64; the
+integer rows a selection hands over, what a family keeps after the
+benchmark's sequence, its dimension guards, and the contract that the
+benchmark's tracer wraps."""
 
+import gc
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -43,12 +47,16 @@ from tauberian_lab.geometry import (
     Box,
     BoxFamily,
     BoxRegion,
+    _Grid,
     check_dilation_identity,
+    dilate,
     enlargement_excess,
     increments,
     sorted_decreasing,
     union_measure,
 )
+from tauberian_lab.sampling import random_family, random_grid_cube_family, rng_for
+from tauberian_lab.weights import WeightFamilySpec, generate_weight
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -255,8 +263,12 @@ def test_huge_families_match_the_oracles(boxes, delta, t, n):
     # triple dilates of a Vitali selection cover, and 3 is on the ladder
     assert (minimal_cover_dilation(boxes, vit.selected)
             == frag_minimal_cover_dilation(boxes, list(vit.selected), _DILATION_LADDER))
-    with pytest.raises(ValueError, match="no candidate dilation factor covers the family"):
-        minimal_cover_dilation(boxes, [])
+    # a selection on a scale of its own is joined with the family's on their lcm
+    moved = BoxFamily(dilate(b, t) for b in vit.selected)
+    assert cover_or_error(boxes, moved) == oracle_cover_or_error(boxes, moved)
+    for empty in ([], vit.input._rows([])):
+        with pytest.raises(ValueError, match="no candidate dilation factor covers the family"):
+            minimal_cover_dilation(boxes, empty)
     try:
         expected = [_cube_slices(box_to_grid_cube(b, n)) for b in fam]
     except UnsupportedGeometry as err:
@@ -265,6 +277,82 @@ def test_huge_families_match_the_oracles(boxes, delta, t, n):
     else:
         lo, hi = _grid_cells(fam, n)
         assert [tuple(map(slice, *c)) for c in zip(lo.tolist(), hi.tolist())] == expected
+
+
+def cover_or_error(boxes, selected):
+    try:
+        return minimal_cover_dilation(boxes, selected)
+    except ValueError as err:
+        return str(err)
+
+
+def oracle_cover_or_error(boxes, selected):
+    try:
+        return frag_minimal_cover_dilation(boxes, list(selected), _DILATION_LADDER)
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=150)
+@given(st.one_of(box_lists(), lattice_box_lists(), huge_box_lists(), interval_lists()),
+       fractions_in_01())
+def test_selections_keep_their_inputs_integer_rows(boxes, delta):
+    # `selected` hands over the input's rows of `_ints` on the input's scale,
+    # with m and the int64 rule taken on those rows alone
+    results = [vitali_select(boxes), cf_select_lebesgue(sorted_decreasing(boxes), delta)]
+    if boxes[0].dim == 1:
+        results.append(overlap2_select_1d(boxes))
+    for res in results:
+        sel = res.selected
+        scale, lo, hi, top = sel._ints
+        assert scale == res.input._ints[0]
+        assert list(sel) == [res.input[i] for i in res.selected_indices]
+        for b, l, h in zip(sel, lo.tolist(), hi.tolist()):
+            assert (tuple(F(x, scale) for x in l), tuple(F(x, scale) for x in h)) == (b.lo, b.hi)
+        assert top == max(map(abs, lo.ravel().tolist() + hi.ravel().tolist()))
+        assert lo.dtype == hi.dtype == (np.int64 if (2 * top) ** 3 < 2**62 else object)
+        assert not (lo.flags.writeable or hi.flags.writeable)
+        # the cover dilation reads them as it reads the boxes on their least scale
+        expected = cover_or_error(boxes, [Box(b.center, b.side) for b in sel])
+        assert cover_or_error(boxes, sel) == cover_or_error(boxes, list(sel)) == expected
+
+
+def test_a_family_keeps_no_cell_table():
+    # after the benchmark's whole sequence, a 3-D family and a weighted grid
+    # family hold no array as large as the cell table of their grid, and what
+    # they keep is about 1 KB per box: corners, volumes, meets, the grid's
+    # axes and slices, and the weighted stage's slices and masses
+    rng = rng_for(7, "box_grid/memory")
+    w = generate_weight(WeightFamilySpec("power", 2, 32, a=1.0))
+    w.exact
+    cases = [(random_family(rng, 3, 12), None), (random_grid_cube_family(rng, 32, 2, 16), w)]
+    workloads.family_job(*cases[0])  # warm the modules' own caches first
+    for boxes, weight in cases:
+        fam = BoxFamily(boxes.boxes)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            workloads.family_job(fam, weight)
+            gc.collect()
+            added = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert added < 2048 * len(fam)
+        cells = fam._grid.cells()
+        if weight is None:  # the 3-D table alone is larger than that
+            assert cells.nbytes > 2048 * len(fam)
+        arrays = []
+        stack = list(vars(fam).values())
+        while stack:
+            v = stack.pop()
+            if isinstance(v, np.ndarray):
+                arrays.append(v.size)
+            elif isinstance(v, (tuple, list)):
+                stack.extend(v)
+            elif isinstance(v, _Grid):
+                stack.extend(vars(v).values())
+        assert arrays and max(arrays) < cells.size
 
 
 def test_benchmark_families_run_on_int64():

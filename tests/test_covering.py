@@ -1,4 +1,6 @@
+import gc
 import re
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -426,6 +428,73 @@ def test_weighted_verification_needs_the_weight():
     res = cf_select_weighted([interval(0, F(1, 4))], w, F(1, 2))
     with pytest.raises(ValueError, match="weighted contract verification needs the weight"):
         verify_selection_contract(res)
+
+
+# -- the weighted selector's delta-free stage, remembered on the family ----------
+
+
+def memo_entries(fam, before):
+    return [v for k, v in vars(fam).items() if k not in before]
+
+
+@settings(max_examples=25)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
+def test_cf_weighted_memo_interleaved_weights(seed, dim):
+    # a delta ladder in which weights A and B of one resolution and C of a
+    # finer one take turns in the family's one entry; every result equals the
+    # run on a fresh family, which has nothing remembered
+    rng = rng_for(seed, "covering/cfw-memo")
+    fam = random_grid_cube_family(rng, 8, dim, int(rng.integers(1, 10)))
+    a, b, c = (GridWeight(rng.random((n,) * dim) + 0.01) for n in (8, 8, 16))
+    fam._volumes
+    before = set(vars(fam))
+    last, stages = None, {}
+    for delta in (F(1, 8), F(1, 4), F(1, 2), F(3, 4), F(7, 8)):
+        for w in (a, a, b, a, c):
+            res = cf_select_weighted(fam, w, delta)
+            assert res == cf_select_weighted(BoxFamily(fam.boxes), w, delta)
+            assert verify_selection_contract(res, w)["all"]["pass"]
+            ((key, stage),) = memo_entries(fam, before)
+            assert key() is w
+            # kept on a repeat; after another weight's call, built anew
+            assert (stage is stages.get(w)) == (w is last)
+            last, stages[w] = w, stage
+
+
+def test_cf_weighted_memo_remembers_no_failed_stage():
+    # the third box is off the 8-cell grid, so every call raises and none is cached
+    fam = sorted_decreasing([interval(0, F(1, 2)), interval(F(1, 4), F(1, 2)),
+                             interval(F(1, 24), F(1, 6))])
+    fam._volumes
+    before = set(vars(fam))
+    for delta in (F(1, 4), F(1, 2)):
+        with pytest.raises(UnsupportedGeometry, match="box corner is not grid-aligned"):
+            cf_select_weighted(fam, GridWeight(np.ones(8)), delta)
+        assert memo_entries(fam, before) == []
+    res = cf_select_weighted(fam, GridWeight(np.ones(24)), F(1, 2))
+    assert res == cf_select_weighted(BoxFamily(fam.boxes), GridWeight(np.ones(24)), F(1, 2))
+
+
+def test_cf_weighted_memo_keeps_no_weight_alive():
+    # the entry holds a weak reference, so a weight dropped after the call is
+    # freed with its exact tables, and a new weight is not served its stage
+    rng = rng_for(3, "covering/cfw-weakref")
+    fam = random_grid_cube_family(rng, 8, 2, 6)
+    fam._volumes
+    before = set(vars(fam))
+    w = GridWeight(rng.random((8, 8)) + 0.01)
+    w.exact
+    cf_select_weighted(fam, w, F(1, 2))
+    gone = weakref.ref(w)
+    del w
+    gc.collect()
+    assert gone() is None
+    ((key, _),) = memo_entries(fam, before)
+    assert key() is None
+    v = GridWeight(rng.random((8, 8)) + 0.01)
+    assert cf_select_weighted(fam, v, F(1, 2)) == cf_select_weighted(BoxFamily(fam.boxes), v, F(1, 2))
+    ((key, _),) = memo_entries(fam, before)
+    assert key() is v
 
 
 def test_grid_cube_box_roundtrip():

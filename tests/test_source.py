@@ -55,3 +55,17 @@ def test_every_lru_cache_has_an_integer_maxsize():
             if name in ("lru_cache", "cache") and id(node) not in bounded:
                 unbounded.append(f"{path.name}:{node.lineno} {name}")
     assert unbounded == []
+
+
+# the one-place helpers that new code imports instead of copying
+SHARED_HELPERS = ("_on_scale", "_level", "_positive", "_fit", "_coalesce", "_remembered")
+
+
+def test_each_shared_helper_is_defined_once():
+    defined = {name: [] for name in SHARED_HELPERS}
+    for path in FILES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in defined:
+                defined[node.name].append(f"{path.name}:{node.lineno}")
+    assert {name: len(sites) for name, sites in defined.items()} == \
+        dict.fromkeys(SHARED_HELPERS, 1), defined
