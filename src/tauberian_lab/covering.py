@@ -213,11 +213,14 @@ def satellite_decompose(f: BoxFamily | Sequence[Box]) -> dict[int, list[int]]:
     _, lo, hi, _ = fam._ints
     vols, meets = fam._volumes, fam._meets
     res = vitali_select(fam)
-    groups: dict[int, list[int]] = {c: [c] for c in res.selected_indices}
-    for i in range(len(fam)):
-        for c in res.selected_indices:
-            if c != i and vols[i] <= vols[c] and meets[i, c]:
-                groups[c].append(i)
+    centres = res.selected_indices
+    groups = {c: [c] for c in centres}
+    # after its centre c, a group takes the boxes of c's meet column that are no
+    # larger, in index order; nonzero reads every centre's column in one pass
+    for k, i in zip(*(a.tolist() for a in np.nonzero(meets[:, centres].T))):
+        c = centres[k]
+        if i != c and vols[i] <= vols[c]:
+            groups[c].append(i)
     # every member of every group meets its centre, is no larger and lies in 3 * centre
     pairs = np.array([(c, i) for c, members in groups.items() for i in members],
                      dtype=int).reshape(-1, 2)

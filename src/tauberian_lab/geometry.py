@@ -518,13 +518,14 @@ def check_dilation_identity(f: BoxFamily | Sequence[Box], delta) -> IdentityChec
     base = (q - p) * (lo + hi)[jj]
     grid = _Grid(2 * q * scale, base + 2 * p * lo[ii], base + 2 * p * hi[ii])
     rows = max(1, _BLOCK_CELLS // math.prod(grid.shape[1:]))
+    groups = list(zip([0] + [e + 1 for e in ends], ends))
     defect = 0
     for a in range(0, grid.shape[0], rows):
         b = min(a + rows, grid.shape[0])
         slab = (a,) + (0,) * (grid.dim - 1)
         lhs = np.zeros((b - a,) + grid.shape[1:], dtype=bool)
         rhs = np.zeros_like(lhs)
-        for first, end in zip([0] + [e + 1 for e in ends], ends):
+        for first, end in groups:
             if grid.start[end][0] >= b or grid.stop[end][0] <= a:
                 continue
             sl = _cells(grid.start[end], grid.stop[end], slab)

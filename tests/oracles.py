@@ -23,14 +23,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from tauberian_lab.covering import SelectionResult
-from tauberian_lab.errors import InvariantViolation, UnsupportedGeometry
+from tauberian_lab.errors import DegenerateFit, InvariantViolation, UnsupportedGeometry
 from tauberian_lab.geometry import (_BLOCK_CELLS, Box, BoxFamily, IdentityCheck, _Grid,
                                     _int_corners, _to_rat, _volume, dilate,
                                     sorted_decreasing)
 from tauberian_lab.geometry import _cells as _grid_cells
 from tauberian_lab.maximal import (AtomicHaloBound, AtomicMeasure, IntervalSet, MaximalSpec,
                                    PiecewiseWeight1D, default_atomic_candidates)
-from tauberian_lab.weights import GridCube, GridWeight
+from tauberian_lab.weights import GridCube, GridWeight, GrowthFit
 
 
 def _cells(q: GridCube) -> tuple[slice, ...]:
@@ -353,6 +353,30 @@ def sidelength_growth_exponent_pairs(w: GridWeight) -> float:
     if best is None:
         raise ValueError("degenerate weight: all sampled inner cubes have zero mass")
     return best
+
+
+def fit_growth_exponent_polyfit(profile: dict[float, float]) -> GrowthFit:
+    """`fit_growth_exponent` as `np.polyfit`'s least squares through LAPACK,
+    with the same checks and messages."""
+    if not all(0 < t <= 1 for t in profile):
+        raise ValueError("t values must lie in (0, 1]")
+    phis = np.array(list(profile.values()), dtype=float)
+    if not np.isfinite(phis).all():
+        bad = "NaN" if np.isnan(phis).any() else "inf"
+        raise ValueError(f"profile values must be finite, got {bad}")
+    pts = [(t, v) for t, v in sorted(profile.items()) if v > 0]
+    if sum(1 for t, _ in pts if t < 0.5) < 3:
+        raise ValueError("need at least 3 profile points with t < 1/2")
+    if len({v for _, v in pts}) == 1:
+        raise DegenerateFit("profile is flat; growth exponent undetermined")
+    x = np.log([t for t, _ in pts])
+    y = np.log([v for _, v in pts])
+    slope, intercept = np.polyfit(x, y, 1)
+    if slope <= 0:
+        raise DegenerateFit("profile fit has nonpositive slope")
+    c1 = float(np.exp(intercept))
+    c2 = float(1.0 / slope)
+    return GrowthFit(c1, c2, c2 * (1 + math.log(c1)))
 
 
 def atomic_maximal_lower_float(mu: AtomicMeasure, e_indices: Sequence[int], alpha

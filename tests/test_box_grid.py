@@ -246,6 +246,13 @@ def test_vitali_and_satellites_match_pairwise_loops(boxes):
     assert satellite_decompose(boxes) == pairwise_satellite_decompose(boxes)
 
 
+@settings(max_examples=50)
+@given(st.one_of(box_lists(), lattice_box_lists()))
+def test_satellite_groups_keep_the_pairwise_key_order(boxes):
+    # dict == ignores key order; the groups are keyed in Vitali's selection order
+    assert list(satellite_decompose(boxes)) == list(pairwise_satellite_decompose(boxes))
+
+
 @settings(max_examples=150)
 @given(huge_box_lists(), huge_fractions(below_one=True), huge_fractions(),
        st.sampled_from([1, 3, 2**20, 2**61]))
@@ -373,6 +380,14 @@ def test_boxes_touching_at_a_face_or_corner_meet():
     assert res.selected_indices == (0,) and res == pairwise_vitali_select(boxes)
     assert {i: c["selected_index"] for i, c in res.certificates.items()} == {1: 0, 2: 0}
     assert satellite_decompose(boxes) == {0: [0, 1, 2]} == pairwise_satellite_decompose(boxes)
+
+
+def test_satellites_compare_volumes_past_float_precision():
+    # [2, 3 + 2^-60] meets the centre [3, 4] and is larger by one unit of the
+    # scale 2^60; as floats the two volumes, 2^60 + 1 and 2^60, are equal
+    eps = F(1, 2**60)
+    boxes = [Box((F(1),), 2), Box((F(7, 2),), 1), Box(((5 + eps) / 2,), 1 + eps)]
+    assert satellite_decompose(boxes) == {0: [0, 2], 1: [1]} == pairwise_satellite_decompose(boxes)
 
 
 # -- dimension guards -----------------------------------------------------------

@@ -69,3 +69,27 @@ def test_each_shared_helper_is_defined_once():
                 defined[node.name].append(f"{path.name}:{node.lineno}")
     assert {name: len(sites) for name, sites in defined.items()} == \
         dict.fromkeys(SHARED_HELPERS, 1), defined
+
+
+def _names(node: ast.AST) -> set[str]:
+    """The identifiers a node spells: a name, an attribute, or each dotted
+    part of an import's module, names and aliases."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        dotted = [getattr(node, "module", None) or ""]
+        dotted += [name for alias in node.names for name in (alias.name, alias.asname or "")]
+        return {part for name in dotted for part in name.split(".")}
+    return set()
+
+
+def test_the_package_calls_no_lapack():
+    # the growth fit is a closed-form line; a first LAPACK call alone grows a
+    # process by about 1.2 MB
+    banned = {"linalg", "polyfit", "lstsq"}
+    named = [f"{path.name}:{node.lineno} {name}" for path in FILES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             for name in sorted(_names(node) & banned)]
+    assert named == []

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (ap_constant_sides, doubling_exact, doubling_window_loop, fsum_mass,
-                     fujii_wilson_naive,
+from oracles import (ap_constant_sides, doubling_exact, doubling_window_loop,
+                     fit_growth_exponent_polyfit, fsum_mass, fujii_wilson_naive,
                      fujii_wilson_sides, growth_profile_sides, hruscev_constant_sides,
                      reverse_holder_holds_sides, sidelength_growth_exponent_pairs,
                      side_sum_rel)
@@ -689,6 +689,44 @@ def test_fit_growth_c2_increases_with_a():
         prof = growth_profile(power_w(64, a), ts)
         c2s.append(fit_growth_exponent(prof).c2)
     assert c2s[0] < c2s[1] < c2s[2]
+
+
+@st.composite
+def growth_profiles(draw):
+    """3-8 distinct t = k/256, at least 3 below 1/2, with log phi on a line of
+    slope s > 0 (rising), -s (falling) or 0 (flat) plus noise of at most
+    s g / 4 for g the least gap of the log t.  That noise moves the fitted
+    slope by at most sqrt(12 / (n^2 - 1)) / 4 s <= 0.31 s for n points, so a
+    rising or falling line keeps its sign, away from 0."""
+    ks = set(draw(st.lists(st.integers(1, 127), min_size=3, max_size=8, unique=True)))
+    ks |= set(draw(st.lists(st.integers(1, 256), max_size=8 - len(ks))))
+    ts = [k / 256 for k in sorted(ks)]
+    x = [math.log(t) for t in ts]
+    gap = min(b - a for a, b in zip(x, x[1:]))
+    shape = draw(st.sampled_from(["rising", "falling", "flat"]))
+    s = {"rising": 1, "falling": -1, "flat": 0}[shape] * draw(st.floats(0.25, 4.0))
+    b = draw(st.floats(-3.0, 3.0))
+    noise = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(x), max_size=len(x)))
+    return shape, {t: math.exp(b + s * (a + gap * e / 4)) for t, a, e in zip(ts, x, noise)}
+
+
+@example(("rising", {1 / 16: 1 / 16, 1 / 8: 1 / 8, 1 / 4: 1 / 4, 1 / 3: 1 / 3}))
+@example(("flat", {t: 0.7 for t in (1 / 16, 1 / 8, 1 / 4)}))
+@example(("falling", {1 / 16: 1.0, 1 / 8: 0.5, 1 / 4: 0.25}))
+@settings(max_examples=300)
+@given(growth_profiles())
+def test_fit_growth_matches_polyfit(case):
+    shape, profile = case
+    if shape == "rising":
+        fit, expect = fit_growth_exponent(profile), fit_growth_exponent_polyfit(profile)
+        for got, want in zip(fit, expect):
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12), (fit, expect)
+        return
+    message = {"flat": "profile is flat; growth exponent undetermined",
+               "falling": "profile fit has nonpositive slope"}[shape]
+    for fit in (fit_growth_exponent, fit_growth_exponent_polyfit):
+        with pytest.raises(DegenerateFit, match=f"^{re.escape(message)}$"):
+            fit(profile)
 
 
 # -- reverse Holder -----------------------------------------------------------
