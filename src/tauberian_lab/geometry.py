@@ -139,12 +139,6 @@ class Box:
             raise ValueError("dimension mismatch")
         return all(l <= x <= u for l, x, u in zip(self.lo, pt, self.hi))
 
-    def contains_box(self, other: "Box") -> bool:
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return all(sl <= ol and ou <= su
-                   for sl, ol, ou, su in zip(self.lo, other.lo, other.hi, self.hi))
-
     def intersects(self, other: "Box") -> bool:
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
@@ -231,8 +225,8 @@ class BoxFamily:
 
     @functools.cached_property
     def _measure(self) -> Fraction:
-        """Exact measure of the union of the boxes."""
-        return self._grid.measure(self._grid.cover(range(len(self)))) if self else Fraction(0)
+        """Exact measure of the union of the boxes of a nonempty family."""
+        return self._grid.measure(self._grid.cover(range(len(self))))
 
 
 def _frozen_ints(scale: int, lo: np.ndarray, hi: np.ndarray
@@ -458,11 +452,6 @@ class BoxRegion:
 # ---------------------------------------------------------------------------
 
 
-def union_measure(f: BoxFamily | Sequence[Box]) -> Fraction:
-    """Exact measure of the union; cached on the family, so a BoxFamily is measured once."""
-    return _family(f)._measure
-
-
 def increments(f: BoxFamily | Sequence[Box]) -> list[BoxRegion]:
     """Disjointification of a family of nonincreasing sides into increment
     regions E_j = Q_j minus the earlier boxes, by one pass with a running OR."""
@@ -540,10 +529,10 @@ def check_dilation_identity(f: BoxFamily | Sequence[Box], delta) -> IdentityChec
 
 
 def enlargement_excess(f: BoxFamily | Sequence[Box], delta) -> Fraction:
-    """Exact measure of (union of (1+delta)-dilates) minus (union of the boxes):
-    each box lies in its dilate, so |union of tQ|, on the grid of the k
-    dilates alone ((2k)^d cells at most), minus the cached |union of Q|."""
-    delta = _level(delta, "delta")
+    """Exact measure of (union of (1+delta)-dilates) minus (union of the boxes),
+    delta > 0: each box lies in its dilate, so |union of tQ|, on the grid of
+    the k dilates alone ((2k)^d cells at most), minus the cached |union of Q|."""
+    delta = _positive(delta, "delta")
     fam = _family(f)
     if not fam:
         return Fraction(0)

@@ -151,14 +151,18 @@ def superlevel(e: np.ndarray, alpha: float, spec: MaximalSpec = MaximalSpec(),
     prefix sums of E's and the weight's exact cell masses (`GridWeight.exact`).
     An interval of no mass leaves Phi unchanged and raises nothing, as
     `grid_maximal` skips it.  That is one O(N) pass of Python ints per alpha.
-    The 2-D weighted call compares the `grid_maximal` values with alpha.
+    The Lebesgue and 2-D weighted calls compare float `grid_maximal` values
+    with alpha, so they can misdecide a cell whose exact value lies within
+    one rounding of the division (plus `side_sums`' d*s*u bound on each
+    weighted mass) of alpha: `superlevel([1, 0, 0], 1/3)` holds cells {0, 1},
+    but the exact set at float(1/3) also holds cell 2, as 1/3 > float(1/3).
+    The tests' `oracles.superlevel_1d_exact` is the exact 1-D reference.
 
     The alpha-free stage is remembered on the weight, read-only, keyed by
     (E's shape, E's bytes), so an alpha ladder on one set computes it once;
     an in-place change to E is a new key.  It is P_E (N+1 ints) in 1-D and
     the `grid_maximal` values (one N^2 float array) in 2-D.  A Lebesgue call
-    (no weight) compares the float `grid_maximal` values with alpha and is
-    not memoized.
+    is not memoized.
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
@@ -536,9 +540,6 @@ class AtomicMeasure:
     @property
     def dim(self) -> int:
         return len(self.atoms[0][0])
-
-    def total_mass(self) -> Fraction:
-        return sum((m for _, m in self.atoms), Fraction(0))
 
 
 class AtomicHaloBound(NamedTuple):

@@ -22,10 +22,11 @@ integer scale (`geometry._on_scale`), their largest denominator, a power of
 two (2^1074 for subnormals), each cell is an int numerator, and a cube's
 exact mass is 2^d summed-area lookups.
 
-All cube suprema run over grid-aligned cubes inside the domain; every
-constant here is therefore a lower approximation of its continuous
+All cube suprema run over grid-aligned cubes inside the domain; every sup
+gauge here is therefore a lower approximation of its continuous
 counterpart, nondecreasing under the refinement N -> 2N (gamma only at
-power-of-two N; see sidelength_growth_exponent).
+power-of-two N; see sidelength_growth_exponent).  The growth fit is not a
+sup, and its c2 and A_infinity bound can fall (see fit_growth_exponent).
 
 The float sup gauges (A_p, Hruscev, Fujii-Wilson, doubling, gamma) share two
 rules.  A quotient over a cube with no mass reads -inf (`_ratios`), so the sup
@@ -45,7 +46,7 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -141,10 +142,6 @@ class GridWeight:
     @property
     def density(self) -> np.ndarray:
         return self.values / self.cell_volume
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.values.sum())
 
     def _check_cube(self, q: GridCube) -> None:
         if q.dim != self.dim:
@@ -471,6 +468,9 @@ def _doubling_pairs(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
+DEFAULT_PROFILE_T = (1 / 64, 1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2)
+
+
 def growth_profile(w: GridWeight, t_values: Sequence[float]) -> dict[float, float]:
     """phi(t) = sup over cubes Q of (mass of the floor(t*cells) heaviest cells) / w(Q).
 
@@ -539,7 +539,10 @@ def fit_growth_exponent(profile: dict[float, float]) -> GrowthFit:
     agrees with it to about 1e-15 relative on `DEFAULT_PROFILE_T` profiles.
     The package does not call `polyfit`: it solves the 2-column system
     through LAPACK (`numpy.linalg.lstsq`), whose first call alone grows a
-    process by about 1.2 MB, for a line this formula gives directly.
+    process by about 1.2 MB, for a line this formula gives directly.  The
+    fit can fall under N -> 2N: on power a = -1/2 at x0 = 0, 1-D N = 32,
+    phi(1/64) = 0 drops out, and the cell split takes c2 from 2.0 to 1.75
+    and the bound from 2.0 to 1.952.
     """
     _check_t_values(profile)
     _require_finite(np.array(list(profile.values()), dtype=float), "profile values")
@@ -651,36 +654,3 @@ def _gamma_pairs(n: int, d: int) -> _GammaPairs:
     for a in arrays:
         a.flags.writeable = False  # cached, so shared by every call
     return _GammaPairs(*arrays, tuple(log_sides))
-
-
-@dataclass
-class WeightConstants:
-    """All computed gauges for one weight, with the grid parameters used."""
-
-    ap: dict[float, float]
-    fujii_wilson: float
-    hruscev: float
-    doubling: float
-    rh_epsilon: float
-    gamma: float
-    growth_exponent: GrowthFit
-    meta: dict = field(default_factory=dict)
-
-
-DEFAULT_PROFILE_T = (1 / 64, 1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2)
-
-
-def compute_weight_constants(w: GridWeight) -> WeightConstants:
-    """Every gauge of w: A_p for p in {2, 4, 8}, the reverse-Holder exponent
-    at its default constant, and the growth fit over DEFAULT_PROFILE_T."""
-    profile = growth_profile(w, DEFAULT_PROFILE_T)
-    return WeightConstants(
-        ap={p: ap_constant(w, p) for p in (2.0, 4.0, 8.0)},
-        fujii_wilson=fujii_wilson(w),
-        hruscev=hruscev_constant(w),
-        doubling=doubling_constant(w),
-        rh_epsilon=reverse_holder_exponent(w),
-        gamma=sidelength_growth_exponent(w),
-        growth_exponent=fit_growth_exponent(profile),
-        meta=dict(w.meta),
-    )

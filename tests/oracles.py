@@ -822,7 +822,8 @@ def is_satellite(f, center_index: int = 0) -> bool:
             return False
     big = dilate(center, 3)
     # geometric consequence of the definition, kept as a hard invariant
-    if not all(big.contains_box(b) for b in boxes):
+    if not all(all(bl <= l and h <= bh for bl, l, h, bh in zip(big.lo, b.lo, b.hi, big.hi))
+               for b in boxes):
         raise InvariantViolation("satellite union escapes 3*center")
     return True
 

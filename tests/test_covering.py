@@ -26,11 +26,11 @@ from tauberian_lab.errors import InvariantViolation, OrderingViolation, Unsuppor
 from tauberian_lab.geometry import (
     Box,
     BoxFamily,
+    BoxRegion,
     check_dilation_identity,
     enlargement_excess,
     increments,
     sorted_decreasing,
-    union_measure,
 )
 from tauberian_lab.sampling import random_family, random_grid_cube_family, rng_for
 from tauberian_lab.weights import GridCube, GridWeight, WeightFamilySpec, generate_weight
@@ -184,7 +184,7 @@ def assert_ordered_operations_accept(boxes, w):
         assert verify_selection_contract(res, w)["all"]["pass"]
     regions = increments(boxes)
     assert [r.measure() for r in regions] == [r.measure() for r in increments(fam)]
-    assert sum((r.measure() for r in regions), F(0)) == union_measure(boxes)
+    assert sum((r.measure() for r in regions), F(0)) == BoxRegion.from_boxes(boxes).measure()
 
 
 def test_selections_feed_back_into_the_ordered_operations():
@@ -247,7 +247,6 @@ def test_every_family_operation_accepts_the_empty_family():
     assert enlargement_excess(empty, F(1, 2)) == 0
     assert check_dilation_identity(empty, F(1, 2)) == (True, 0)
     assert minimal_cover_dilation(empty, []) == 1
-    assert union_measure(empty) == 0
     assert verify_selection_contract(overlap2_select_1d([]))["all"]["pass"]
 
 
@@ -557,8 +556,8 @@ def test_satellite_union_preserved_random():
         fam = random_family(rng, dim, int(rng.integers(1, 8)), decreasing=False)
         groups = satellite_decompose(fam)
         assert set().union(*groups.values()) == set(range(len(fam)))
-        cover = union_measure([fam[i] for g in groups.values() for i in g])
-        assert cover == union_measure(fam)
+        cover = BoxRegion.from_boxes([fam[i] for g in groups.values() for i in g])
+        assert cover.measure() == BoxRegion.from_boxes(fam).measure()
 
 
 def test_satellite_group_invariant_raises():
